@@ -23,11 +23,9 @@ from hopfcheck.cyclotomic import (
     Rational,
     UniPoly,
     VariableMismatch,
-    arith,
     embed,
     factor_unipoly,
     make_field,
-    multipoly_arith,
     roots_in_field,
 )
 from hopfcheck.families import (

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from hopfcheck.cyclotomic import CycloField, FieldElement, UniPoly, factor_unipoly
-from hopfcheck.linalg import Matrix, Tensor3, unit_vector, vec_is_zero
+from hopfcheck.linalg import Matrix, Tensor3, sparse_equal, unit_vector, vec_is_zero
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,21 @@ class AssocAlgebra:
                     out[k] = out[k] + c * m
         return tuple(out)
 
+    def tensor_square_product(self, a: dict, b: dict) -> dict:
+        """Product in A (x) A of two sparse {(j, k): coeff} elements."""
+        out: dict = {}
+        zero = self.field.zero()
+        table = self.mult.by_ij()
+        for (j1, k1), c1 in a.items():
+            for (j2, k2), c2 in b.items():
+                c = c1 * c2
+                for j, cj in table.get((j1, j2), ()):
+                    cc = c * cj
+                    for k, ck in table.get((k1, k2), ()):
+                        key = (j, k)
+                        out[key] = out.get(key, zero) + cc * ck
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
     def left_mult_matrix(self, a) -> Matrix:
         return self.mult.contract("left-mult", a)
 
@@ -128,25 +143,11 @@ def verify_algebra(alg: AssocAlgebra) -> Report:
                 for t, c in table.get((j, k), ()):
                     for s, m in table.get((i, t), ()):
                         right[s] = right.get(s, zero) + c * m
-                if not _sparse_equal(left, right):
+                if not sparse_equal(left, right):
                     report.add(
                         Violation("associativity", (i, j, k), "(ab)c != a(bc)")
                     )
     return report
-
-
-def _sparse_equal(a: dict, b: dict) -> bool:
-    for k, v in a.items():
-        w = b.get(k)
-        if w is None:
-            if not v.is_zero():
-                return False
-        elif v != w:
-            return False
-    for k, w in b.items():
-        if k not in a and not w.is_zero():
-            return False
-    return True
 
 
 def radical(alg: AssocAlgebra) -> list[tuple]:
@@ -226,9 +227,6 @@ class EchelonBasis:
         self.rows.append([pivot, v])
         self.rows.sort(key=lambda e: e[0])
         return True
-
-    def contains(self, vec) -> bool:
-        return all(c.is_zero() for c in self.reduce(vec))
 
     def basis(self) -> list[tuple]:
         return [row for _, row in self.rows]

@@ -3,8 +3,11 @@ bosonize, and the dimension-5 case report.
 
 Reports are line-oriented and deterministic (golden-file friendly).  Exit
 codes: 0 pass/success (dim5-check exits 0 when the expected contradiction IS
-found), 1 verification failure or missing contradiction, 2 usage and parse
-errors.
+found), 1 verification failure, missing contradiction or a computation that
+cannot finish on the input (no antipode, an antipode system too large to
+solve, a degenerate integral, a group-like search or antipode order that
+fails), 2 usage and parse errors.  Errors print one line on stderr, never a
+traceback.
 """
 
 from __future__ import annotations
@@ -17,8 +20,11 @@ from hopfcheck import families
 from hopfcheck.cyclotomic import make_field
 from hopfcheck.dim5 import CASES, run_case
 from hopfcheck.hopf import (
+    AntipodeOrderOverflow,
     BadDimension,
+    DegenerateIntegral,
     NoAntipode,
+    NotGroupLike,
     antipode_order,
     classify_4p,
     coradical,
@@ -85,6 +91,18 @@ def _load(path: str) -> Manifest:
         return parse(fh.read())
 
 
+def _load_hopf(path: str, verb: str):
+    """The Hopf payload with its antipode solved, or None for another kind."""
+    manifest = _load(path)
+    if manifest.object_kind != "hopf":
+        print("%s requires a hopf manifest" % verb, file=sys.stderr)
+        return None
+    h = manifest.payload
+    if h.antipode is None:
+        h.antipode = solve_antipode(h)
+    return h
+
+
 def _verify(args) -> int:
     manifest = _load(args.file)
     if manifest.object_kind == "hopf":
@@ -107,13 +125,9 @@ def _verify(args) -> int:
 
 
 def _invariants(args) -> int:
-    manifest = _load(args.file)
-    if manifest.object_kind != "hopf":
-        print("invariants requires a hopf manifest", file=sys.stderr)
+    h = _load_hopf(args.file, "invariants")
+    if h is None:
         return 2
-    h = manifest.payload
-    if h.antipode is None:
-        h.antipode = solve_antipode(h)
     likes = group_likes(h)
     hdual = dual(h)
     dual_likes = group_likes(hdual)
@@ -136,25 +150,17 @@ def _invariants(args) -> int:
 
 
 def _classify(args) -> int:
-    manifest = _load(args.file)
-    if manifest.object_kind != "hopf":
-        print("classify requires a hopf manifest", file=sys.stderr)
+    h = _load_hopf(args.file, "classify")
+    if h is None:
         return 2
-    h = manifest.payload
-    if h.antipode is None:
-        h.antipode = solve_antipode(h)
     print(classify_4p(h))
     return 0
 
 
 def _dualize(args) -> int:
-    manifest = _load(args.file)
-    if manifest.object_kind != "hopf":
-        print("dualize requires a hopf manifest", file=sys.stderr)
+    h = _load_hopf(args.file, "dualize")
+    if h is None:
         return 2
-    h = manifest.payload
-    if h.antipode is None:
-        h.antipode = solve_antipode(h)
     with open(args.output, "wb") as fh:
         fh.write(serialize(manifest_for(dual(h))))
     print("wrote %s" % args.output)
@@ -247,6 +253,10 @@ def main(argv=None) -> int:
         return 2
     except (VerificationFailure, NoAntipode) as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
+        return 1
+    except (ArithmeticError, DegenerateIntegral, AntipodeOrderOverflow,
+            NotGroupLike) as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 1
 
 

@@ -42,31 +42,8 @@ def rational_from_str(s: str) -> Fraction:
     return Fraction(int(num), d)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def euler_phi(n: int) -> int:
-    phi = 1
-    m = n
-    for p in _prime_factors(n):
-        k = 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        phi *= (p - 1) * p ** (k - 1)
-    return phi
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
@@ -772,17 +749,6 @@ def _hensel_step(p, k, f, g, h, s, t):
             a.pop()
         return a
 
-    def mul(a, b):
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = (out[i + j] + x * y) % q2
-        return trim(out)
-
     def add(a, b):
         out = [0] * max(len(a), len(b))
         for i, c in enumerate(a):
@@ -811,14 +777,14 @@ def _hensel_step(p, k, f, g, h, s, t):
                     a[i + j] = (a[i + j] - c * b[j]) % q2
         return trim(qq), trim(a[:db])
 
-    e = sub(f, mul(g, h))
-    qpoly, rpoly = divmod_monic(mul(s, e), h)
-    g1 = add(g, add(mul(t, e), mul(qpoly, g)))
+    e = sub(f, _zp_mul(q2, g, h))
+    qpoly, rpoly = divmod_monic(_zp_mul(q2, s, e), h)
+    g1 = add(g, add(_zp_mul(q2, t, e), _zp_mul(q2, qpoly, g)))
     h1 = add(h, rpoly)
-    b = sub(add(mul(s, g1), mul(t, h1)), [1])
-    cpoly, dpoly = divmod_monic(mul(s, b), h1)
+    b = sub(add(_zp_mul(q2, s, g1), _zp_mul(q2, t, h1)), [1])
+    cpoly, dpoly = divmod_monic(_zp_mul(q2, s, b), h1)
     s1 = sub(s, dpoly)
-    t1 = sub(sub(t, mul(t, b)), mul(cpoly, g1))
+    t1 = sub(sub(t, _zp_mul(q2, t, b)), _zp_mul(q2, cpoly, g1))
     return g1, h1, s1, t1
 
 
@@ -847,16 +813,6 @@ def _hensel_lift_tree(p, k, f, factors):
     )
 
 
-def _int_mul_mod(a: list[int], b: list[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % q
-    return out
-
-
 def _int_trial_div(a: list[int], b: list[int]):
     if not b or len(b) > len(a):
         return None
@@ -878,7 +834,7 @@ def _int_trial_div(a: list[int], b: list[int]):
 
 def _next_prime(p: int) -> int:
     p += 2
-    while any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+    while not is_prime(p):
         p += 2
     return p
 
@@ -939,7 +895,7 @@ def _factor_squarefree_q(poly: UniPoly) -> list[UniPoly]:
             for combo in itertools.combinations(remaining, r):
                 cand = [current[-1] % q]
                 for idx in combo:
-                    cand = _int_mul_mod(cand, lifted[idx], q)
+                    cand = _zp_mul(q, cand, lifted[idx])
                 cand = [symmetric(c) for c in cand]
                 g0 = 0
                 for c in cand:
@@ -1328,27 +1284,3 @@ class MultiPoly:
             else:
                 parts.append("%r*%s" % (c, mono))
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def multipoly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Dispatch-style arithmetic entry point: op in {add, sub, mul}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError("unknown op %r" % op)
-
-
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch-style arithmetic entry point: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError("unknown op %r" % op)

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from hopfcheck.algebra import AssocAlgebra
-from hopfcheck.cyclotomic import CycloField, FieldElement, embed, make_field
+from hopfcheck.cyclotomic import CycloField, FieldElement, embed, is_prime, make_field
 from hopfcheck.hopf import HopfAlgebra, solve_antipode, tensor_hopf
 from hopfcheck.linalg import Matrix, Tensor3, unit_vector
 
@@ -130,7 +130,7 @@ def a_tau_mu(p: int, q: int, tau, mu: int, field: CycloField | None = None) -> H
     """
     if mu not in (0, 1):
         raise BadParams("mu must be 0 or 1")
-    if p == q or not (_is_prime(p) and _is_prime(q)):
+    if p == q or not (is_prime(p) and is_prime(q)):
         raise BadParams("p, q must be distinct primes")
     if field is None:
         field = make_field(math.lcm(q, p * q * q))
@@ -191,7 +191,7 @@ def taft_tensor_group(
     q: int, tau, p: int, field: CycloField | None = None
 ) -> HopfAlgebra:
     """T_q (x) k[Z_p] on the lexicographic tensor basis; dim p q^2."""
-    if not _is_prime(p) or not _is_prime(q) or p == q:
+    if not is_prime(p) or not is_prime(q) or p == q:
         raise BadParams("p, q must be distinct primes")
     if field is None:
         field = make_field(math.lcm(q, p * q * q))
@@ -208,36 +208,10 @@ def _comult_from_generators(alg, dim, gens, words, order):
     field = alg.field
     one_delta = {(0, 0): field.one()}
     entries = {}
-    table = alg.mult.by_ij()
-
-    def tensor_mul(a, b):
-        out = {}
-        zero = field.zero()
-        for (j1, k1), c1 in a.items():
-            for (j2, k2), c2 in b.items():
-                c = c1 * c2
-                for j, cj in table.get((j1, j2), ()):
-                    cc = c * cj
-                    for k, ck in table.get((k1, k2), ()):
-                        key = (j, k)
-                        out[key] = out.get(key, zero) + cc * ck
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
     for word, target in zip(words, order):
         acc = one_delta
         for g in word:
-            acc = tensor_mul(acc, gens[g])
+            acc = alg.tensor_square_product(acc, gens[g])
         for (j, k), c in acc.items():
             entries[(target, j, k)] = c
     return Tensor3(field, (dim, dim, dim), entries)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

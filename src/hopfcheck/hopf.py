@@ -25,7 +25,7 @@ from hopfcheck.cyclotomic import (
     CycloField,
     FieldElement,
     FieldMismatch,
-    embed,
+    is_prime,
     rational_to_str,
     roots_in_field,
 )
@@ -33,8 +33,11 @@ from hopfcheck.linalg import (
     Matrix,
     Tensor3,
     common_kernel,
+    sparse_equal,
     unit_vector,
+    vec_dot,
     vec_is_zero,
+    vec_outer,
     vec_scale,
     vec_sub,
     zero_vector,
@@ -97,11 +100,7 @@ class HopfAlgebra:
         return "HopfAlgebra(dim=%d over %r)" % (self.dim, self.field)
 
     def counit_of(self, vec) -> FieldElement:
-        acc = self.field.zero()
-        for e, v in zip(self.counit, vec):
-            if not (e.is_zero() or v.is_zero()):
-                acc = acc + e * v
-        return acc
+        return vec_dot(self.counit, vec)
 
     def delta_basis(self, i: int):
         """Delta(b_i) as a sparse tuple of (j, k, coeff)."""
@@ -109,15 +108,7 @@ class HopfAlgebra:
 
     def delta_vec(self, vec) -> dict:
         """Delta of a coordinate vector as {(j, k): coeff}."""
-        out: dict = {}
-        zero = self.field.zero()
-        for i, vi in enumerate(vec):
-            if vi.is_zero():
-                continue
-            for j, k, c in self.delta_basis(i):
-                key = (j, k)
-                out[key] = out.get(key, zero) + vi * c
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return self.comult.contract_first(vec)
 
     def sweedler_triples(self, i: int):
         """(Delta (x) id)Delta(b_i) as a tuple of (j, k, l, coeff)."""
@@ -126,21 +117,6 @@ class HopfAlgebra:
             for k, l, c2 in self.delta_basis(t):
                 out.append((j, k, l, c * c2))
         return tuple(out)
-
-    def tensor_square_product(self, a: dict, b: dict) -> dict:
-        """Product in H (x) H of two sparse {(j, k): coeff} elements."""
-        out: dict = {}
-        zero = self.field.zero()
-        prod = self.algebra.basis_product
-        for (j1, k1), c1 in a.items():
-            for (j2, k2), c2 in b.items():
-                c = c1 * c2
-                for j, cj in prod(j1, j2):
-                    cc = c * cj
-                    for k, ck in prod(k1, k2):
-                        key = (j, k)
-                        out[key] = out.get(key, zero) + cc * ck
-        return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def structure_equal(h1: HopfAlgebra, h2: HopfAlgebra) -> bool:
@@ -156,30 +132,6 @@ def structure_equal(h1: HopfAlgebra, h2: HopfAlgebra) -> bool:
     if h1.antipode is not None and h1.antipode != h2.antipode:
         return False
     return True
-
-
-def extend_field(h: HopfAlgebra, target: CycloField) -> HopfAlgebra:
-    """Push every structure constant through Q(zeta_n) -> Q(zeta_m)."""
-
-    def t3(t: Tensor3) -> Tensor3:
-        return Tensor3(
-            target, t.dims, {k: embed(c, target) for k, c in t.entries.items()}
-        )
-
-    alg = AssocAlgebra(
-        target,
-        h.dim,
-        t3(h.algebra.mult),
-        tuple(embed(c, target) for c in h.algebra.unit),
-    )
-    anti = None
-    if h.antipode is not None:
-        anti = Matrix(
-            target, [[embed(c, target) for c in row] for row in h.antipode.data]
-        )
-    return HopfAlgebra(
-        alg, t3(h.comult), tuple(embed(c, target) for c in h.counit), anti
-    )
 
 
 _CHECK_ORDER = [
@@ -205,47 +157,30 @@ def verify_hopf(h: HopfAlgebra) -> Report:
 
     # coassociativity and counit laws
     for i in range(dim):
-        left: dict = {}
-        right: dict = {}
-        for j, t, c in h.delta_basis(i):
-            for a, b, c2 in h.delta_basis(j):
-                key = (a, b, t)
-                left[key] = left.get(key, zero) + c * c2
-        for j, t, c in h.delta_basis(i):
-            for a, b, c2 in h.delta_basis(t):
-                key = (j, a, b)
-                right[key] = right.get(key, zero) + c * c2
-        if not _sparse_dict_equal(left, right):
+        rows = h.delta_basis(i)
+        if not coassociative(rows, h.delta_basis, h.delta_basis, field):
             report.add(Violation("coassociativity", (i,), "(D(x)id)D != (id(x)D)D"))
-        lvec = [zero] * dim
-        rvec = [zero] * dim
-        for j, k, c in h.delta_basis(i):
-            if not h.counit[j].is_zero():
-                lvec[k] = lvec[k] + h.counit[j] * c
-            if not h.counit[k].is_zero():
-                rvec[j] = rvec[j] + h.counit[k] * c
-        e_i = unit_vector(field, dim, i)
-        if tuple(lvec) != e_i:
+        if not counit_law(rows, h.counit, 0, i, field, dim):
             report.add(Violation("counit", (i,), "(eps(x)id)D != id"))
-        if tuple(rvec) != e_i:
+        if not counit_law(rows, h.counit, 1, i, field, dim):
             report.add(Violation("counit", (i,), "(id(x)eps)D != id"))
 
     # bialgebra compatibility
     unit_delta = h.delta_vec(h.unit)
-    unit_outer = _outer(h.unit, h.unit, field)
-    if not _sparse_dict_equal(unit_delta, unit_outer):
+    unit_outer = vec_outer(h.unit, h.unit)
+    if not sparse_equal(unit_delta, unit_outer):
         report.add(Violation("comult-algebra-map", ("unit",), "D(1) != 1(x)1"))
     if not h.counit_of(h.unit).is_one():
         report.add(Violation("counit-algebra-map", ("unit",), "eps(1) != 1"))
-    deltas = [dict(_triples_to_dict(h.delta_basis(i), field)) for i in range(dim)]
+    deltas = [{(j, k): c for j, k, c in h.delta_basis(i)} for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
             prod_delta: dict = {}
             for k, c in h.algebra.basis_product(i, j):
                 for key, c2 in deltas[k].items():
                     prod_delta[key] = prod_delta.get(key, zero) + c * c2
-            delta_prod = h.tensor_square_product(deltas[i], deltas[j])
-            if not _sparse_dict_equal(prod_delta, delta_prod):
+            delta_prod = h.algebra.tensor_square_product(deltas[i], deltas[j])
+            if not sparse_equal(prod_delta, delta_prod):
                 report.add(
                     Violation("comult-algebra-map", (i, j), "D(ab) != D(a)D(b)")
                 )
@@ -263,58 +198,123 @@ def verify_hopf(h: HopfAlgebra) -> Report:
         report.add(Violation("antipode-left", (), "antipode missing"))
         report.add(Violation("antipode-right", (), "antipode missing"))
         return report
-    s_cols = h.antipode.columns()
-    for i in range(dim):
-        left_acc = list(zero_vector(field, dim))
-        right_acc = list(zero_vector(field, dim))
-        for j, k, c in h.delta_basis(i):
-            term = h.algebra.multiply(s_cols[j], unit_vector(field, dim, k))
-            for t, x in enumerate(term):
-                if not x.is_zero():
-                    left_acc[t] = left_acc[t] + c * x
-            term = h.algebra.multiply(unit_vector(field, dim, j), s_cols[k])
-            for t, x in enumerate(term):
-                if not x.is_zero():
-                    right_acc[t] = right_acc[t] + c * x
-        target = vec_scale(h.counit[i], h.unit)
-        if tuple(left_acc) != target:
-            report.add(Violation("antipode-left", (i,), "m(S(x)id)D != u.eps"))
-        if tuple(right_acc) != target:
-            report.add(Violation("antipode-right", (i,), "m(id(x)S)D != u.eps"))
+    for i, side in antipode_law_failures(h, h.antipode):
+        law, detail = _ANTIPODE_VIOLATIONS[side]
+        report.add(Violation(law, (i,), detail))
     return report
 
 
-def _sparse_dict_equal(a: dict, b: dict) -> bool:
-    for k, v in a.items():
-        w = b.get(k)
-        if w is None:
-            if not v.is_zero():
-                return False
-        elif v != w:
-            return False
-    for k, w in b.items():
-        if k not in a and not w.is_zero():
-            return False
-    return True
+_ANTIPODE_VIOLATIONS = {
+    "left": ("antipode-left", "m(S(x)id)D != u.eps"),
+    "right": ("antipode-right", "m(id(x)S)D != u.eps"),
+}
 
 
-def _outer(u, v, field) -> dict:
-    out = {}
-    for j, x in enumerate(u):
-        if x.is_zero():
-            continue
-        for k, y in enumerate(v):
-            if not y.is_zero():
-                out[(j, k)] = x * y
-    return out
+# --- law kernels shared by the Hopf, braided and Yetter-Drinfeld suites ------
 
 
-def _triples_to_dict(triples, field) -> dict:
+def coassociative(rows, delta_basis, coact_basis, field) -> bool:
+    """(Delta (x) id) rho(b) == (id (x) rho) rho(b), with rho(b) given by rows.
+
+    rows lists rho(b) as (j, k, coeff) for b_j (x) m_k; delta_basis(j) is
+    Delta(b_j) in the coalgebra on the left leg and coact_basis(k) is
+    rho(m_k).  With rho = Delta this is coassociativity of a coalgebra; with
+    a coaction it is coassociativity of a comodule.
+    """
     zero = field.zero()
-    out: dict = {}
-    for j, k, c in triples:
-        out[(j, k)] = out.get((j, k), zero) + c
-    return {key: v for key, v in out.items() if not v.is_zero()}
+    left: dict = {}
+    right: dict = {}
+    for j, t, c in rows:
+        for a, b, c2 in delta_basis(j):
+            key = (a, b, t)
+            left[key] = left.get(key, zero) + c * c2
+    for j, t, c in rows:
+        for a, b, c2 in coact_basis(t):
+            key = (j, a, b)
+            right[key] = right.get(key, zero) + c * c2
+    return sparse_equal(left, right)
+
+
+def counit_law(rows, counit, leg, i, field, dim) -> bool:
+    """Applying counit to tensor leg `leg` (0 or 1) of rows gives back b_i.
+
+    rows lists rho(b_i) as (j, k, coeff); the other leg ranges over a space
+    of dimension dim.
+    """
+    acc = [field.zero()] * dim
+    for row in rows:
+        e = counit[row[leg]]
+        if not e.is_zero():
+            k = row[1 - leg]
+            acc[k] = acc[k] + e * row[2]
+    return tuple(acc) == unit_vector(field, dim, i)
+
+
+def antipode_law_failures(h, s: Matrix):
+    """(i, side) for each basis index i where a convolution law of s fails.
+
+    side "left" means m(S (x) id)Delta(b_i) != eps(b_i) 1 and "right" means
+    m(id (x) S)Delta(b_i) != eps(b_i) 1; left comes before right.  h is a
+    HopfAlgebra or a BraidedHopf.  A generator, so the first failure costs
+    only the basis elements before it.
+    """
+    field = h.field
+    dim = h.dim
+    cols = s.columns()
+    for i in range(dim):
+        left = list(zero_vector(field, dim))
+        right = list(zero_vector(field, dim))
+        for j, k, c in h.delta_basis(i):
+            term = h.algebra.multiply(cols[j], unit_vector(field, dim, k))
+            for t, x in enumerate(term):
+                if not x.is_zero():
+                    left[t] = left[t] + c * x
+            term = h.algebra.multiply(unit_vector(field, dim, j), cols[k])
+            for t, x in enumerate(term):
+                if not x.is_zero():
+                    right[t] = right[t] + c * x
+        target = vec_scale(h.counit[i], h.unit)
+        if tuple(left) != target:
+            yield i, "left"
+        if tuple(right) != target:
+            yield i, "right"
+
+
+def integral_line(blocks, field, dim, message) -> tuple:
+    """The vector spanning the common kernel of blocks, which must be a line.
+
+    Raises DegenerateIntegral(message % dimension) otherwise.
+    """
+    space = common_kernel(blocks, dim, field)
+    if len(space) != 1:
+        raise DegenerateIntegral(message % len(space))
+    return space[0]
+
+
+def right_dual_integral(h, integral, message) -> tuple:
+    """lam in the dual with (lam (x) id)Delta(b) = lam(b) 1 for every b.
+
+    Scaled so lam(integral) = 1 when that pairing is nonzero.  h is a
+    HopfAlgebra or a BraidedHopf; message is passed to integral_line.
+    """
+
+    def block(i):
+        rows = h.delta_basis(i)
+
+        def apply(lam):
+            out = list(vec_scale(-lam[i], h.unit))
+            for j, k, c in rows:
+                if not lam[j].is_zero():
+                    out[k] = out[k] + c * lam[j]
+            return tuple(out)
+
+        return apply
+
+    lam = integral_line([block(i) for i in range(h.dim)], h.field, h.dim, message)
+    pairing = vec_dot(lam, integral)
+    if not pairing.is_zero():
+        lam = vec_scale(pairing.inverse(), lam)
+    return lam
 
 
 def solve_antipode(h: HopfAlgebra) -> Matrix:
@@ -385,7 +385,8 @@ def solve_antipode(h: HopfAlgebra) -> Matrix:
         s = _solve_antipode_dense(h)
     else:
         s = Matrix.from_columns(field, [solved[j] for j in range(dim)])
-    _check_antipode_laws(h, s)
+    for i, side in antipode_law_failures(h, s):
+        raise NoAntipode("%s antipode law fails on basis %d" % (side, i))
     return s
 
 
@@ -427,27 +428,6 @@ def _solve_antipode_dense(h: HopfAlgebra) -> Matrix:
         tuple(particular[j * dim + l] for l in range(dim)) for j in range(dim)
     ]
     return Matrix.from_columns(field, cols)
-
-
-def _check_antipode_laws(h: HopfAlgebra, s: Matrix):
-    field = h.field
-    dim = h.dim
-    cols = s.columns()
-    for i in range(dim):
-        left = list(zero_vector(field, dim))
-        right = list(zero_vector(field, dim))
-        for j, k, c in h.delta_basis(i):
-            for t, x in enumerate(h.algebra.multiply(cols[j], unit_vector(field, dim, k))):
-                if not x.is_zero():
-                    left[t] = left[t] + c * x
-            for t, x in enumerate(h.algebra.multiply(unit_vector(field, dim, j), cols[k])):
-                if not x.is_zero():
-                    right[t] = right[t] + c * x
-        target = vec_scale(h.counit[i], h.unit)
-        if tuple(left) != target:
-            raise NoAntipode("left antipode law fails on basis %d" % i)
-        if tuple(right) != target:
-            raise NoAntipode("right antipode law fails on basis %d" % i)
 
 
 def dual(h: HopfAlgebra, antipode_required: bool = True) -> HopfAlgebra:
@@ -552,46 +532,20 @@ def integrals(h: HopfAlgebra) -> IntegralData:
 
         return apply
 
-    lam_space = common_kernel([left_block(i) for i in range(dim)], dim, field)
-    if len(lam_space) != 1:
-        raise DegenerateIntegral(
-            "left integral space has dimension %d" % len(lam_space)
-        )
-    big_lambda = lam_space[0]
-
-    rows_by_i = [h.delta_basis(i) for i in range(dim)]
-
-    def dual_block(i):
-        rows = rows_by_i[i]
-
-        def apply(lam):
-            out = list(vec_scale(-lam[i], h.unit))
-            for j, k, c in rows:
-                if not lam[j].is_zero():
-                    out[k] = out[k] + c * lam[j]
-            return tuple(out)
-
-        return apply
-
-    lam_dual_space = common_kernel([dual_block(i) for i in range(dim)], dim, field)
-    if len(lam_dual_space) != 1:
-        raise DegenerateIntegral(
-            "right dual integral space has dimension %d" % len(lam_dual_space)
-        )
-    lam = lam_dual_space[0]
-
-    pairing = field.zero()
-    for a, b in zip(lam, big_lambda):
-        if not (a.is_zero() or b.is_zero()):
-            pairing = pairing + a * b
-    if not pairing.is_zero():
-        inv = pairing.inverse()
-        lam = vec_scale(inv, lam)
+    big_lambda = integral_line(
+        [left_block(i) for i in range(dim)],
+        field,
+        dim,
+        "left integral space has dimension %d",
+    )
+    lam = right_dual_integral(
+        h, big_lambda, "right dual integral space has dimension %d"
+    )
 
     # distinguished a in G(H):  lam -> h = lam(h) a
     def hit(i):
         out = list(zero_vector(field, dim))
-        for j, k, c in rows_by_i[i]:
+        for j, k, c in h.delta_basis(i):
             if not lam[k].is_zero():
                 out[j] = out[j] + c * lam[k]
         return tuple(out)
@@ -624,9 +578,7 @@ def check_radford_s4(h: HopfAlgebra, data: IntegralData) -> bool:
     dim = h.dim
     s4 = h.antipode.power(4)
     alpha = data.distinguished_alpha
-    alpha_inv = tuple(
-        _dot(alpha, h.antipode.column(j), field) for j in range(dim)
-    )
+    alpha_inv = tuple(vec_dot(alpha, h.antipode.column(j)) for j in range(dim))
     a = data.distinguished_a
     a_inv = h.antipode.apply(a)
     for i in range(dim):
@@ -639,14 +591,6 @@ def check_radford_s4(h: HopfAlgebra, data: IntegralData) -> bool:
         if conj != s4.column(i):
             return False
     return True
-
-
-def _dot(u, v, field):
-    acc = field.zero()
-    for a, b in zip(u, v):
-        if not (a.is_zero() or b.is_zero()):
-            acc = acc + a * b
-    return acc
 
 
 def trace_s2(h: HopfAlgebra) -> FieldElement:
@@ -678,9 +622,6 @@ class GroupLikes:
     def __len__(self):
         return len(self.elements)
 
-    def index_of(self, vec) -> int:
-        return self.elements.index(tuple(vec))
-
     def inverse(self, i: int) -> int:
         for j in range(len(self.elements)):
             if self.table[(i, j)] == self.identity:
@@ -694,7 +635,7 @@ class GroupLikes:
 def _is_group_like(h: HopfAlgebra, g) -> bool:
     if not h.counit_of(g).is_one():
         return False
-    return _sparse_dict_equal(h.delta_vec(g), _outer(g, g, h.field))
+    return sparse_equal(h.delta_vec(g), vec_outer(g, g))
 
 
 def group_likes(h: HopfAlgebra) -> GroupLikes:
@@ -1014,17 +955,6 @@ LABEL_UNKNOWN = "unknown"
 _REFERENCE_CACHE: dict = {}
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def reference_fingerprints(p: int) -> dict:
     """Fingerprints of the five dimension-4p reference families at q = 2."""
     cached = _REFERENCE_CACHE.get(p)
@@ -1054,7 +984,7 @@ def classify_4p(h: HopfAlgebra) -> str:
     if h.dim % 4 != 0:
         raise BadDimension("dimension %d is not 4p" % h.dim)
     p = h.dim // 4
-    if p == 2 or not _is_prime(p):
+    if p == 2 or not is_prime(p):
         raise BadDimension("dimension %d is not 4p for an odd prime p" % h.dim)
     if not trace_s2(h).is_zero():
         return LABEL_SEMISIMPLE

@@ -71,15 +71,19 @@ def _enc_tensor(t: Tensor3) -> dict:
     }
 
 
-def _enc_hopf(h: HopfAlgebra) -> dict:
-    out = {
-        "field": h.field.order,
-        "dim": h.dim,
+def _enc_structure(h) -> dict:
+    """The mult, unit, comult and counit fields of a Hopf or braided payload."""
+    return {
         "mult": _enc_tensor(h.algebra.mult),
         "unit": _enc_vector(h.unit),
         "comult": _enc_tensor(h.comult),
         "counit": _enc_vector(h.counit),
     }
+
+
+def _enc_hopf(h: HopfAlgebra) -> dict:
+    out = {"field": h.field.order, "dim": h.dim}
+    out.update(_enc_structure(h))
     if h.antipode is not None:
         out["antipode"] = _enc_matrix(h.antipode)
     return out
@@ -96,15 +100,8 @@ def _enc_yd(v: YDModule) -> dict:
 
 def _enc_braided(r: BraidedHopf) -> dict:
     out = _enc_yd(r.yd)
-    out.update(
-        {
-            "mult": _enc_tensor(r.mult),
-            "unit": _enc_vector(r.unit),
-            "comult": _enc_tensor(r.comult),
-            "counit": _enc_vector(r.counit),
-            "antipode": _enc_matrix(r.antipode),
-        }
-    )
+    out.update(_enc_structure(r))
+    out["antipode"] = _enc_matrix(r.antipode)
     return out
 
 
@@ -132,7 +129,8 @@ def _expect(doc, key, types, path):
     if not isinstance(doc, dict) or key not in doc:
         raise ParseError("missing field %s.%s" % (path, key))
     val = doc[key]
-    if not isinstance(val, types):
+    # JSON true/false load as bool, a subclass of int; no field takes one
+    if isinstance(val, bool) or not isinstance(val, types):
         raise ParseError("field %s.%s has wrong type" % (path, key))
     return val
 
@@ -173,7 +171,7 @@ def _dec_matrix(field, data, rows, cols, path) -> Matrix:
 def _dec_tensor(field, data, dims, path) -> Tensor3:
     entry_list = _expect(data, "entries", list, path)
     declared = _expect(data, "dims", list, path)
-    if tuple(declared) != tuple(dims):
+    if any(type(x) is not int for x in declared) or tuple(declared) != tuple(dims):
         raise ParseError("%s.dims must be %r" % (path, list(dims)))
     entries = {}
     for t, item in enumerate(entry_list):
@@ -181,7 +179,7 @@ def _dec_tensor(field, data, dims, path) -> Tensor3:
         if not isinstance(item, list) or len(item) != 4:
             raise ParseError("%s must be [i, j, k, coeff]" % epath)
         i, j, k, coeff = item
-        if not all(isinstance(x, int) for x in (i, j, k)):
+        if any(type(x) is not int for x in (i, j, k)):
             raise ParseError("%s indices must be integers" % epath)
         if (i, j, k) in entries:
             raise ParseError("%s duplicates index (%d,%d,%d)" % (epath, i, j, k))
@@ -192,14 +190,8 @@ def _dec_tensor(field, data, dims, path) -> Tensor3:
         raise ParseError("%s: %s" % (path, exc)) from None
 
 
-def _dec_hopf(payload, path) -> HopfAlgebra:
-    order = _expect(payload, "field", int, path)
-    if order < 1:
-        raise ParseError("%s.field must be >= 1" % path)
-    dim = _expect(payload, "dim", int, path)
-    if dim < 1:
-        raise ParseError("%s.dim must be >= 1" % path)
-    field = make_field(order)
+def _dec_structure(payload, field, dim, path) -> tuple:
+    """mult, unit, comult and counit of a Hopf or braided payload."""
     mult = _dec_tensor(
         field, _expect(payload, "mult", dict, path), (dim, dim, dim), path + ".mult"
     )
@@ -213,6 +205,18 @@ def _dec_hopf(payload, path) -> HopfAlgebra:
     counit = _dec_vector(
         field, _expect(payload, "counit", list, path), dim, path + ".counit"
     )
+    return mult, unit, comult, counit
+
+
+def _dec_hopf(payload, path) -> HopfAlgebra:
+    order = _expect(payload, "field", int, path)
+    if order < 1:
+        raise ParseError("%s.field must be >= 1" % path)
+    dim = _expect(payload, "dim", int, path)
+    if dim < 1:
+        raise ParseError("%s.dim must be >= 1" % path)
+    field = make_field(order)
+    mult, unit, comult, counit = _dec_structure(payload, field, dim, path)
     antipode = None
     if "antipode" in payload and payload["antipode"] is not None:
         antipode = _dec_matrix(
@@ -247,19 +251,7 @@ def _dec_braided(payload, path) -> BraidedHopf:
     yd = _dec_yd(payload, path)
     field = yd.field
     dim = yd.dim
-    mult = _dec_tensor(
-        field, _expect(payload, "mult", dict, path), (dim, dim, dim), path + ".mult"
-    )
-    unit = _dec_vector(field, _expect(payload, "unit", list, path), dim, path + ".unit")
-    comult = _dec_tensor(
-        field,
-        _expect(payload, "comult", dict, path),
-        (dim, dim, dim),
-        path + ".comult",
-    )
-    counit = _dec_vector(
-        field, _expect(payload, "counit", list, path), dim, path + ".counit"
-    )
+    mult, unit, comult, counit = _dec_structure(payload, field, dim, path)
     antipode = _dec_matrix(
         field,
         _expect(payload, "antipode", list, path),

@@ -27,10 +27,6 @@ def unit_vector(field: CycloField, n: int, i: int) -> tuple:
     return tuple(field.one() if j == i else field.zero() for j in range(n))
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
@@ -50,6 +46,33 @@ def vec_dot(a, b):
         if not (x.is_zero() or y.is_zero()):
             acc = acc + x * y
     return acc
+
+
+def vec_outer(a, b) -> dict:
+    """a (x) b as a sparse {(j, k): coeff} dict."""
+    out = {}
+    for j, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for k, y in enumerate(b):
+            if not y.is_zero():
+                out[(j, k)] = x * y
+    return out
+
+
+def sparse_equal(a: dict, b: dict) -> bool:
+    """Equality of sparse {key: coeff} dicts, a missing key counting as zero."""
+    for k, x in a.items():
+        y = b.get(k)
+        if y is None:
+            if not x.is_zero():
+                return False
+        elif x != y:
+            return False
+    for k, y in b.items():
+        if k not in a and not y.is_zero():
+            return False
+    return True
 
 
 class Matrix:
@@ -276,12 +299,6 @@ class Matrix:
         return Matrix(self.field, [row[n:] for row in red.data])
 
 
-def rank_of_vectors(field, vectors) -> int:
-    if not vectors:
-        return 0
-    return Matrix(field, [list(v) for v in vectors]).rref()[1]
-
-
 def row_space_basis(field, vectors) -> list[tuple]:
     """Independent spanning subset, echelonized, deterministic."""
     if not vectors:
@@ -413,6 +430,19 @@ class Tensor3:
             self._by_i = {key: tuple(v) for key, v in table.items()}
         return self._by_i
 
+    def contract_first(self, v) -> dict:
+        """sum_i v_i T[i] as a sparse {(j, k): coeff} dict (v in slot 0)."""
+        out: dict = {}
+        zero = self.field.zero()
+        by_i = self.by_i()
+        for i, c in enumerate(v):
+            if c.is_zero():
+                continue
+            for j, k, m in by_i.get(i, ()):
+                key = (j, k)
+                out[key] = out.get(key, zero) + c * m
+        return {key: x for key, x in out.items() if not x.is_zero()}
+
     def __eq__(self, other):
         return (
             isinstance(other, Tensor3)
@@ -458,15 +488,7 @@ class Tensor3:
                 if not v[i].is_zero():
                     rows[k][j] = rows[k][j] + v[i] * c
             return Matrix(self.field, rows)
-        if mode == "right-mult":
-            if len(v) != d2:
-                raise ShapeMismatch("vector length != dims[1]")
-            rows = [[zero] * d1 for _ in range(d3)]
-            for (i, j, k), c in self.entries.items():
-                if not v[j].is_zero():
-                    rows[k][i] = rows[k][i] + v[j] * c
-            return Matrix(self.field, rows)
-        if mode == "comult-left":
+        if mode in ("right-mult", "comult-left"):
             if len(v) != d2:
                 raise ShapeMismatch("vector length != dims[1]")
             rows = [[zero] * d1 for _ in range(d3)]

@@ -12,10 +12,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hopfcheck.algebra import AssocAlgebra, Report, Violation, verify_algebra
+from hopfcheck.algebra import (
+    AssocAlgebra,
+    Report,
+    Violation,
+    is_semisimple_trace,
+    verify_algebra,
+)
 from hopfcheck.cyclotomic import FieldMismatch
-from hopfcheck.hopf import HopfAlgebra, dual, verify_hopf
-from hopfcheck.linalg import Matrix, Tensor3, unit_vector, vec_scale, zero_vector
+from hopfcheck.hopf import (
+    DegenerateIntegral,
+    HopfAlgebra,
+    antipode_law_failures,
+    coassociative,
+    counit_law,
+    dual,
+    integral_line,
+    right_dual_integral,
+    verify_hopf,
+)
+from hopfcheck.linalg import (
+    Matrix,
+    Tensor3,
+    sparse_equal,
+    unit_vector,
+    vec_dot,
+    vec_outer,
+    vec_scale,
+    vec_sub,
+    zero_vector,
+)
 
 
 class BaseMismatch(ValueError):
@@ -63,15 +89,7 @@ class YDModule:
         return self.coaction.by_i().get(i, ())
 
     def coact_vec(self, v) -> dict:
-        out: dict = {}
-        zero = self.field.zero()
-        for i, c in enumerate(v):
-            if c.is_zero():
-                continue
-            for j, k, m in self.coact_basis(i):
-                key = (j, k)
-                out[key] = out.get(key, zero) + c * m
-        return {k: v2 for k, v2 in out.items() if not v2.is_zero()}
+        return self.coaction.contract_first(v)
 
 
 def trivial_yd(base: HopfAlgebra, dim: int) -> YDModule:
@@ -153,23 +171,10 @@ def verify_yd(v: YDModule) -> Report:
 
     # comodule: counitality and coassociativity over the base
     for i in range(dim):
-        acc = list(zero_vector(field, dim))
-        for j, k, c in v.coact_basis(i):
-            if not base.counit[j].is_zero():
-                acc[k] = acc[k] + base.counit[j] * c
-        if tuple(acc) != unit_vector(field, dim, i):
+        rows = v.coact_basis(i)
+        if not counit_law(rows, base.counit, 0, i, field, dim):
             report.add(Violation("comodule", (i,), "(eps (x) id) rho != id"))
-        left: dict = {}
-        for j, k, c in v.coact_basis(i):
-            for a, b, c2 in base.delta_basis(j):
-                key = (a, b, k)
-                left[key] = left.get(key, field.zero()) + c * c2
-        right: dict = {}
-        for j, k, c in v.coact_basis(i):
-            for a, b, c2 in v.coact_basis(k):
-                key = (j, a, b)
-                right[key] = right.get(key, field.zero()) + c * c2
-        if not _dict_equal(left, right):
+        if not coassociative(rows, base.delta_basis, v.coact_basis, field):
             report.add(Violation("comodule", (i,), "coaction not coassociative"))
 
     # compatibility: rho(b.v) = b1 v_{-1} S(b3) (x) b2 . v0
@@ -200,7 +205,7 @@ def verify_yd(v: YDModule) -> Report:
                             if not y.is_zero():
                                 key = (t, u)
                                 rhs[key] = rhs.get(key, field.zero()) + coeff * x * y
-            if not _dict_equal(lhs, rhs):
+            if not sparse_equal(lhs, rhs):
                 report.add(
                     Violation("yd-compatibility", (bi, vi), "compatibility fails")
                 )
@@ -213,20 +218,6 @@ def _combine_action(v: YDModule, b_vec) -> Matrix:
         if not c.is_zero():
             acc = acc + v.action[i].scale(c)
     return acc
-
-
-def _dict_equal(a: dict, b: dict) -> bool:
-    for k, x in a.items():
-        y = b.get(k)
-        if y is None:
-            if not x.is_zero():
-                return False
-        elif x != y:
-            return False
-    for k, y in b.items():
-        if k not in a and not y.is_zero():
-            return False
-    return True
 
 
 def braiding(v: YDModule, w: YDModule) -> Matrix:
@@ -290,11 +281,7 @@ class BraidedHopf:
         return self.comult.by_i().get(i, ())
 
     def counit_of(self, v):
-        acc = self.field.zero()
-        for e, x in zip(self.counit, v):
-            if not (e.is_zero() or x.is_zero()):
-                acc = acc + e * x
-        return acc
+        return vec_dot(self.counit, v)
 
 
 def ordinary_to_braided(h: HopfAlgebra, base: HopfAlgebra) -> BraidedHopf:
@@ -342,27 +329,13 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
 
     # coalgebra axioms
     for i in range(dim):
-        acc_l = list(zero_vector(field, dim))
-        acc_r = list(zero_vector(field, dim))
-        for j, k, c in r.delta_basis(i):
-            if not r.counit[j].is_zero():
-                acc_l[k] = acc_l[k] + r.counit[j] * c
-            if not r.counit[k].is_zero():
-                acc_r[j] = acc_r[j] + r.counit[k] * c
-        e_i = unit_vector(field, dim, i)
-        if tuple(acc_l) != e_i or tuple(acc_r) != e_i:
+        rows = r.delta_basis(i)
+        if not (
+            counit_law(rows, r.counit, 0, i, field, dim)
+            and counit_law(rows, r.counit, 1, i, field, dim)
+        ):
             report.add(Violation("coalgebra", (i,), "counit law fails"))
-        left: dict = {}
-        right: dict = {}
-        for j, t, c in r.delta_basis(i):
-            for a, b, c2 in r.delta_basis(j):
-                key = (a, b, t)
-                left[key] = left.get(key, field.zero()) + c * c2
-        for j, t, c in r.delta_basis(i):
-            for a, b, c2 in r.delta_basis(t):
-                key = (j, a, b)
-                right[key] = right.get(key, field.zero()) + c * c2
-        if not _dict_equal(left, right):
+        if not coassociative(rows, r.delta_basis, r.delta_basis, field):
             report.add(Violation("coalgebra", (i,), "comult not coassociative"))
 
     # module algebra: b . (rs) = (b1 . r)(b2 . s); b . 1 = eps(b) 1
@@ -391,14 +364,7 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
                     )
 
     # comodule algebra: rho(rs) = r_{-1} s_{-1} (x) r_0 s_0; rho(1) = 1 (x) 1
-    unit_coact = yd.coact_vec(r.unit)
-    expected_unit = {}
-    for j, c in enumerate(base.unit):
-        if not c.is_zero():
-            for k, c2 in enumerate(r.unit):
-                if not c2.is_zero():
-                    expected_unit[(j, k)] = c * c2
-    if not _dict_equal(unit_coact, expected_unit):
+    if not sparse_equal(yd.coact_vec(r.unit), vec_outer(base.unit, r.unit)):
         report.add(Violation("comodule-algebra", ("unit",), "rho(1) != 1 (x) 1"))
     for i in range(dim):
         for j in range(dim):
@@ -416,7 +382,7 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
                         for u, y in rprod:
                             key = (t, u)
                             rhs[key] = rhs.get(key, field.zero()) + c * x * y
-            if not _dict_equal(lhs, rhs):
+            if not sparse_equal(lhs, rhs):
                 report.add(
                     Violation("comodule-algebra", (i, j), "not a comodule algebra")
                 )
@@ -425,7 +391,7 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
     for bi in range(bdim):
         for i in range(dim):
             acted = yd.action[bi].column(i)
-            lhs = _delta_vec(r, acted)
+            lhs = r.comult.contract_first(acted)
             rhs: dict = {}
             for b1, b2, c in base.delta_basis(bi):
                 for j, k, c2 in r.delta_basis(i):
@@ -439,7 +405,7 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
                             if not y.is_zero():
                                 key = (t, u)
                                 rhs[key] = rhs.get(key, field.zero()) + cc * x * y
-            if not _dict_equal(lhs, rhs):
+            if not sparse_equal(lhs, rhs):
                 report.add(
                     Violation("module-coalgebra", (bi, i), "Delta not a module map")
                 )
@@ -464,7 +430,7 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
             for j, k, c2 in r.delta_basis(t):
                 key = (a, j, k)
                 rhs[key] = rhs.get(key, field.zero()) + c * c2
-        if not _dict_equal(lhs, rhs):
+        if not sparse_equal(lhs, rhs):
             report.add(
                 Violation("comodule-coalgebra", (i,), "Delta not a comodule map")
             )
@@ -482,7 +448,7 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
             prod = r.algebra.multiply(
                 unit_vector(field, dim, i), unit_vector(field, dim, j)
             )
-            lhs = _delta_vec(r, prod)
+            lhs = r.comult.contract_first(prod)
             rhs: dict = {}
             for r1, r2, c in r.delta_basis(i):
                 for s1, s2, c2 in r.delta_basis(j):
@@ -501,7 +467,7 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
                                 rhs[key] = (
                                     rhs.get(key, field.zero()) + cc * c3 * x * y
                                 )
-            if not _dict_equal(lhs, rhs):
+            if not sparse_equal(lhs, rhs):
                 report.add(
                     Violation(
                         "braided-comult-multiplicative",
@@ -510,27 +476,12 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
                     )
                 )
 
-    # antipode convolution laws
-    s_cols = r.antipode.columns()
-    for i in range(dim):
-        left = list(zero_vector(field, dim))
-        right = list(zero_vector(field, dim))
-        for j, k, c in r.delta_basis(i):
-            for t, x in enumerate(
-                r.algebra.multiply(s_cols[j], unit_vector(field, dim, k))
-            ):
-                if not x.is_zero():
-                    left[t] = left[t] + c * x
-            for t, x in enumerate(
-                r.algebra.multiply(unit_vector(field, dim, j), s_cols[k])
-            ):
-                if not x.is_zero():
-                    right[t] = right[t] + c * x
-        target = vec_scale(r.counit[i], r.unit)
-        if tuple(left) != target or tuple(right) != target:
-            report.add(Violation("antipode-law", (i,), "convolution law fails"))
+    # antipode convolution laws, one violation per basis element
+    for i in dict.fromkeys(i for i, _ in antipode_law_failures(r, r.antipode)):
+        report.add(Violation("antipode-law", (i,), "convolution law fails"))
 
     # braided anti-homomorphism: S(rs) = (r_{-1} . S(s)) S(r_0)
+    s_cols = r.antipode.columns()
     for i in range(dim):
         for j in range(dim):
             prod = r.algebra.multiply(
@@ -553,18 +504,6 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
                     )
                 )
     return report
-
-
-def _delta_vec(r: BraidedHopf, v) -> dict:
-    out: dict = {}
-    zero = r.field.zero()
-    for i, c in enumerate(v):
-        if c.is_zero():
-            continue
-        for j, k, m in r.delta_basis(i):
-            key = (j, k)
-            out[key] = out.get(key, zero) + c * m
-    return {k: x for k, x in out.items() if not x.is_zero()}
 
 
 def bosonize(r: BraidedHopf, base: HopfAlgebra, check: bool = True) -> HopfAlgebra:
@@ -860,10 +799,6 @@ def braided_integrals(r: BraidedHopf) -> BraidedIntegrals:
     When the underlying algebra of R is semisimple, asserts chi = eps_B and
     the trivial-coaction/antipode-fixedness identities of the integral.
     """
-    from hopfcheck.algebra import is_semisimple_trace
-    from hopfcheck.hopf import DegenerateIntegral
-    from hopfcheck.linalg import common_kernel
-
     field = r.field
     dim = r.dim
 
@@ -872,46 +807,17 @@ def braided_integrals(r: BraidedHopf) -> BraidedIntegrals:
         eps = r.counit[i]
 
         def apply(v):
-            return tuple(
-                a - b
-                for a, b in zip(
-                    r.algebra.multiply(v, e), vec_scale(eps, v)
-                )
-            )
+            return vec_sub(r.algebra.multiply(v, e), vec_scale(eps, v))
 
         return apply
 
-    lam_space = common_kernel([right_block(i) for i in range(dim)], dim, field)
-    if len(lam_space) != 1:
-        raise DegenerateIntegral(
-            "right integral space of R has dimension %d" % len(lam_space)
-        )
-    big = lam_space[0]
-
-    def dual_block(i):
-        rows = r.delta_basis(i)
-
-        def apply(lam):
-            out = list(vec_scale(-lam[i], r.unit))
-            for j, k, c in rows:
-                if not lam[j].is_zero():
-                    out[k] = out[k] + c * lam[j]
-            return tuple(out)
-
-        return apply
-
-    lam_dual_space = common_kernel([dual_block(i) for i in range(dim)], dim, field)
-    if len(lam_dual_space) != 1:
-        raise DegenerateIntegral(
-            "right integral space of R* has dimension %d" % len(lam_dual_space)
-        )
-    lam = lam_dual_space[0]
-    pairing = field.zero()
-    for a, b in zip(lam, big):
-        if not (a.is_zero() or b.is_zero()):
-            pairing = pairing + a * b
-    if not pairing.is_zero():
-        lam = vec_scale(pairing.inverse(), lam)
+    big = integral_line(
+        [right_block(i) for i in range(dim)],
+        field,
+        dim,
+        "right integral space of R has dimension %d",
+    )
+    lam = right_dual_integral(r, big, "right integral space of R* has dimension %d")
 
     # chi(b) from b . Lambda = chi(b) Lambda
     pivot = next(i for i, c in enumerate(big) if not c.is_zero())
@@ -930,13 +836,7 @@ def braided_integrals(r: BraidedHopf) -> BraidedIntegrals:
             raise DegenerateIntegral("eps_R(Lambda_R) = 0 for semisimple R")
         if chi != tuple(r.base.counit):
             raise DegenerateIntegral("chi != eps_B for semisimple R")
-        expected = {}
-        for j, c in enumerate(r.base.unit):
-            if not c.is_zero():
-                for k, c2 in enumerate(big):
-                    if not c2.is_zero():
-                        expected[(j, k)] = c * c2
-        if not _dict_equal(r.yd.coact_vec(big), expected):
+        if not sparse_equal(r.yd.coact_vec(big), vec_outer(r.base.unit, big)):
             raise DegenerateIntegral("rho(Lambda_R) != 1 (x) Lambda_R")
         if r.antipode.apply(big) != big:
             raise DegenerateIntegral("S_R(Lambda_R) != Lambda_R")

@@ -127,7 +127,12 @@ def test_criterion_4_radford_s4(constructed, duals):
             "S^4 = id on the dimension-4p list families and their duals")
 
 
-def test_criterion_5_group_likes(constructed):
+# Criteria 5-9 are instance checks that criterion 10 also relies on; each
+# returns its evidence message so criterion 10 can run the ones that did not
+# run earlier in the same process (under -k or --deselect).
+
+
+def check_criterion_5(constructed):
     for p in PRIMES:
         for mu in (0, 1):
             likes = group_likes(constructed["A(%d,%d)" % (p, mu)])
@@ -136,11 +141,15 @@ def test_criterion_5_group_likes(constructed):
     for name, h in constructed.items():
         likes = group_likes(h)
         assert h.dim % len(likes) == 0, name
-    _record(5, "|G(A(tau,mu))| = 2p cyclic at p in %s; |G| divides dim on all "
+    return ("|G(A(tau,mu))| = 2p cyclic at p in %s; |G| divides dim on all "
             "%d constructed algebras" % (PRIMES, len(constructed)))
 
 
-def test_criterion_6_pointedness(constructed, duals):
+def test_criterion_5_group_likes(constructed):
+    _record(5, check_criterion_5(constructed))
+
+
+def check_criterion_6(constructed, duals):
     for p in PRIMES:
         assert is_pointed(constructed["A(%d,0)" % p]), p
         assert is_pointed(duals["A(%d,0)*" % p]), p
@@ -157,11 +166,15 @@ def test_criterion_6_pointedness(constructed, duals):
         if len(group_likes(h)) > 2:
             assert is_pointed(h), name
             checked += 1
-    _record(6, "pointedness as classified (dual of A(tau,1) not pointed); "
+    return ("pointedness as classified (dual of A(tau,1) not pointed); "
             "|G| > 2 implies pointed on %d non-semisimple dim-4p instances" % checked)
 
 
-def test_criterion_7_classifier(constructed, duals):
+def test_criterion_6_pointedness(constructed, duals):
+    _record(6, check_criterion_6(constructed, duals))
+
+
+def check_criterion_7(constructed, duals):
     for p in PRIMES:
         refs = reference_fingerprints(p)
         labels = list(refs)
@@ -178,11 +191,15 @@ def test_criterion_7_classifier(constructed, duals):
         for label, h in expected.items():
             got = classify_4p(h)
             assert got == label, "p=%d: expected %s, got %s" % (p, label, got)
-    _record(7, "five reference fingerprints pairwise distinct and every family "
+    return ("five reference fingerprints pairwise distinct and every family "
             "self-classifies (no unknown, no collision) at p in %s" % (PRIMES,))
 
 
-def test_criterion_8_bosonization():
+def test_criterion_7_classifier(constructed, duals):
+    _record(7, check_criterion_7(constructed, duals))
+
+
+def check_criterion_8():
     base_q = sweedler()
     trivial_line = ordinary_to_braided(group_algebra(1, base_q.field), base_q)
     assert structure_equal(bosonize(trivial_line, base_q), base_q)
@@ -196,11 +213,15 @@ def test_criterion_8_bosonization():
         assert len(coradical(h)) == len(likes)
         assert check_dual_biproduct(r, base), p
     assert check_dual_biproduct(trivial_line, base_q)
-    _record(8, "bosonize(k, H4) = H4 tensor-exactly; k[Z_p] biproducts verified, "
+    return ("bosonize(k, H4) = H4 tensor-exactly; k[Z_p] biproducts verified, "
             "|G| = 2p, pointed; dual-biproduct identity holds for k, k[Z_3], k[Z_5]")
 
 
-def test_criterion_9_dim5_elimination():
+def test_criterion_8_bosonization():
+    _record(8, check_criterion_8())
+
+
+def check_criterion_9():
     t0 = time.time()
     case_a = check_integral_constraints(build_case("A"))
     assert case_a.inconsistent
@@ -223,14 +244,31 @@ def test_criterion_9_dim5_elimination():
         assert run_case(case).inconsistent
     elapsed = time.time() - t0
     assert elapsed <= 10.0, "dim5 chain took %.1fs" % elapsed
-    _record(9, "case A eliminated via the integral-coaction identity; gamma = 1, "
+    return ("case A eliminated via the integral-coaction identity; gamma = 1, "
             "alpha = 0 (residual 2*alpha*iota), zeta4 = 1 forced; final mismatches "
             "-2*iota (B) and -3*iota (C), independent of beta, eta, zeta3; %.1fs" % elapsed)
 
 
-def test_criterion_10_headline_theorems_via_instances():
+def test_criterion_9_dim5_elimination():
+    _record(9, check_criterion_9())
+
+
+# criterion -> (check, names of the fixtures it takes)
+INSTANCE_CHECKS = {
+    5: (check_criterion_5, ("constructed",)),
+    6: (check_criterion_6, ("constructed", "duals")),
+    7: (check_criterion_7, ("constructed", "duals")),
+    8: (check_criterion_8, ()),
+    9: (check_criterion_9, ()),
+}
+
+
+def test_criterion_10_headline_theorems_via_instances(request):
     # The headline classification theorems are not reproducible as
     # computations; their acceptance is the instance suites of criteria 5-9.
-    missing = [c for c in (5, 6, 7, 8, 9) if c not in RESULTS]
-    assert not missing, "instance criteria %s did not pass first" % missing
+    # A criterion that did not pass earlier in this process runs here.
+    for criterion, (check, fixtures) in INSTANCE_CHECKS.items():
+        if criterion not in RESULTS:
+            args = [request.getfixturevalue(name) for name in fixtures]
+            _record(criterion, check(*args))
     _record(10, "headline classification covered by the instance-level criteria 5-9")

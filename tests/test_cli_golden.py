@@ -76,8 +76,7 @@ def hopf_variant(counit=None, comult=None, antipode=None):
     )
 
 
-def without_antipode():
-    h = sweedler()
+def without_antipode(h):
     return HopfAlgebra(h.algebra, h.comult, h.counit)
 
 
@@ -142,7 +141,7 @@ antipode-right: ok
 DUAL_A31 = "f3e18519d671feec01a0a6ea6d8c8d2d73f699cc3a58e439059072f37b1410a4"
 
 VERIFY = {
-    "hopf-solved": (without_antipode, 0, """\
+    "hopf-solved": (lambda: without_antipode(sweedler()), 0, """\
 antipode: solved
 associativity: ok
 unit: ok
@@ -153,6 +152,9 @@ counit-algebra-map: ok
 antipode-left: ok
 antipode-right: ok
 """),
+    "hopf-unsolvable": (
+        lambda: without_antipode(hopf_variant(comult={(1, 0, 0): 1})), 1,
+        "antipode: unsolvable (right antipode law fails on basis 1)\n"),
     "hopf-counit": (
         lambda: hopf_variant(counit=(1, 1, 1, 0)), 1, """\
 associativity: ok

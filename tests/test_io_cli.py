@@ -4,9 +4,17 @@ import sys
 
 import pytest
 
+from hopfcheck import cli
 from hopfcheck.cyclotomic import make_field
 from hopfcheck.families import a_tau_mu, group_algebra, sweedler
-from hopfcheck.hopf import structure_equal
+from hopfcheck.hopf import (
+    AntipodeOrderOverflow,
+    DegenerateIntegral,
+    HopfAlgebra,
+    NotGroupLike,
+    dual,
+    structure_equal,
+)
 from hopfcheck.io import (
     ParseError,
     SchemaVersionMismatch,
@@ -107,6 +115,55 @@ class TestParseErrors:
             parse(json.dumps(doc).encode())
 
 
+def _set_field(doc, value):
+    doc["payload"]["field"] = value
+
+
+def _set_dim(doc, value):
+    doc["payload"]["dim"] = value
+
+
+def _set_tensor_indices(doc, value):
+    doc["payload"]["mult"]["entries"][0][:3] = [value] * 3
+
+
+def _set_tensor_dims(doc, value):
+    doc["payload"]["mult"]["dims"] = [value] * 3
+
+
+class TestBooleansAreNotIntegers:
+    """JSON true/false load as Python bools, a subclass of int.
+
+    On k[Z_1] over Q every integer field is 0 or 1, so a bool in its place
+    would otherwise parse to the same structure.
+    """
+
+    @pytest.mark.parametrize(
+        "setter,bad,path",
+        [
+            (_set_field, True, "payload.field"),
+            (_set_dim, True, "payload.dim"),
+            (_set_tensor_indices, False, "payload.mult.entries[0]"),
+            (_set_tensor_dims, True, "payload.mult.dims"),
+        ],
+    )
+    def test_hopf_field_rejects_bool(self, setter, bad, path):
+        doc = json.loads(serialize(manifest_for(group_algebra(1))).decode())
+        parse(json.dumps(doc).encode())
+        setter(doc, bad)
+        with pytest.raises(ParseError) as err:
+            parse(json.dumps(doc).encode())
+        assert path in str(err.value)
+
+    def test_yd_dim_rejects_bool(self):
+        doc = json.loads(serialize(manifest_for(trivial_yd(group_algebra(1), 1))))
+        parse(json.dumps(doc).encode())
+        doc["payload"]["dim"] = True
+        with pytest.raises(ParseError) as err:
+            parse(json.dumps(doc).encode())
+        assert "payload.dim" in str(err.value)
+
+
 class TestCli:
     def test_construct_verify_classify(self, tmp_path):
         out = tmp_path / "a.json"
@@ -192,3 +249,46 @@ class TestCli:
         a = run_cli("dim5-check", "--case", "B").stdout
         b = run_cli("dim5-check", "--case", "B").stdout
         assert a == b
+
+
+@pytest.fixture(scope="module")
+def dual_a51_without_antipode(tmp_path_factory):
+    """A(5,1)* (dim 20) with its antipode stripped: the triangular solve does
+    not finish and the dense fallback refuses a system this large."""
+    d = dual(a_tau_mu(5, 2, -1, 1))
+    path = tmp_path_factory.mktemp("hostile") / "a51dual.json"
+    stripped = HopfAlgebra(d.algebra, d.comult, d.counit)
+    path.write_bytes(serialize(manifest_for(stripped)))
+    return path
+
+
+class TestCliErrors:
+    @pytest.mark.parametrize("verb", ("verify", "invariants", "classify", "dualize"))
+    def test_unsolvable_antipode_is_one_error_line(
+        self, dual_a51_without_antipode, tmp_path, verb
+    ):
+        argv = [verb, str(dual_a51_without_antipode)]
+        if verb == "dualize":
+            argv += ["-o", str(tmp_path / "out.json")]
+        r = run_cli(*argv)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == (
+            "error: antipode system is not block-triangular and too large to stack\n"
+        )
+
+    @pytest.mark.parametrize(
+        "exc",
+        (ArithmeticError, DegenerateIntegral, AntipodeOrderOverflow, NotGroupLike),
+    )
+    def test_computation_errors_exit_1(self, monkeypatch, capsys, tmp_path, exc):
+        path = tmp_path / "s.json"
+        path.write_bytes(serialize(manifest_for(sweedler())))
+
+        def fail(h):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "classify_4p", fail)
+        assert cli.main(["classify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: boom\n")
