@@ -48,6 +48,12 @@ from hopfcheck.yetter_drinfeld import (
 FAMILIES = ("sweedler", "taft", "group_algebra", "a_tau_mu", "taft_tensor_group")
 
 
+def _require_positive(args, *flags):
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            raise families.BadParams("--%s must be >= 1" % flag)
+
+
 def _construct(args) -> int:
     name = args.family
     if name == "sweedler":
@@ -62,6 +68,7 @@ def _construct(args) -> int:
         if args.q is None:
             print("taft needs --q", file=sys.stderr)
             return 2
+        _require_positive(args, "q")
         field = make_field(args.q * args.q)
         tau = field.zeta(args.q) ** args.tau
         h = families.taft(args.q, tau, field)
@@ -69,6 +76,7 @@ def _construct(args) -> int:
         if args.p is None or args.q is None:
             print("%s needs --p and --q" % name, file=sys.stderr)
             return 2
+        _require_positive(args, "p", "q")
         order = math.lcm(args.q, args.p * args.q * args.q)
         field = make_field(order)
         tau = field.zeta(order // args.q) ** args.tau

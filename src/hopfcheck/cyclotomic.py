@@ -1,9 +1,12 @@
 """Exact arithmetic in Q and Q(zeta_n), univariate factorization, and small
 multivariate polynomials.
 
-Rationals are `fractions.Fraction` (always normalized, positive denominator).
-An element of Q(zeta_n) is a coefficient vector of length phi(n) reduced
-modulo the n-th cyclotomic polynomial.  Everything is immutable and exact.
+Rationals at the interface are `fractions.Fraction` (always normalized,
+positive denominator).  An element of Q(zeta_n) is a polynomial in zeta_n of
+degree below phi(n), stored as integer numerators over one shared positive
+denominator in lowest terms, so field arithmetic runs on Python ints and
+every value has a single stored form.  Its `coeffs` view is the padded
+vector of phi(n) Fractions.  Everything is immutable and exact.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ def rational_to_str(r: Fraction) -> str:
 
 def rational_from_str(s: str) -> Fraction:
     num, _, den = s.partition("/")
-    if den == "":
-        den = "1"
-    d = int(den)
+    d = int(den) if den else 1
+    if d == 1:
+        return Fraction(int(num))
     if d == 0:
         raise ZeroDivisionError("denominator 0 in %r" % s)
     return Fraction(int(num), d)
@@ -100,14 +103,14 @@ class CycloField:
 
     def __init__(self, order: int):
         self.order = order
-        self.modulus = tuple(Fraction(c) for c in cyclotomic_coeffs(order))
-        self.degree = len(self.modulus) - 1
-        # x^degree reduced mod Phi_n; higher powers fold through this row
-        self._base_row = tuple(-c for c in self.modulus[:-1])
-        self._zero = FieldElement(self, (_ZERO,) * self.degree, _norm=False)
-        one = [_ZERO] * self.degree
-        one[0] = _ONE
-        self._one = FieldElement(self, tuple(one), _norm=False)
+        phi = cyclotomic_coeffs(order)
+        self.modulus = tuple(Fraction(c) for c in phi)
+        self.degree = len(phi) - 1
+        # x^degree = sum of b * x^k mod Phi_n over the (k, b) pairs here;
+        # Phi_n is monic, so higher powers fold through this in integers
+        self._fold = tuple((k, -c) for k, c in enumerate(phi[:-1]) if c)
+        self._zero = FieldElement(self, (), 1)
+        self._one = FieldElement(self, (1,), 1)
 
     def __repr__(self):
         return "Q" if self.order == 1 else "Q(zeta_%d)" % self.order
@@ -125,22 +128,26 @@ class CycloField:
         return self._one
 
     def from_rational(self, r) -> "FieldElement":
-        r = Fraction(r)
-        coeffs = [_ZERO] * self.degree
-        coeffs[0] = r
-        return FieldElement(self, tuple(coeffs), _norm=False)
+        if r.__class__ is not int:
+            r = Fraction(r)
+            if r.denominator != 1:
+                return FieldElement(self, (r.numerator,), r.denominator)
+            r = r.numerator
+        return FieldElement(self, (r,), 1) if r else self._zero
 
     def element(self, coeffs) -> "FieldElement":
-        return FieldElement(self, tuple(Fraction(c) for c in coeffs))
+        return _from_fractions(
+            self, [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        )
 
     def zeta(self, power: int = 1) -> "FieldElement":
         """zeta_n^power as a field element."""
         power %= self.order
         if self.order == 1:
             return self._one
-        coeffs = [_ZERO] * (power + 1)
-        coeffs[power] = _ONE
-        return FieldElement(self, tuple(coeffs))
+        num = [0] * (power + 1)
+        num[power] = 1
+        return FieldElement(self, tuple(_fold(self, num)), 1)
 
     def root_of_unity_order(self) -> int:
         """Order of the group of roots of unity contained in the field."""
@@ -168,44 +175,90 @@ def embed(value: FieldElement, target: CycloField) -> FieldElement:
         return value
     if target.order % src.order != 0:
         raise FieldMismatch("%r does not embed in %r" % (src, target))
+    if not value.num:
+        return target.zero()
     step = target.order // src.order
-    coeffs = [_ZERO] * (src.degree * step + 1)
-    for i, c in enumerate(value.coeffs):
-        if c:
-            coeffs[i * step] += c
-    return FieldElement(target, tuple(coeffs))
+    num = [0] * ((len(value.num) - 1) * step + 1)
+    for i, c in enumerate(value.num):
+        num[i * step] = c
+    return _canon(target, _fold(target, num), value.den)
+
+
+def _fold(field: CycloField, c: list) -> list:
+    """Reduce integer coefficients (constant first) modulo Phi_n in place.
+
+    The result is trimmed of trailing zeros.
+    """
+    deg = field.degree
+    if len(c) > deg:
+        fold = field._fold
+        for i in range(len(c) - 1, deg - 1, -1):
+            t = c[i]
+            if t:
+                lo = i - deg
+                for k, b in fold:
+                    c[lo + k] += t * b
+        del c[deg:]
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _canon(field: CycloField, num: list, den: int) -> "FieldElement":
+    """The element num/den from trimmed integer numerators and a positive den."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [x // g for x in num]
+    return FieldElement(field, tuple(num), den)
+
+
+def _from_fractions(field: CycloField, fracs: list) -> "FieldElement":
+    """The element sum fracs[i] x^i (ints or Fractions, any length)."""
+    den = math.lcm(*(f.denominator for f in fracs))
+    num = [f.numerator * (den // f.denominator) for f in fracs]
+    return _canon(field, _fold(field, num), den)
 
 
 class FieldElement:
-    """An element of a CycloField: rational coefficient vector mod Phi_n."""
+    """An element num(zeta_n) / den of a CycloField.
 
-    __slots__ = ("field", "coeffs", "_deg")
+    `num` holds integer coefficients, constant term first, with trailing
+    zeros trimmed: at most `field.degree` of them, and `()` for zero.  `den`
+    is a positive int with gcd(den, *num) == 1.  Every value has exactly this
+    one form, so equality is a tuple compare and a rational is O(1) in any
+    field.  `coeffs` gives the padded vector of phi(n) Fractions.
+    """
 
-    def __init__(self, field: CycloField, coeffs: tuple, _norm: bool = True):
-        if _norm and len(coeffs) != field.degree:
-            coeffs = _reduce_coeffs(field, coeffs)
+    __slots__ = ("field", "num", "den", "_hash")
+
+    def __init__(self, field: CycloField, num: tuple, den: int):
         self.field = field
-        self.coeffs = coeffs
-        d = -1
-        for i, c in enumerate(coeffs):
-            if c:
-                d = i
-        self._deg = d
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The phi(n) rational coefficients, constant term first."""
+        d = self.den
+        pad = (_ZERO,) * (self.field.degree - len(self.num))
+        return tuple(Fraction(x, d) for x in self.num) + pad
 
     def is_zero(self) -> bool:
-        return self._deg < 0
+        return not self.num
 
     def is_one(self) -> bool:
-        return self._deg == 0 and self.coeffs[0] == 1
+        return self.num == (1,) and self.den == 1
 
     def is_rational(self) -> bool:
-        return self._deg <= 0
+        return len(self.num) <= 1
 
     @property
     def rational(self) -> Fraction:
-        if self._deg > 0:
+        if len(self.num) > 1:
             raise ValueError("%r is not rational" % (self,))
-        return Fraction(self.coeffs[0]) if self.coeffs else _ZERO
+        return Fraction(self.num[0], self.den) if self.num else _ZERO
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -222,15 +275,35 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o._deg < 0:
+        a, b = self.num, o.num
+        if not b:
             return self
-        if self._deg < 0:
+        if not a:
             return o
-        return FieldElement(
-            self.field,
-            tuple(a + b for a, b in zip(self.coeffs, o.coeffs)),
-            _norm=False,
-        )
+        den = self.den
+        if len(a) == 1 == len(b):
+            n = a[0] * o.den + b[0] * den
+            if not n:
+                return self.field._zero
+            den *= o.den
+            g = math.gcd(n, den)
+            return FieldElement(self.field, (n // g,), den // g)
+        if den != o.den:
+            g = math.gcd(den, o.den)
+            ma, mb = o.den // g, den // g
+            den *= ma
+            a = [x * ma for x in a]
+            b = [y * mb for y in b]
+        la, lb = len(a), len(b)
+        s = [x + y for x, y in zip(a, b)]
+        if la > lb:
+            s += a[lb:]
+        elif lb > la:
+            s += b[la:]
+        else:
+            while s and not s[-1]:
+                s.pop()
+        return _canon(self.field, s, den)
 
     __radd__ = __add__
 
@@ -238,15 +311,35 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o._deg < 0:
+        a, b = self.num, o.num
+        if not b:
             return self
-        if self._deg < 0:
+        if not a:
             return -o
-        return FieldElement(
-            self.field,
-            tuple(a - b for a, b in zip(self.coeffs, o.coeffs)),
-            _norm=False,
-        )
+        den = self.den
+        if len(a) == 1 == len(b):
+            n = a[0] * o.den - b[0] * den
+            if not n:
+                return self.field._zero
+            den *= o.den
+            g = math.gcd(n, den)
+            return FieldElement(self.field, (n // g,), den // g)
+        if den != o.den:
+            g = math.gcd(den, o.den)
+            ma, mb = o.den // g, den // g
+            den *= ma
+            a = [x * ma for x in a]
+            b = [y * mb for y in b]
+        la, lb = len(a), len(b)
+        s = [x - y for x, y in zip(a, b)]
+        if la > lb:
+            s += a[lb:]
+        elif lb > la:
+            s += [-y for y in b[la:]]
+        else:
+            while s and not s[-1]:
+                s.pop()
+        return _canon(self.field, s, den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -255,39 +348,45 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs), _norm=False)
+        return FieldElement(self.field, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        da, db = self._deg, o._deg
-        if da < 0 or db < 0:
-            return self.field.zero()
-        a, b = self.coeffs, o.coeffs
-        if da == 0:
+        a, b = self.num, o.num
+        if not a or not b:
+            return self.field._zero
+        if len(a) == 1:
             c = a[0]
-            if c == 1:
-                return o
-            if c == -1:
-                return -o
-            return FieldElement(self.field, tuple(c * x for x in b), _norm=False)
-        if db == 0:
+            if self.den == 1:
+                if c == 1:
+                    return o
+                if c == -1:
+                    return -o
+            if len(b) == 1:
+                n = c * b[0]
+                den = self.den * o.den
+                g = math.gcd(n, den)
+                return FieldElement(self.field, (n // g,), den // g)
+            prod = [c * y for y in b]
+        elif len(b) == 1:
             c = b[0]
-            if c == 1:
-                return self
-            if c == -1:
-                return -self
-            return FieldElement(self.field, tuple(c * x for x in a), _norm=False)
-        prod = [_ZERO] * (da + db + 1)
-        for i in range(da + 1):
-            ai = a[i]
-            if ai:
-                for j in range(db + 1):
-                    bj = b[j]
-                    if bj:
-                        prod[i + j] += ai * bj
-        return FieldElement(self.field, tuple(prod))
+            if o.den == 1:
+                if c == 1:
+                    return self
+                if c == -1:
+                    return -self
+            prod = [c * x for x in a]
+        else:
+            prod = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        if y:
+                            prod[j] += x * y
+            _fold(self.field, prod)
+        return _canon(self.field, prod, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -295,13 +394,15 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o._deg < 0:
+        b = o.num
+        if not b:
             raise ZeroDivisionError("division by zero field element")
-        if o._deg == 0:
-            inv = 1 / o.coeffs[0]
-            return FieldElement(
-                self.field, tuple(inv * x for x in self.coeffs), _norm=False
-            )
+        if len(b) == 1:
+            # multiply by o.den / b[0], keeping the denominator positive
+            c, d = b[0], o.den
+            if c < 0:
+                c, d = -c, -d
+            return _canon(self.field, [x * d for x in self.num], self.den * c)
         return self * o.inverse()
 
     def __rtruediv__(self, other):
@@ -312,15 +413,20 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse via the extended Euclidean algorithm mod Phi_n."""
-        if self._deg < 0:
+        a = self.num
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        if self._deg == 0:
-            return self.field.from_rational(1 / Fraction(self.coeffs[0]))
-        s = _poly_ext_inverse(
-            [Fraction(c) for c in self.coeffs[: self._deg + 1]],
-            list(self.field.modulus),
-        )
-        return FieldElement(self.field, tuple(s))
+        if len(a) == 1:
+            c, d = a[0], self.den
+            if c < 0:
+                c, d = -c, -d
+            return FieldElement(self.field, (d,), c)
+        # (num / den)^-1 = den * s / c where s * num = c modulo Phi_n
+        s, c = _int_ext_inverse(a, cyclotomic_coeffs(self.field.order))
+        d = self.den
+        if c < 0:
+            c, d = -c, -d
+        return _canon(self.field, [x * d for x in s], c)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -335,21 +441,38 @@ class FieldElement:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement):
+            return (
+                self.num == other.num
+                and self.den == other.den
+                and self.field.order == other.field.order
+            )
         if isinstance(other, (int, Fraction)):
-            return self._deg <= 0 and (
-                self.coeffs[0] if self.coeffs else _ZERO
-            ) == other
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field.order == other.field.order and tuple(self.coeffs) == tuple(
-            other.coeffs
-        )
+            num = self.num
+            if not num:
+                return other == 0
+            return (
+                len(num) == 1
+                and num[0] == other.numerator
+                and self.den == other.denominator
+            )
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.order, tuple(self.coeffs)))
+        # the hash of (order, padded Fraction coefficient tuple), computed once
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        if self.den == 1:
+            key = self.num + (0,) * (self.field.degree - len(self.num))
+        else:
+            key = self.coeffs
+        self._hash = h = hash((self.field.order, key))
+        return h
 
     def __repr__(self):
-        if self._deg < 0:
+        if not self.num:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -368,24 +491,12 @@ class FieldElement:
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_strings(self) -> list[str]:
-        return [rational_to_str(Fraction(c)) for c in self.coeffs]
-
-
-def _reduce_coeffs(field: CycloField, coeffs) -> tuple:
-    deg = field.degree
-    out = [Fraction(c) for c in coeffs]
-    if len(out) > deg:
-        base = field._base_row
-        for i in range(len(out) - 1, deg - 1, -1):
-            c = out[i]
-            if c:
-                lo = i - deg
-                for k, b in enumerate(base):
-                    if b:
-                        out[lo + k] += c * b
-        out = out[:deg]
-    out += [_ZERO] * (deg - len(out))
-    return tuple(out)
+        d = self.den
+        out = []
+        for x in self.num:
+            g = math.gcd(x, d)
+            out.append("%d/%d" % (x // g, d // g))
+        return out + ["0/1"] * (self.field.degree - len(self.num))
 
 
 # --- dense polynomial helpers over Fraction lists (internal) ------------------
@@ -411,26 +522,55 @@ def _poly_divmod(a: list, b: list) -> tuple[list, list]:
     return q, _poly_trim(a[:db])
 
 
-def _poly_ext_inverse(a: list, mod: list) -> list:
-    """s with s * a = 1 modulo `mod` (mod irreducible, a nonzero)."""
+def _int_ext_inverse(a: list[int], mod) -> tuple[list[int], int]:
+    """(s, c) with s * a = c modulo `mod`, for a nonconstant integer a coprime
+    to `mod` (of higher degree) and c a nonzero int; everything in integers.
+
+    Extended Euclid by pseudo-division: each step scales the dividend by the
+    divisor's leading coefficient, made positive, instead of dividing by it,
+    then strips the common content of the remainder and its cofactor.
+    """
     r0, r1 = list(mod), list(a)
-    s0, s1 = [], [_ONE]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s2 = list(s0)
-        need = len(q) + len(s1) - 1
-        s2 += [_ZERO] * (need - len(s2)) if need > len(s2) else []
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    if sc:
-                        s2[i + j] -= qc * sc
-        s0, s1 = s1, _poly_trim(s2)
-    if len(r0) != 1:
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        if r1[-1] < 0:
+            r1 = [-x for x in r1]
+            s1 = [-x for x in s1]
+        lc = r1[-1]
+        n = len(r1) - 1
+        # m * r0 = q * r1 + u with m = lc^(deg r0 - deg r1 + 1)
+        u = r0
+        q = [0] * (len(u) - n)
+        m = 1
+        for k in range(len(u) - 1 - n, -1, -1):
+            t = u[k + n]
+            if lc != 1:
+                u = [x * lc for x in u]
+                q = [x * lc for x in q]
+                m *= lc
+            if t:
+                q[k] += t
+                for j in range(n):
+                    u[k + j] -= t * r1[j]
+            del u[k + n:]
+        _poly_trim(u)
+        # u = m * r0 - q * r1 is congruent to (m * s0 - q * s1) * a
+        s2 = [0] * max(len(s0), len(q) + len(s1) - 1)
+        for i, x in enumerate(s0):
+            s2[i] = m * x
+        for i, x in enumerate(q):
+            if x:
+                for j, y in enumerate(s1, i):
+                    s2[j] -= x * y
+        _poly_trim(s2)
+        g = math.gcd(*u, *s2)
+        if g > 1:
+            u = [x // g for x in u]
+            s2 = [x // g for x in s2]
+        r0, s0, r1, s1 = r1, s1, u, s2
+    if not r1:
         raise ArithmeticError("element not invertible modulo the field polynomial")
-    inv = 1 / r0[0]
-    return [c * inv for c in s0]
+    return s1, r1[0]
 
 
 # --- univariate polynomials over a cyclotomic field ----------------------------
@@ -648,6 +788,24 @@ def _zp_mul(p: int, a: list[int], b: list[int]) -> list[int]:
     return _zp_normalize(p, out)
 
 
+def _zp_add(p: int, a: list[int], b: list[int]) -> list[int]:
+    """a + b, reducing mod p the positions b touches; trailing zeros trimmed."""
+    out = [0] * max(len(a), len(b))
+    out[: len(a)] = a
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return _poly_trim(out)
+
+
+def _zp_sub(p: int, a: list[int], b: list[int]) -> list[int]:
+    """a - b, reducing mod p the positions b touches; trailing zeros trimmed."""
+    out = [0] * max(len(a), len(b))
+    out[: len(a)] = a
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return _poly_trim(out)
+
+
 def _zp_gcd(p: int, a: list[int], b: list[int]) -> list[int]:
     a, b = _zp_normalize(p, a), _zp_normalize(p, b)
     while b:
@@ -724,46 +882,15 @@ def _zp_bezout(p, g, h):
     while r1:
         q, r = _zp_divmod(p, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _zp_normalize(p, _sub_mul(p, s0, q, s1))
-        t0, t1 = t1, _zp_normalize(p, _sub_mul(p, t0, q, t1))
+        s0, s1 = s1, _zp_normalize(p, _zp_sub(p, s0, _zp_mul(p, q, s1)))
+        t0, t1 = t1, _zp_normalize(p, _zp_sub(p, t0, _zp_mul(p, q, t1)))
     inv = pow(r0[0], p - 2, p)
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
-def _sub_mul(p, a, q, b):
-    prod = _zp_mul(p, q, b)
-    out = [0] * max(len(a), len(prod))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(prod):
-        out[i] = (out[i] - c) % p
-    return out
 
 
 def _hensel_step(p, k, f, g, h, s, t):
     """Quadratic Hensel step: factors of f mod p^k become factors mod p^(2k)."""
     q2 = p ** (2 * k)
-
-    def trim(a):
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    def add(a, b):
-        out = [0] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] = c
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % q2
-        return trim(out)
-
-    def sub(a, b):
-        out = [0] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] = c
-        for i, c in enumerate(b):
-            out[i] = (out[i] - c) % q2
-        return trim(out)
 
     def divmod_monic(a, b):
         a = list(a)
@@ -775,16 +902,16 @@ def _hensel_step(p, k, f, g, h, s, t):
                 qq[i] = c
                 for j in range(db + 1):
                     a[i + j] = (a[i + j] - c * b[j]) % q2
-        return trim(qq), trim(a[:db])
+        return _poly_trim(qq), _poly_trim(a[:db])
 
-    e = sub(f, _zp_mul(q2, g, h))
+    e = _zp_sub(q2, f, _zp_mul(q2, g, h))
     qpoly, rpoly = divmod_monic(_zp_mul(q2, s, e), h)
-    g1 = add(g, add(_zp_mul(q2, t, e), _zp_mul(q2, qpoly, g)))
-    h1 = add(h, rpoly)
-    b = sub(add(_zp_mul(q2, s, g1), _zp_mul(q2, t, h1)), [1])
+    g1 = _zp_add(q2, g, _zp_add(q2, _zp_mul(q2, t, e), _zp_mul(q2, qpoly, g)))
+    h1 = _zp_add(q2, h, rpoly)
+    b = _zp_sub(q2, _zp_add(q2, _zp_mul(q2, s, g1), _zp_mul(q2, t, h1)), [1])
     cpoly, dpoly = divmod_monic(_zp_mul(q2, s, b), h1)
-    s1 = sub(s, dpoly)
-    t1 = sub(sub(t, _zp_mul(q2, t, b)), _zp_mul(q2, cpoly, g1))
+    s1 = _zp_sub(q2, s, dpoly)
+    t1 = _zp_sub(q2, _zp_sub(q2, t, _zp_mul(q2, t, b)), _zp_mul(q2, cpoly, g1))
     return g1, h1, s1, t1
 
 
@@ -840,7 +967,7 @@ def _next_prime(p: int) -> int:
 
 
 def _poly_sort_key(p: UniPoly):
-    return (p.degree, tuple(tuple(Fraction(x) for x in c.coeffs) for c in p.coeffs))
+    return (p.degree, tuple(c.coeffs for c in p.coeffs))
 
 
 def _factor_squarefree_q(poly: UniPoly) -> list[UniPoly]:
@@ -936,7 +1063,7 @@ def _roots_of_unity_split(poly: UniPoly):
             found.append(root)
     if len(found) != poly.degree:
         return None
-    found.sort(key=lambda r: tuple(Fraction(c) for c in r.coeffs))
+    found.sort(key=lambda r: r.coeffs)
     return [UniPoly(field, [-r, field.one()]) for r in found]
 
 
@@ -1095,7 +1222,7 @@ def roots_in_field(poly: UniPoly) -> list[FieldElement]:
     for factor, mult in factor_unipoly(poly):
         if factor.degree == 1:
             roots.extend([-factor.coeffs[0]] * mult)
-    roots.sort(key=lambda r: tuple(Fraction(c) for c in r.coeffs))
+    roots.sort(key=lambda r: r.coeffs)
     return roots
 
 

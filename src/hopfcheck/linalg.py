@@ -250,16 +250,7 @@ class Matrix:
     def kernel(self) -> list[tuple]:
         """Exact basis of the right null space."""
         red, rank, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        zero, one = self.field.zero(), self.field.one()
-        for fc in free:
-            vec = [zero] * self.cols
-            vec[fc] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -red.data[r][fc]
-            basis.append(tuple(vec))
-        return basis
+        return _rref_kernel(red, pivots, self.cols)
 
     def solve(self, b):
         """Solve M x = b: (particular solution, kernel basis) or None."""
@@ -276,7 +267,8 @@ class Matrix:
         particular = [zero] * self.cols
         for r, pc in enumerate(pivots):
             particular[pc] = red.data[r][self.cols]
-        return tuple(particular), self.kernel()
+        # the first cols columns of the augmented RREF are the RREF of self
+        return tuple(particular), _rref_kernel(red, pivots, self.cols)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -297,6 +289,22 @@ class Matrix:
         if rank < n or pivots[:n] != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
         return Matrix(self.field, [row[n:] for row in red.data])
+
+
+def _rref_kernel(red: Matrix, pivots: list[int], cols: int) -> list[tuple]:
+    """Null space basis of the first `cols` columns of a reduced echelon form
+    whose pivots all lie among them: one vector per free column, in order."""
+    basis = []
+    zero, one = red.field.zero(), red.field.one()
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        vec = [zero] * cols
+        vec[fc] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red.data[r][fc]
+        basis.append(tuple(vec))
+    return basis
 
 
 def row_space_basis(field, vectors) -> list[tuple]:

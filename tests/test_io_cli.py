@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hopfcheck
 from hopfcheck import cli
 from hopfcheck.cyclotomic import make_field
 from hopfcheck.families import a_tau_mu, group_algebra, sweedler
@@ -25,12 +27,20 @@ from hopfcheck.io import (
 from hopfcheck.yetter_drinfeld import ordinary_to_braided, trivial_yd
 
 
+# the directory holding the imported package, so the CLI subprocess runs the
+# same code even when the suite was started without PYTHONPATH
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
+
+
 def run_cli(*argv, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "hopfcheck.cli", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -292,3 +302,33 @@ class TestCliErrors:
         assert cli.main(["classify", str(path)]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: boom\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (("taft", "--q", "0"), "error: --q must be >= 1\n"),
+            (("a_tau_mu", "--p", "5", "--q", "0"), "error: --q must be >= 1\n"),
+            (("a_tau_mu", "--p", "0", "--q", "2"), "error: --p must be >= 1\n"),
+        ),
+    )
+    def test_construct_bad_orders_exit_2(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "x.json"
+        assert cli.main(["construct", *argv, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+        assert not out.exists()
+
+    def test_bosonize_base_over_other_field_exit_2(self, capsys, tmp_path):
+        r_file, base_file = tmp_path / "r.json", tmp_path / "h4.json"
+        out = tmp_path / "boso.json"
+        q12 = make_field(12)
+        r = ordinary_to_braided(group_algebra(3, q12), sweedler(q12))
+        r_file.write_bytes(serialize(manifest_for(r)))
+        base_file.write_bytes(serialize(manifest_for(sweedler())))
+        argv = ["bosonize", str(r_file), str(base_file), "-o", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: braided object lives over a different base\n"
+        )
+        assert not out.exists()

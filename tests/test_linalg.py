@@ -94,6 +94,56 @@ class TestSolve:
                 sol, _ = result
                 assert m.apply(sol) == b
 
+    # (field order, rows, rhs, particular, kernel) as to_strings() lists; the
+    # expected values are the output of the former solve, which eliminated
+    # the augmented matrix and then called kernel() for a second elimination
+    FIXED = [
+        (1, [[1, 2, 0, 3], [2, 4, 1, 7], [0, 0, 1, 1]], [1, 3, 1],
+         [["1/1"], ["0/1"], ["1/1"], ["0/1"]],
+         [[["-2/1"], ["1/1"], ["0/1"], ["0/1"]],
+          [["-3/1"], ["0/1"], ["-1/1"], ["1/1"]]]),
+        (1, [[1, 1], [1, 1]], [1, 2], None, None),
+        (1, [[2, 1], [1, 3]], [1, 2], [["1/5"], ["3/5"]], []),
+        (3, [[1, "z", "z2"], ["z", "z2", 1]], [1, "z"],
+         [["1/1", "0/1"], ["0/1", "0/1"], ["0/1", "0/1"]],
+         [[["0/1", "-1/1"], ["1/1", "0/1"], ["0/1", "0/1"]],
+          [["1/1", "1/1"], ["0/1", "0/1"], ["1/1", "0/1"]]]),
+    ]
+
+    @staticmethod
+    def _fixed_system(order, rows, rhs):
+        f = make_field(order)
+        named = {"z": f.zeta(), "z2": f.zeta(2)}
+        m = Matrix(f, [[named.get(c, c) for c in row] for row in rows])
+        return m, tuple(f.promote(named.get(c, c)) for c in rhs)
+
+    @pytest.mark.parametrize("order, rows, rhs, particular, kernel", FIXED)
+    def test_fixed_systems_match_former_solve(self, order, rows, rhs, particular, kernel):
+        m, b = self._fixed_system(order, rows, rhs)
+        result = m.solve(b)
+        if particular is None:
+            assert result is None
+            return
+        sol, basis = result
+        assert [c.to_strings() for c in sol] == particular
+        assert [[c.to_strings() for c in v] for v in basis] == kernel
+        assert basis == m.kernel()
+
+    def test_one_elimination_per_solve(self, monkeypatch):
+        calls = []
+        rref = Matrix.rref
+
+        def counting_rref(self):
+            calls.append(self.cols)
+            return rref(self)
+
+        monkeypatch.setattr(Matrix, "rref", counting_rref)
+        for order, rows, rhs, _, _ in self.FIXED:
+            m, b = self._fixed_system(order, rows, rhs)
+            calls.clear()
+            m.solve(b)
+            assert calls == [m.cols + 1]
+
 
 class TestTensorContract:
     def test_group_algebra_swap(self):
