@@ -53,7 +53,7 @@ class Report:
 class AssocAlgebra:
     """dim, multiplication tensor (dim x dim x dim) and unit vector."""
 
-    __slots__ = ("field", "dim", "mult", "unit", "_left_traces")
+    __slots__ = ("field", "dim", "mult", "unit", "_left_traces", "_radical")
 
     def __init__(self, field: CycloField, dim: int, mult: Tensor3, unit):
         if mult.dims != (dim, dim, dim):
@@ -63,6 +63,7 @@ class AssocAlgebra:
         self.mult = mult
         self.unit = tuple(field.promote(c) for c in unit)
         self._left_traces = None
+        self._radical = None
 
     def __repr__(self):
         return "AssocAlgebra(dim=%d over %r)" % (self.dim, self.field)
@@ -154,8 +155,10 @@ def radical(alg: AssocAlgebra) -> list[tuple]:
     """Basis of the Jacobson radical via the trace bilinear form.
 
     In characteristic zero rad(A) = {x : Tr(L_{xy}) = 0 for all y}
-    (Dickson's criterion), one exact kernel computation.
+    (Dickson's criterion), one exact kernel computation, cached on `alg`.
     """
+    if alg._radical is not None:
+        return list(alg._radical)
     dim = alg.dim
     zero = alg.field.zero()
     gram = [[zero] * dim for _ in range(dim)]
@@ -168,7 +171,8 @@ def radical(alg: AssocAlgebra) -> list[tuple]:
                 if not tr.is_zero():
                     acc = acc + c * tr
             gram[i][j] = acc
-    return Matrix(alg.field, gram).kernel()
+    alg._radical = tuple(Matrix(alg.field, gram).kernel())
+    return list(alg._radical)
 
 
 def is_semisimple_trace(alg: AssocAlgebra) -> bool:
@@ -381,6 +385,16 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
         lmat = quotient.left_mult_matrix(e)
         new_blocks = []
         for block, eigs in blocks:
+            if len(block) == 1:
+                # already split: read off the eigenvalue, check it exactly
+                v = block[0]
+                w = lmat.apply(v)
+                p = next(t for t, c in enumerate(v) if not c.is_zero())
+                eigenvalue = w[p] / v[p]
+                if any(x != eigenvalue * y for x, y in zip(w, v)):
+                    raise ArithmeticError("block is not invariant")
+                new_blocks.append((block, eigs + [eigenvalue]))
+                continue
             restricted = _restrict(lmat, block, field)
             minpoly = minimal_polynomial(restricted)
             pieces = factor_unipoly(minpoly)
@@ -391,7 +405,7 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
                     unresolved.append(fac)
                     continue
                 eigenvalue = -fac.coeffs[0]
-                sub = _apply_poly(restricted, fac, field)
+                sub = _apply_poly(restricted, fac)
                 piece = [
                     _combine(block, combo, field, qdim) for combo in sub.kernel()
                 ]
@@ -427,14 +441,23 @@ def _restrict(m: Matrix, block, field) -> Matrix:
     return Matrix(field, [[red.data[r][k + i] for i in range(k)] for r in range(k)])
 
 
-def _apply_poly(m: Matrix, poly: UniPoly, field) -> Matrix:
-    acc = Matrix.zero(field, m.rows, m.cols)
-    power = Matrix.identity(field, m.rows)
-    for c in poly.coeffs:
-        if not c.is_zero():
-            acc = acc + power.scale(c)
-        power = power * m
-    return acc
+def _apply_poly(m: Matrix, poly: UniPoly) -> Matrix:
+    """p(M) for p of degree >= 1, by Horner from c_d M: d - 1 dense products."""
+    *rest, lead = poly.coeffs
+    acc = m if lead.is_one() else m.scale(lead)
+    for c in reversed(rest[1:]):
+        acc = _plus_scalar(acc, c) * m
+    return _plus_scalar(acc, rest[0])
+
+
+def _plus_scalar(m: Matrix, c) -> Matrix:
+    """M + c I."""
+    if c.is_zero():
+        return m
+    data = [list(row) for row in m.data]
+    for i, row in enumerate(data):
+        row[i] = row[i] + c
+    return Matrix._wrap(m.field, data)
 
 
 def _combine(block, combo, field, dim) -> tuple:

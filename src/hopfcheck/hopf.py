@@ -430,26 +430,35 @@ def _solve_antipode_dense(h: HopfAlgebra) -> Matrix:
     return Matrix.from_columns(field, cols)
 
 
-def dual(h: HopfAlgebra, antipode_required: bool = True) -> HopfAlgebra:
-    """Transpose all structure: mult* = comult^T, comult* = mult^T, etc."""
+def dual(h: HopfAlgebra) -> HopfAlgebra:
+    """Transpose all structure: mult* = comult^T, comult* = mult^T, etc.
+
+    The two index permutations compose to the identity and S^TT = S, so the
+    result records h as its own dual: dual(dual(h)) is h.
+    """
     cached = h._cache.get("dual")
-    if cached is not None and (cached.antipode is not None or not antipode_required):
+    if cached is not None:
         return cached
-    field = h.field
-    mult_dual = h.comult.permuted((1, 2, 0))
-    comult_dual = h.algebra.mult.permuted((2, 0, 1))
-    alg = AssocAlgebra(field, h.dim, mult_dual, h.counit)
-    anti = h.antipode.transpose() if h.antipode is not None else None
-    if anti is None and antipode_required:
+    if h.antipode is None:
         raise NoAntipode("dualizing requires a solved antipode")
-    result = HopfAlgebra(alg, comult_dual, h.unit, anti)
+    comult_dual = h.algebra.mult.permuted((2, 0, 1))
+    result = HopfAlgebra(
+        dual_algebra(h), comult_dual, h.unit, h.antipode.transpose()
+    )
+    result._cache["dual"] = h
+    result._cache["dual_algebra"] = h.algebra
     h._cache["dual"] = result
     return result
 
 
 def dual_algebra(h: HopfAlgebra) -> AssocAlgebra:
     """Just the algebra structure of H*: convolution on functionals."""
-    return AssocAlgebra(h.field, h.dim, h.comult.permuted((1, 2, 0)), h.counit)
+    cached = h._cache.get("dual_algebra")
+    if cached is None:
+        cached = h._cache["dual_algebra"] = AssocAlgebra(
+            h.field, h.dim, h.comult.permuted((1, 2, 0)), h.counit
+        )
+    return cached
 
 
 def tensor_hopf(h1: HopfAlgebra, h2: HopfAlgebra) -> HopfAlgebra:
@@ -904,8 +913,13 @@ def skew_profile(h: HopfAlgebra, likes: GroupLikes | None = None) -> dict:
     """(order g, order h) -> total dim of nontrivial (g,h)-skew primitives.
 
     Uses the translation P_{g,h} = g * P_{1, g^{-1} h}, so only |G| solves.
+    The profile for h's own group-likes is cached on h; callers get a copy.
     """
-    likes = likes or group_likes(h)
+    if likes is None:
+        likes = group_likes(h)
+    own = likes is h._cache.get("group_likes")
+    if own and "skew_profile" in h._cache:
+        return dict(h._cache["skew_profile"])
     nontrivial = {}
     for k, gk in enumerate(likes.elements):
         nontrivial[k] = len(skew_primitives(h, h.unit, gk, _checked=True))
@@ -918,6 +932,8 @@ def skew_profile(h: HopfAlgebra, likes: GroupLikes | None = None) -> dict:
             if d:
                 key = (likes.orders[a], likes.orders[b])
                 profile[key] = profile.get(key, 0) + d
+    if own:
+        h._cache["skew_profile"] = dict(profile)
     return profile
 
 

@@ -90,14 +90,26 @@ class Matrix:
                 raise ShapeMismatch("ragged matrix rows")
 
     @classmethod
+    def _wrap(cls, field: CycloField, data) -> "Matrix":
+        """Take ownership of equal-length rows of `field` elements as they are."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.data = data
+        m.rows = len(data)
+        m.cols = len(data[0]) if data else 0
+        return m
+
+    @classmethod
     def zero(cls, field, rows, cols):
         z = field.zero()
-        return cls(field, [[z] * cols for _ in range(rows)])
+        return cls._wrap(field, [[z] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._wrap(
+            field, [[o if i == j else z for j in range(n)] for i in range(n)]
+        )
 
     @classmethod
     def from_columns(cls, field, columns, rows=None):
@@ -142,7 +154,7 @@ class Matrix:
 
     def __add__(self, other):
         self._shape_check(other)
-        return Matrix(
+        return Matrix._wrap(
             self.field,
             [
                 [a + b for a, b in zip(r1, r2)]
@@ -152,7 +164,7 @@ class Matrix:
 
     def __sub__(self, other):
         self._shape_check(other)
-        return Matrix(
+        return Matrix._wrap(
             self.field,
             [
                 [a - b for a, b in zip(r1, r2)]
@@ -161,7 +173,7 @@ class Matrix:
         )
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in row] for row in self.data])
+        return Matrix._wrap(self.field, [[-a for a in row] for row in self.data])
 
     def _shape_check(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -171,14 +183,14 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = self.field.promote(c)
-        return Matrix(self.field, [[c * a for a in row] for row in self.data])
+        return Matrix._wrap(self.field, [[c * a for a in row] for row in self.data])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ShapeMismatch("matrix product shapes")
             cols = other.columns()
-            return Matrix(
+            return Matrix._wrap(
                 self.field,
                 [[vec_dot(row, col) for col in cols] for row in self.data],
             )
@@ -198,7 +210,7 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
+        return Matrix._wrap(
             self.field,
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
@@ -245,7 +257,7 @@ class Matrix:
             r += 1
             if r == self.rows:
                 break
-        return Matrix(self.field, data), len(pivots), pivots
+        return Matrix._wrap(self.field, data), len(pivots), pivots
 
     def kernel(self) -> list[tuple]:
         """Exact basis of the right null space."""
@@ -274,7 +286,7 @@ class Matrix:
         if self.rows != self.cols:
             raise ShapeMismatch("only square matrices invert")
         n = self.rows
-        aug = Matrix(
+        aug = Matrix._wrap(
             self.field,
             [
                 list(self.data[i])
@@ -288,7 +300,7 @@ class Matrix:
         red, rank, pivots = aug.rref()
         if rank < n or pivots[:n] != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in red.data])
+        return Matrix._wrap(self.field, [row[n:] for row in red.data])
 
 
 def _rref_kernel(red: Matrix, pivots: list[int], cols: int) -> list[tuple]:
@@ -495,7 +507,7 @@ class Tensor3:
             for (i, j, k), c in self.entries.items():
                 if not v[i].is_zero():
                     rows[k][j] = rows[k][j] + v[i] * c
-            return Matrix(self.field, rows)
+            return Matrix._wrap(self.field, rows)
         if mode in ("right-mult", "comult-left"):
             if len(v) != d2:
                 raise ShapeMismatch("vector length != dims[1]")
@@ -503,7 +515,7 @@ class Tensor3:
             for (i, j, k), c in self.entries.items():
                 if not v[j].is_zero():
                     rows[k][i] = rows[k][i] + v[j] * c
-            return Matrix(self.field, rows)
+            return Matrix._wrap(self.field, rows)
         if mode == "comult-right":
             if len(v) != d3:
                 raise ShapeMismatch("vector length != dims[2]")
@@ -511,5 +523,5 @@ class Tensor3:
             for (i, j, k), c in self.entries.items():
                 if not v[k].is_zero():
                     rows[j][i] = rows[j][i] + v[k] * c
-            return Matrix(self.field, rows)
+            return Matrix._wrap(self.field, rows)
         raise ValueError("unknown contraction mode %r" % mode)

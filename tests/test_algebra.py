@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
 
-from hopfcheck.cyclotomic import make_field
+import pytest
+
+from hopfcheck.cyclotomic import UniPoly, make_field
 from hopfcheck.algebra import (
     AssocAlgebra,
+    _apply_poly,
     center,
     characters,
     ideal_closure,
@@ -10,7 +14,7 @@ from hopfcheck.algebra import (
     radical,
     verify_algebra,
 )
-from hopfcheck.linalg import Tensor3, unit_vector
+from hopfcheck.linalg import Matrix, Tensor3, unit_vector
 
 Q = make_field(1)
 
@@ -178,3 +182,27 @@ class TestCenter:
             for i in range(alg.dim):
                 e = unit_vector(Q, alg.dim, i)
                 assert alg.multiply(z, e) == alg.multiply(e, z)
+
+
+class TestApplyPoly:
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_horner_matches_power_sum(self, degree):
+        f = make_field(12)
+        rng = random.Random(degree)
+
+        def rand():
+            return f.element([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                              for _ in range(4)])
+
+        for n in (1, 2, 3):
+            m = Matrix(f, [[rand() for _ in range(n)] for _ in range(n)])
+            lead = rand()
+            for top in (f.one(), f.one() if lead.is_zero() else lead):
+                # a zero constant term too: p(M) = M (...) has no identity part
+                for const in (rand(), f.zero()):
+                    coeffs = [const] + [rand() for _ in range(degree - 1)] + [top]
+                    expected = Matrix.zero(f, n, n)
+                    for k, c in enumerate(coeffs):
+                        expected = expected + m.power(k).scale(c)
+                    got = _apply_poly(m, UniPoly(f, coeffs))
+                    assert got == expected

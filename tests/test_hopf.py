@@ -1,6 +1,7 @@
 import pytest
 
-from hopfcheck.algebra import AssocAlgebra, is_semisimple_trace
+from hopfcheck import hopf
+from hopfcheck.algebra import AssocAlgebra, is_semisimple_trace, radical
 from hopfcheck.cyclotomic import make_field
 from hopfcheck.families import a_tau_mu, group_algebra, sweedler, taft, taft_tensor_group
 from hopfcheck.hopf import (
@@ -11,6 +12,7 @@ from hopfcheck.hopf import (
     check_radford_s4,
     coradical,
     dual,
+    dual_algebra,
     fingerprint,
     group_likes,
     group_likes_bruteforce,
@@ -18,12 +20,14 @@ from hopfcheck.hopf import (
     is_pointed,
     is_semisimple_lr,
     skew_primitives,
+    skew_profile,
     solve_antipode,
     structure_equal,
     tensor_hopf,
     trace_s2,
     verify_hopf,
 )
+from hopfcheck.io import manifest_for, parse, serialize
 from hopfcheck.linalg import Matrix, Tensor3, unit_vector, vec_scale
 
 Q = make_field(1)
@@ -38,6 +42,11 @@ def perturbed_sweedler_antipode():
     for r in range(4):
         data[r][col] = -data[r][col]
     return HopfAlgebra(h.algebra, h.comult, h.counit, Matrix(h.field, data))
+
+
+def fresh_copy(h):
+    """The same structure through a manifest round trip: no shared caches."""
+    return parse(serialize(manifest_for(h))).payload
 
 
 class TestVerifyHopf:
@@ -94,7 +103,9 @@ class TestSolveAntipode:
 class TestDual:
     def test_double_dual_identity(self):
         for h in (sweedler(), group_algebra(4), a_tau_mu(3, 2, -1, 0)):
-            assert structure_equal(dual(dual(h)), h)
+            # dualize an unlinked copy of H*, so the transpose really runs twice
+            assert structure_equal(dual(fresh_copy(dual(h))), h)
+            assert dual(dual(h)) is h
 
     def test_dual_group_algebra_group_count(self):
         h = group_algebra(5)  # default field Q(zeta_5)
@@ -298,7 +309,8 @@ class TestFingerprint:
 
     def test_double_dual_fingerprint(self):
         h = a_tau_mu(3, 2, -1, 1)
-        assert fingerprint(dual(dual(h))) == fingerprint(h)
+        assert fingerprint(dual(fresh_copy(dual(h)))) == fingerprint(h)
+        assert dual(dual(h)) is h
 
     def test_group_algebra_self_dual_fingerprint(self):
         h = group_algebra(5)
@@ -336,3 +348,86 @@ class TestAntipodeStructure:
         lx = h.algebra.mult.contract("left-mult", x)
         assert lx.rref()[1] == 2
         assert (lx * lx) == Matrix.zero(Q, 4, 4)
+
+
+def _invariants(h):
+    return (
+        group_likes(h),
+        coradical(h),
+        skew_profile(h),
+        fingerprint(h),
+        radical(dual_algebra(h)),
+    )
+
+
+class TestComputedOnce:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            sweedler,
+            lambda: a_tau_mu(3, 2, -1, 0),
+            lambda: a_tau_mu(3, 2, -1, 1),
+            lambda: taft_tensor_group(2, -1, 3),
+            lambda: group_algebra(12),
+        ],
+        ids=["sweedler", "A(3,0)", "A(3,1)", "T2xk[Z3]", "k[Z12]"],
+    )
+    @pytest.mark.parametrize("dual_first", [True, False])
+    def test_cached_invariants_match_fresh_copy(self, build, dual_first):
+        h = build()
+        d = dual(h)
+        order = (d, h) if dual_first else (h, d)
+        got = [_invariants(x) for x in order]
+        for x, inv in zip(order, got):
+            assert inv == _invariants(fresh_copy(x))
+            assert _invariants(x) == inv
+
+    def test_cached_results_are_copies(self):
+        h = a_tau_mu(3, 2, -1, 1)
+        profile = skew_profile(h)
+        expected = dict(profile)
+        profile.clear()
+        assert skew_profile(h) == expected
+        rad = radical(dual_algebra(h))
+        assert rad
+        rad.clear()
+        assert radical(dual_algebra(h))
+
+    @pytest.mark.parametrize(
+        "build",
+        [sweedler, lambda: a_tau_mu(3, 2, -1, 1), lambda: dual(a_tau_mu(3, 2, -1, 1))],
+        ids=["sweedler", "A(3,1)", "A(3,1)*"],
+    )
+    def test_skew_profile_matches_per_pair_oracle(self, build):
+        h = build()
+        likes = group_likes(h)
+        oracle: dict = {}
+        for a, g in enumerate(likes.elements):
+            for b, g2 in enumerate(likes.elements):
+                d = len(skew_primitives(h, g, g2))
+                if d:
+                    key = (likes.orders[a], likes.orders[b])
+                    oracle[key] = oracle.get(key, 0) + d
+        assert skew_profile(h) == oracle
+
+    def test_fingerprint_of_h_and_dual_solves_once(self, monkeypatch):
+        calls = {"characters": 0, "skew_primitives": 0}
+
+        def counting(name):
+            original = getattr(hopf, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(hopf, name, counting(name))
+        h = a_tau_mu(3, 2, -1, 1)
+        fingerprint(h)
+        fingerprint(dual(h))
+        # one character search per algebra (H* and H), one skew solve per
+        # element of G(H) and of G(H*)
+        assert len(group_likes(h)) + len(group_likes(dual(h))) == 8
+        assert calls == {"characters": 2, "skew_primitives": 8}

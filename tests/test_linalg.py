@@ -145,6 +145,44 @@ class TestSolve:
             assert calls == [m.cols + 1]
 
 
+class TestConstruction:
+    def test_public_constructor_promotes(self):
+        m = Matrix(Q, [[1, Fraction(1, 2)]])
+        assert m.data == [[Q.from_rational(1), Q.from_rational(Fraction(1, 2))]]
+        assert all(c.field is Q for c in m.data[0])
+        with pytest.raises(ShapeMismatch):
+            Matrix(Q, [[1, 2], [3]])
+
+    @staticmethod
+    def _fixed_q12():
+        f = make_field(12)
+        z = f.zeta()
+        r0 = [f.one(), z, f.from_rational(2), z * z]
+        r1 = [z * z, f.from_rational(Fraction(1, 2)), -z, f.one()]
+        r2 = [x + z * y for x, y in zip(r0, r1)]
+        b = [[z, 0], [Fraction(-1, 3), z * z], [1, 1], [0, z]]
+        return Matrix(f, [r0, r1, r2]), Matrix(f, b)
+
+    def test_rref_and_product_match_former_results(self):
+        a, b = self._fixed_q12()
+        red, rank, pivots = a.rref()
+        assert (rank, pivots) == (2, [0, 1])
+        assert [[c.to_strings() for c in row] for row in red.data] == [
+            [["1/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", "0/1"],
+             ["2/5", "-4/5", "2/5", "8/5"], ["4/5", "-4/5", "-3/5", "2/5"]],
+            [["0/1", "0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1", "0/1"],
+             ["4/5", "6/5", "-8/5", "-8/5"], ["4/5", "4/5", "-2/5", "4/5"]],
+            [["0/1"] * 4] * 4,
+        ]
+        assert [[c.to_strings() for c in row] for row in (a * b).data] == [
+            [["2/1", "2/3", "0/1", "0/1"], ["2/1", "0/1", "0/1", "2/1"]],
+            [["-1/6", "-1/1", "0/1", "1/1"], ["0/1", "0/1", "1/2", "0/1"]],
+            [["1/1", "1/2", "0/1", "0/1"], ["2/1", "0/1", "0/1", "5/2"]],
+        ]
+        # results built without promotion equal the promoted ones
+        assert red == Matrix(a.field, red.data) and (red.rows, red.cols) == (3, 4)
+
+
 class TestTensorContract:
     def test_group_algebra_swap(self):
         # multiplication tensor of k[Z_2]; left-mult by the generator swaps basis
