@@ -10,7 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from hopfcheck.cyclotomic import CycloField, FieldElement, UniPoly, factor_unipoly
-from hopfcheck.linalg import Matrix, Tensor3, sparse_equal, unit_vector, vec_is_zero
+from hopfcheck.linalg import (
+    Matrix,
+    Tensor3,
+    sparse_equal,
+    unit_vector,
+    vec_combination,
+    vec_is_zero,
+)
 
 
 @dataclass(frozen=True)
@@ -50,10 +57,15 @@ class Report:
         return out
 
 
+_UNSEARCHED = object()
+
+
 class AssocAlgebra:
     """dim, multiplication tensor (dim x dim x dim) and unit vector."""
 
-    __slots__ = ("field", "dim", "mult", "unit", "_left_traces", "_radical")
+    __slots__ = (
+        "field", "dim", "mult", "unit", "_left_traces", "_radical", "_generators"
+    )
 
     def __init__(self, field: CycloField, dim: int, mult: Tensor3, unit):
         if mult.dims != (dim, dim, dim):
@@ -64,6 +76,7 @@ class AssocAlgebra:
         self.unit = tuple(field.promote(c) for c in unit)
         self._left_traces = None
         self._radical = None
+        self._generators = _UNSEARCHED
 
     def __repr__(self):
         return "AssocAlgebra(dim=%d over %r)" % (self.dim, self.field)
@@ -85,6 +98,17 @@ class AssocAlgebra:
                 c = ai * bj
                 for k, m in table.get((i, j), ()):
                     out[k] = out[k] + c * m
+        return tuple(out)
+
+    def basis_times(self, i: int, v, right: bool = False) -> tuple:
+        """b_i * v, or v * b_i when right: one table row per nonzero of v."""
+        out = [self.field.zero()] * self.dim
+        table = self.mult.by_ij()
+        for j, c in enumerate(v):
+            if c.is_zero():
+                continue
+            for k, m in table.get((j, i) if right else (i, j), ()):
+                out[k] = out[k] + c * m
         return tuple(out)
 
     def tensor_square_product(self, a: dict, b: dict) -> dict:
@@ -120,35 +144,108 @@ class AssocAlgebra:
 
 
 def verify_algebra(alg: AssocAlgebra) -> Report:
-    """Associativity on all basis triples plus the two-sided unit law."""
+    """Two-sided unit law, then associativity on every basis triple.
+
+    Once the unit laws hold, associativity is first checked on the triples
+    (g, j, k) with g in algebra_generators(alg), which decides it exactly
+    (see there); any failure reruns every triple, so the violations are
+    those of the full loop.
+    """
     report = Report(checks=["unit", "associativity"])
     dim = alg.dim
-    table = alg.mult.by_ij()
     unit = alg.unit
     for i in range(dim):
         e = unit_vector(alg.field, dim, i)
-        if alg.multiply(unit, e) != e:
+        if alg.basis_times(i, unit, right=True) != e:
             report.add(Violation("unit", (i,), "1*b != b"))
-        if alg.multiply(e, unit) != e:
+        if alg.basis_times(i, unit) != e:
             report.add(Violation("unit", (i,), "b*1 != b"))
-    zero = alg.field.zero()
+    gens = algebra_generators(alg) if report.ok else None
+    if gens is not None and all(
+        _associates(alg, g, j, k)
+        for g in gens
+        for j in range(dim)
+        for k in range(dim)
+    ):
+        return report
     for i in range(dim):
         for j in range(dim):
-            ij = table.get((i, j), ())
             for k in range(dim):
-                left: dict = {}
-                for t, c in ij:
-                    for s, m in table.get((t, k), ()):
-                        left[s] = left.get(s, zero) + c * m
-                right: dict = {}
-                for t, c in table.get((j, k), ()):
-                    for s, m in table.get((i, t), ()):
-                        right[s] = right.get(s, zero) + c * m
-                if not sparse_equal(left, right):
+                if not _associates(alg, i, j, k):
                     report.add(
                         Violation("associativity", (i, j, k), "(ab)c != a(bc)")
                     )
     return report
+
+
+def _associates(alg: AssocAlgebra, i: int, j: int, k: int) -> bool:
+    """(b_i b_j) b_k == b_i (b_j b_k)."""
+    table = alg.mult.by_ij()
+    zero = alg.field.zero()
+    left: dict = {}
+    for t, c in table.get((i, j), ()):
+        for s, m in table.get((t, k), ()):
+            left[s] = left.get(s, zero) + c * m
+    right: dict = {}
+    for t, c in table.get((j, k), ()):
+        for s, m in table.get((i, t), ()):
+            right[s] = right.get(s, zero) + c * m
+    return sparse_equal(left, right)
+
+
+def algebra_generators(alg: AssocAlgebra, limit: int | None = None):
+    """Basis indices whose left words from 1 span alg, or None.
+
+    Indices are taken greedily in index order: b_i joins when it is not yet
+    in the span W of the words, and W is then closed under left
+    multiplication by every generator.  None when the words do not span alg
+    (which needs a failing unit law) or when more than `limit` generators
+    would be needed.  A complete search is cached on alg.
+
+    Why the generators decide a law (nothing is sampled).  Let X be a
+    subspace of alg with 1 in X and xy in X for x, y in X.  Every word is
+    1 or g w with g a generator and w an earlier word, so if the generators
+    lie in X, so does every word, and X = alg once the words span.  Three
+    such X, each with the preconditions it needs:
+
+    - {x : (xb)c = x(bc) for all b, c}, given the two-sided unit laws:
+      ((xy)b)c = (x(yb))c = x((yb)c) = x(y(bc)) = (xy)(bc).
+    - {x : Delta(xy) = Delta(x)Delta(y) for all y}, given associativity,
+      the unit laws and Delta(1) = 1 (x) 1:
+      Delta((xy)z) = Delta(x(yz)) = Delta(x)Delta(y)Delta(z).
+    - {x : eps(xy) = eps(x)eps(y) for all y}, given associativity, the unit
+      laws and eps(1) = 1, by the same computation.
+
+    So a law that holds on the rows of the generators holds on all of alg.
+    """
+    if alg._generators is _UNSEARCHED:
+        ech = EchelonBasis(alg.field, alg.dim)
+        gens: list = []
+        words: list = []
+
+        def close(queue):
+            # keep span(words) closed under left multiplication by gens
+            while queue:
+                v = queue.pop()
+                if ech.insert(v):
+                    words.append(v)
+                    queue.extend(alg.basis_times(g, v) for g in gens)
+
+        close([alg.unit])
+        for i in range(alg.dim):
+            if len(ech.rows) == alg.dim:
+                break
+            if vec_is_zero(ech.reduce(unit_vector(alg.field, alg.dim, i))):
+                continue
+            if limit is not None and len(gens) == limit:
+                return None
+            gens.append(i)
+            close([alg.basis_times(i, w) for w in words])
+        alg._generators = tuple(gens) if len(ech.rows) == alg.dim else None
+    gens = alg._generators
+    if gens is None or (limit is not None and len(gens) > limit):
+        return None
+    return list(gens)
 
 
 def radical(alg: AssocAlgebra) -> list[tuple]:
@@ -245,9 +342,8 @@ def ideal_closure(alg: AssocAlgebra, generators) -> list[tuple]:
         if not ech.insert(v):
             continue
         for i in range(alg.dim):
-            e = unit_vector(alg.field, alg.dim, i)
-            queue.append(alg.multiply(e, v))
-            queue.append(alg.multiply(v, e))
+            queue.append(alg.basis_times(i, v))
+            queue.append(alg.basis_times(i, v, right=True))
     return ech.basis()
 
 
@@ -286,9 +382,7 @@ def quotient_algebra(alg: AssocAlgebra, ideal_basis):
     entries = {}
     for a_idx, qa in enumerate(complement):
         for b_idx, qb in enumerate(complement):
-            prod = alg.multiply(
-                unit_vector(field, dim, qa), unit_vector(field, dim, qb)
-            )
+            prod = alg.basis_times(qa, unit_vector(field, dim, qb))
             for k_idx, c in enumerate(project(prod)):
                 if not c.is_zero():
                     entries[(a_idx, b_idx, k_idx)] = c
@@ -365,7 +459,7 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
             ej = unit_vector(field, semi.dim, j)
             c = tuple(
                 x - y
-                for x, y in zip(semi.multiply(ei, ej), semi.multiply(ej, ei))
+                for x, y in zip(semi.basis_times(i, ej), semi.basis_times(j, ei))
             )
             if not vec_is_zero(c):
                 comms.append(c)
@@ -407,7 +501,8 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
                 eigenvalue = -fac.coeffs[0]
                 sub = _apply_poly(restricted, fac)
                 piece = [
-                    _combine(block, combo, field, qdim) for combo in sub.kernel()
+                    vec_combination(combo, block, field, qdim)
+                    for combo in sub.kernel()
                 ]
                 if piece:
                     new_blocks.append((piece, eigs + [eigenvalue]))
@@ -458,15 +553,6 @@ def _plus_scalar(m: Matrix, c) -> Matrix:
     for i, row in enumerate(data):
         row[i] = row[i] + c
     return Matrix._wrap(m.field, data)
-
-
-def _combine(block, combo, field, dim) -> tuple:
-    out = [field.zero()] * dim
-    for coeff, vec in zip(combo, block):
-        if not coeff.is_zero():
-            for t in range(dim):
-                out[t] = out[t] + coeff * vec[t]
-    return tuple(out)
 
 
 def _is_character(alg: AssocAlgebra, chi) -> bool:

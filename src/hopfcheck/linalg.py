@@ -48,6 +48,18 @@ def vec_dot(a, b):
     return acc
 
 
+def vec_combination(coeffs, vectors, field: CycloField, n: int) -> tuple:
+    """sum_j coeffs[j] * vectors[j], skipping zero coefficients and entries."""
+    out = [field.zero()] * n
+    for c, vec in zip(coeffs, vectors):
+        if c.is_zero():
+            continue
+        for t, x in enumerate(vec):
+            if not x.is_zero():
+                out[t] = out[t] + c * x
+    return tuple(out)
+
+
 def vec_outer(a, b) -> dict:
     """a (x) b as a sparse {(j, k): coeff} dict."""
     out = {}
@@ -397,13 +409,9 @@ def common_kernel(blocks, dim: int, field: CycloField) -> list[tuple]:
         if all(vec_is_zero(img) for img in images):
             continue
         constraint = Matrix.from_columns(field, images)
-        combos = constraint.kernel()
         basis = [
-            tuple(
-                sum((combo[j] * basis[j][t] for j in range(len(basis))), field.zero())
-                for t in range(dim)
-            )
-            for combo in combos
+            vec_combination(combo, basis, field, dim)
+            for combo in constraint.kernel()
         ]
     return basis
 

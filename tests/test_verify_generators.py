@@ -1,0 +1,489 @@
+"""The generator shortcut of verify_algebra/verify_hopf against full loops.
+
+verify_algebra decides associativity, and verify_hopf decides
+Delta(ab) = Delta(a)Delta(b), on the rows of algebra generators of H or H*
+and reruns the per-pair loop on any failure.  The reference model below is
+that per-pair loop, written out on its own: on every input, perturbed or
+not, both must give the same violations in the same order.
+"""
+
+import random
+
+import pytest
+
+from hopfcheck import hopf
+from hopfcheck.algebra import (
+    AssocAlgebra,
+    Report,
+    Violation,
+    algebra_generators,
+    verify_algebra,
+)
+from hopfcheck.cyclotomic import make_field
+from hopfcheck.families import a_tau_mu, group_algebra, sweedler, taft_tensor_group
+from hopfcheck.hopf import HopfAlgebra, dual, dual_algebra, trace_s2, verify_hopf
+from hopfcheck.linalg import Matrix, Tensor3, unit_vector
+
+# --- the reference model: every law on every basis element/pair/triple ---------
+
+
+def ref_verify_algebra(alg):
+    report = Report(checks=["unit", "associativity"])
+    dim, field = alg.dim, alg.field
+    table = alg.mult.by_ij()
+    zero = field.zero()
+    for i in range(dim):
+        e = unit_vector(field, dim, i)
+        if alg.multiply(alg.unit, e) != e:
+            report.add(Violation("unit", (i,), "1*b != b"))
+        if alg.multiply(e, alg.unit) != e:
+            report.add(Violation("unit", (i,), "b*1 != b"))
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                left, right = {}, {}
+                for t, c in table.get((i, j), ()):
+                    for s, m in table.get((t, k), ()):
+                        left[s] = left.get(s, zero) + c * m
+                for t, c in table.get((j, k), ()):
+                    for s, m in table.get((i, t), ()):
+                        right[s] = right.get(s, zero) + c * m
+                if _nonzero(left) != _nonzero(right):
+                    report.add(Violation("associativity", (i, j, k), "(ab)c != a(bc)"))
+    return report
+
+
+def _nonzero(d):
+    return {k: v for k, v in d.items() if not v.is_zero()}
+
+
+def _add(out, key, c):
+    out[key] = out.get(key, c.field.zero()) + c
+
+
+def ref_verify_hopf(h):
+    report = Report(checks=list(hopf._CHECK_ORDER))
+    for v in ref_verify_algebra(h.algebra).violations:
+        report.add(v)
+    dim, field = h.dim, h.field
+    alg = h.algebra
+    table = alg.mult.by_ij()
+    delta = [{} for _ in range(dim)]
+    for (i, j, k), c in h.comult.entries.items():
+        delta[i][(j, k)] = c
+    for i in range(dim):
+        left, right = {}, {}
+        for (j, t), c in delta[i].items():
+            for (a, b), c2 in delta[j].items():
+                _add(left, (a, b, t), c * c2)
+            for (a, b), c2 in delta[t].items():
+                _add(right, (j, a, b), c * c2)
+        if _nonzero(left) != _nonzero(right):
+            report.add(Violation("coassociativity", (i,), "(D(x)id)D != (id(x)D)D"))
+        for leg, detail in ((0, "(eps(x)id)D != id"), (1, "(id(x)eps)D != id")):
+            acc = [field.zero()] * dim
+            for key, c in delta[i].items():
+                acc[key[1 - leg]] = acc[key[1 - leg]] + h.counit[key[leg]] * c
+            if tuple(acc) != unit_vector(field, dim, i):
+                report.add(Violation("counit", (i,), detail))
+    unit_delta = {}
+    for i, u in enumerate(h.unit):
+        for key, c in delta[i].items():
+            _add(unit_delta, key, u * c)
+    outer = {(j, k): x * y for j, x in enumerate(h.unit) for k, y in enumerate(h.unit)}
+    if _nonzero(unit_delta) != _nonzero(outer):
+        report.add(Violation("comult-algebra-map", ("unit",), "D(1) != 1(x)1"))
+    eps_unit = sum((e * u for e, u in zip(h.counit, h.unit)), field.zero())
+    if not eps_unit.is_one():
+        report.add(Violation("counit-algebra-map", ("unit",), "eps(1) != 1"))
+    for i in range(dim):
+        for j in range(dim):
+            prod = alg.multiply(unit_vector(field, dim, i), unit_vector(field, dim, j))
+            lhs = {}
+            for k, c in enumerate(prod):
+                for key, c2 in delta[k].items():
+                    _add(lhs, key, c * c2)
+            rhs = {}
+            for (a, c), x in delta[i].items():
+                for (b, d), y in delta[j].items():
+                    for s, m in table.get((a, b), ()):
+                        for t, n in table.get((c, d), ()):
+                            _add(rhs, (s, t), x * y * m * n)
+            if _nonzero(lhs) != _nonzero(rhs):
+                report.add(Violation("comult-algebra-map", (i, j), "D(ab) != D(a)D(b)"))
+            eps = sum((c * e for c, e in zip(prod, h.counit)), field.zero())
+            if eps != h.counit[i] * h.counit[j]:
+                report.add(
+                    Violation("counit-algebra-map", (i, j), "eps(ab) != eps(a)eps(b)")
+                )
+    if h.antipode is None:
+        report.add(Violation("antipode-left", (), "antipode missing"))
+        report.add(Violation("antipode-right", (), "antipode missing"))
+        return report
+    cols = h.antipode.columns()
+    for i in range(dim):
+        left = [field.zero()] * dim
+        right = [field.zero()] * dim
+        for (j, k), c in delta[i].items():
+            lt = alg.multiply(cols[j], unit_vector(field, dim, k))
+            rt = alg.multiply(unit_vector(field, dim, j), cols[k])
+            left = [x + c * y for x, y in zip(left, lt)]
+            right = [x + c * y for x, y in zip(right, rt)]
+        target = tuple(h.counit[i] * u for u in h.unit)
+        if tuple(left) != target:
+            report.add(Violation("antipode-left", (i,), "m(S(x)id)D != u.eps"))
+        if tuple(right) != target:
+            report.add(Violation("antipode-right", (i,), "m(id(x)S)D != u.eps"))
+    return report
+
+
+# --- inputs ------------------------------------------------------------------------
+
+
+def transport(h, p_cols, algebra=True, coalgebra=True):
+    """h in the basis given by the columns of P (old coordinates).
+
+    With algebra or coalgebra False that side keeps its old constants, which
+    is how a coalgebra (or algebra) is moved along a map psi alone.
+    """
+    field, dim = h.field, h.dim
+    p = Matrix.from_columns(field, p_cols)
+    pinv = p.inverse()
+    new = [p.column(i) for i in range(dim)]
+    mult, unit = h.algebra.mult, h.unit
+    if algebra:
+        entries = {}
+        for i in range(dim):
+            for j in range(dim):
+                prod = pinv.apply(h.algebra.multiply(new[i], new[j]))
+                for k, c in enumerate(prod):
+                    if not c.is_zero():
+                        entries[(i, j, k)] = c
+        mult = Tensor3(field, (dim, dim, dim), entries)
+        unit = pinv.apply(h.unit)
+    comult, counit = h.comult, h.counit
+    if coalgebra:
+        entries = {}
+        for i in range(dim):
+            d = h.delta_vec(new[i])
+            img = {}
+            for (j, k), c in d.items():
+                for a, x in enumerate(pinv.column(j)):
+                    for b, y in enumerate(pinv.column(k)):
+                        if not (x.is_zero() or y.is_zero()):
+                            _add(img, (i, a, b), c * x * y)
+            entries.update(_nonzero(img))
+        comult = Tensor3(field, (dim, dim, dim), entries)
+        counit = tuple(h.counit_of(v) for v in new)
+    antipode = h.antipode
+    if algebra and coalgebra and antipode is not None:
+        antipode = pinv * antipode * p
+    return HopfAlgebra(AssocAlgebra(field, dim, mult, unit), comult, counit, antipode)
+
+
+def scrambled_sweedler():
+    """Sweedler's algebra with the unit moved off index 0 by an integer P."""
+    h = sweedler()
+    one, zero, two = h.field.one(), h.field.zero(), h.field.from_rational(2)
+    cols = [
+        (zero, one, zero, zero),
+        (one, zero, two, zero),
+        (zero, zero, one, one),
+        (one, zero, zero, one),
+    ]
+    return transport(h, cols)
+
+
+FAMILIES = {
+    "sweedler": sweedler,
+    "A(3,0)": lambda: a_tau_mu(3, 2, -1, 0),
+    "A(3,1)": lambda: a_tau_mu(3, 2, -1, 1),
+    "T2xk[Z3]": lambda: taft_tensor_group(2, -1, 3),
+}
+
+
+def build(name):
+    """A fresh input (no caches shared between tests); "X*" is X's dual."""
+    if name == "scrambled-sweedler":
+        return scrambled_sweedler()
+    h = FAMILIES[name.rstrip("*")]()
+    return dual(h) if name.endswith("*") else h
+
+
+INPUTS = sorted(FAMILIES) + sorted(n + "*" for n in FAMILIES) + ["scrambled-sweedler"]
+
+
+def _bump(field, value):
+    return value + field.one()
+
+
+def perturbations(h, seed):
+    """One structure constant changed at a time: mult, comult, unit, counit.
+
+    For each tensor, a seeded nonzero entry and a seeded zero entry; for
+    unit and counit, one seeded coordinate.
+    """
+    rng = random.Random(seed)
+    field, dim = h.field, h.dim
+    out = []
+    for kind, tensor in (("mult", h.algebra.mult), ("comult", h.comult)):
+        keys = sorted(tensor.entries)
+        picks = [rng.choice(keys)]
+        while True:
+            key = tuple(rng.randrange(dim) for _ in range(3))
+            if key not in tensor.entries:
+                picks.append(key)
+                break
+        for key in picks:
+            entries = dict(tensor.entries)
+            entries[key] = _bump(field, entries.get(key, field.zero()))
+            new = Tensor3(field, tensor.dims, entries)
+            if kind == "mult":
+                alg, comult = AssocAlgebra(field, dim, new, h.unit), h.comult
+            else:
+                alg, comult = h.algebra, new
+            bad = HopfAlgebra(alg, comult, h.counit, h.antipode)
+            out.append(("%s%r" % (kind, key), bad))
+    t = rng.randrange(dim)
+    unit = list(h.unit)
+    unit[t] = _bump(field, unit[t])
+    alg = AssocAlgebra(field, dim, h.algebra.mult, unit)
+    out.append(("unit[%d]" % t, HopfAlgebra(alg, h.comult, h.counit, h.antipode)))
+    counit = list(h.counit)
+    t = rng.randrange(dim)
+    counit[t] = _bump(field, counit[t])
+    out.append(("counit[%d]" % t, HopfAlgebra(h.algebra, h.comult, counit, h.antipode)))
+    return out
+
+
+def _same(report, ref):
+    assert report.checks == ref.checks
+    assert report.violations == ref.violations
+    assert report.lines() == ref.lines()
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_unperturbed_input_matches_reference(name):
+    h = build(name)
+    ref = ref_verify_hopf(h)
+    assert ref.ok
+    _same(verify_hopf(h), ref)
+    _same(verify_algebra(h.algebra), ref_verify_algebra(h.algebra))
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_one_perturbed_constant_matches_reference(name):
+    h = build(name)
+    for label, bad in perturbations(h, name):
+        ref = ref_verify_hopf(bad)
+        assert not ref.ok, label
+        _same(verify_hopf(bad), ref)
+        _same(verify_algebra(bad.algebra), ref_verify_algebra(bad.algebra))
+
+
+def moved(h, side):
+    """h with one side ("algebra" or "coalgebra") moved along psi = id + E_ts,
+    b_s -> b_s + b_t, where unit[s] = 0 and eps(b_t) = 0: psi fixes 1 and
+    eps, so each side keeps its own laws, Delta(1) = 1 (x) 1 and eps(ab) =
+    eps(a)eps(b)."""
+    field, dim = h.field, h.dim
+    s = next(i for i in range(1, dim) if h.unit[i].is_zero())
+    t = next(i for i in range(dim) if i != s and h.counit[i].is_zero())
+    cols = [unit_vector(field, dim, i) for i in range(dim)]
+    cols[s] = tuple(x + y for x, y in zip(cols[s], unit_vector(field, dim, t)))
+    return transport(
+        h, cols, algebra=side == "algebra", coalgebra=side == "coalgebra"
+    )
+
+
+@pytest.mark.parametrize("name", ["sweedler", "A(3,1)", "A(3,1)*", "T2xk[Z3]*"])
+@pytest.mark.parametrize("side", ["coalgebra", "algebra"])
+def test_only_compatibility_fails(name, side):
+    """Every law before compatibility holds, so the generator rows run,
+    fail, and the per-pair loop reports."""
+    bad = moved(build(name), side)
+    ref = ref_verify_hopf(bad)
+    laws = {v.law for v in ref.violations}
+    assert "comult-algebra-map" in laws
+    assert not laws & {"associativity", "unit", "coassociativity", "counit",
+                       "counit-algebra-map"}
+    _same(verify_hopf(bad), ref)
+
+
+def transpose(h):
+    """(H*, H) structure without an antipode: m and Delta swap roles."""
+    alg = AssocAlgebra(h.field, h.dim, h.comult.permuted((1, 2, 0)), h.counit)
+    return HopfAlgebra(alg, h.algebra.mult.permuted((2, 0, 1)), h.unit)
+
+
+def grouplike_coalgebra(h, cols):
+    """h's algebra with the coalgebra whose group-likes are the given vectors.
+
+    Coassociative and counital for any basis `cols`; eps is 1 on each.
+    """
+    field, dim = h.field, h.dim
+    inv = Matrix.from_columns(field, cols).inverse()
+    entries, counit = {}, []
+    for k in range(dim):
+        img = {}
+        for i, g in enumerate(cols):
+            c = inv.data[i][k]
+            for a, x in enumerate(g):
+                for b, y in enumerate(g):
+                    if not (c.is_zero() or x.is_zero() or y.is_zero()):
+                        _add(img, (k, a, b), c * x * y)
+        entries.update(_nonzero(img))
+        counit.append(sum(inv.column(k), field.zero()))
+    return HopfAlgebra(h.algebra, Tensor3(field, (dim,) * 3, entries), counit)
+
+
+def klein_second_row_fails():
+    """k[Z2 x Z2] (basis 1, b, a, ab) with group-likes 1, b, 1+b-a, 1+b-ab.
+
+    Left multiplication by b permutes them, so the rows of the first
+    generator b hold; the rows of a fail.  eps is the character a -> -1,
+    b -> 1, so every law before compatibility holds.
+    """
+    h = hopf.tensor_hopf(group_algebra(2), group_algebra(2))
+    field = h.field
+    o, z, m = field.one(), field.zero(), -field.one()
+    cols = [(o, z, z, z), (z, o, z, z), (o, o, m, z), (o, o, z, m)]
+    return grouplike_coalgebra(h, cols)
+
+
+def dual_numbers_grouplike():
+    """k[x]/(x^2) with x group-like: Delta is multiplicative (both sides of
+    Delta(x x) = Delta(x)Delta(x) vanish) but eps(x x) = 0 != eps(x)^2."""
+    field = make_field(1)
+    mult = Tensor3(field, (2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
+    comult = Tensor3(field, (2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1})
+    return HopfAlgebra(AssocAlgebra(field, 2, mult, (1, 0)), comult, (1, 1))
+
+
+HANDMADE = {
+    "klein": klein_second_row_fails,
+    "klein-transposed": lambda: transpose(klein_second_row_fails()),
+    "dual-numbers": dual_numbers_grouplike,
+    "dual-numbers-transposed": lambda: transpose(dual_numbers_grouplike()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HANDMADE))
+def test_handmade_bialgebra_failures_match_reference(name):
+    """Inputs where one generator row, or the eps precondition, decides."""
+    h = HANDMADE[name]()
+    ref = ref_verify_hopf(h)
+    assert not ref.ok
+    _same(verify_hopf(h), ref)
+
+
+@pytest.mark.parametrize("name", ["sweedler", "sweedler*", "scrambled-sweedler"])
+def test_every_perturbed_mult_constant_matches_reference(name):
+    """verify_algebra on each single change of the multiplication table."""
+    h = build(name)
+    field, dim = h.field, h.dim
+    for key in ((i, j, k) for i in range(dim) for j in range(dim) for k in range(dim)):
+        entries = dict(h.algebra.mult.entries)
+        entries[key] = _bump(field, entries.get(key, field.zero()))
+        alg = AssocAlgebra(field, dim, Tensor3(field, (dim,) * 3, entries), h.unit)
+        _same(verify_algebra(alg), ref_verify_algebra(alg))
+
+
+# --- algebra_generators --------------------------------------------------------------
+
+
+def _word_span_rank(alg, gens):
+    """Rank of the span of all left words in the generators, by closure."""
+    field, dim = alg.field, alg.dim
+    words = [alg.unit]
+    frontier = [alg.unit]
+    rank = 1
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                v = alg.multiply(unit_vector(field, dim, g), w)
+                trial = Matrix(field, [list(x) for x in words + [v]]).rref()[1]
+                if trial > rank:
+                    words.append(v)
+                    nxt.append(v)
+                    rank = trial
+        frontier = nxt
+    return rank
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (lambda: a_tau_mu(3, 2, -1, 0), 2),
+        (lambda: a_tau_mu(3, 2, -1, 1), 2),
+        (lambda: a_tau_mu(5, 2, -1, 1), 2),
+        (lambda: group_algebra(6), 1),
+        (lambda: group_algebra(7), 1),
+        (sweedler, 2),
+    ],
+)
+def test_generators_span(make, count):
+    alg = make().algebra
+    gens = algebra_generators(alg)
+    assert len(gens) == count
+    assert _word_span_rank(alg, gens) == alg.dim
+
+
+def test_generator_limit_and_cache():
+    alg = a_tau_mu(3, 2, -1, 0).algebra
+    assert algebra_generators(alg, 1) is None
+    assert algebra_generators(alg, 2) == [1, 2]
+    gens = algebra_generators(alg)
+    gens.append(99)
+    assert algebra_generators(alg) == [1, 2]
+
+
+def test_no_spanning_set_without_unit():
+    h = sweedler()
+    zero = h.field.zero()
+    alg = AssocAlgebra(h.field, h.dim, h.algebra.mult, (zero,) * h.dim)
+    assert algebra_generators(alg) is None
+
+
+def test_dual_side_decides_dense_duals():
+    """A(5,1)* has dense comultiplication; H* = A(5,1) has 2 generators, so
+    at most 2 * dim tensor-square products (the per-pair loop makes dim^2)."""
+    h = dual(a_tau_mu(5, 2, -1, 1))
+    assert algebra_generators(dual_algebra(h)) == [1, 2]
+    calls = []
+    original = AssocAlgebra.tensor_square_product
+
+    def counting(self, a, b):
+        calls.append(1)
+        return original(self, a, b)
+
+    AssocAlgebra.tensor_square_product = counting
+    try:
+        report = verify_hopf(h)
+    finally:
+        AssocAlgebra.tensor_square_product = original
+    assert report.ok
+    assert len(calls) <= 2 * h.dim
+
+
+# --- the sparse helpers behind the shortcut ----------------------------------------
+
+
+@pytest.mark.parametrize("name", ["A(3,1)", "T2xk[Z3]*", "scrambled-sweedler"])
+def test_basis_times_matches_dense_product(name):
+    h = build(name)
+    alg, field, dim = h.algebra, h.field, h.dim
+    rng = random.Random(name)
+    for _ in range(5):
+        v = tuple(field.from_rational(rng.randint(-2, 2)) for _ in range(dim))
+        for i in range(dim):
+            e = unit_vector(field, dim, i)
+            assert alg.basis_times(i, v) == alg.multiply(e, v)
+            assert alg.basis_times(i, v, right=True) == alg.multiply(v, e)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_trace_s2_matches_dense_square(name):
+    h = build(name)
+    assert trace_s2(h) == (h.antipode * h.antipode).trace()
