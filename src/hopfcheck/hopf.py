@@ -365,13 +365,60 @@ def right_dual_integral(h, integral, message) -> tuple:
     return lam
 
 
-def solve_antipode(h: HopfAlgebra) -> Matrix:
-    """The unique S with m(S (x) id)Delta = u.eps, also checked on the right.
+def _integral_pair(h: HopfAlgebra) -> tuple:
+    """(Lambda, lam): Lambda spans the left integrals of h (x Lambda =
+    eps(x) Lambda) and lam the right integrals of h*, with lam(Lambda) = 1
+    when that pairing is nonzero.  Raises DegenerateIntegral when either
+    space is not a line."""
 
-    Solved by a block-triangular sweep over the comultiplication slices (each
-    step is one dim x dim solve); falls back to the stacked system for inputs
-    without triangular structure.  Raises NoAntipode when no solution exists
-    or the right-sided law fails.
+    def left_block(i):
+        eps = h.counit[i]
+
+        def apply(v):
+            return vec_sub(h.algebra.basis_times(i, v), vec_scale(eps, v))
+
+        return apply
+
+    big_lambda = integral_line(
+        [left_block(i) for i in range(h.dim)],
+        h.field,
+        h.dim,
+        "left integral space has dimension %d",
+    )
+    lam = right_dual_integral(
+        h, big_lambda, "right dual integral space has dimension %d"
+    )
+    return big_lambda, lam
+
+
+def solve_antipode(h: HopfAlgebra) -> Matrix:
+    """The antipode S of h, certified by both convolution laws.
+
+    A block-triangular sweep solves m(S (x) id)Delta = u.eps one column at a
+    time, each step one dim x dim solve with a unique solution.  When the
+    comultiplication slices are not triangular, _solve_antipode_dense takes
+    S as the inverse of Radford's formula for S^-1.  Either result must pass
+    m(S (x) id)Delta(b_i) = eps(b_i) 1 = m(id (x) S)Delta(b_i) on every
+    basis element, so whatever is returned is a two-sided convolution
+    inverse of the identity.
+
+    Raises NoAntipode only if h is not a Hopf algebra.  Proof: let h be one,
+    with antipode S.  S satisfies every equation of the sweep, and each
+    column the sweep fixes is the unique solution given the columns before
+    it, so by induction it equals S there; no equation is inconsistent or
+    unsolvable, and a finished sweep returns S.  Otherwise the fallback
+    runs.  By Larson-Sweedler (Amer. J. Math. 91, 1969) the left integrals
+    of h (x Lambda = eps(x) Lambda) form a line, and so do the right
+    integrals of h* (lam(x_1) x_2 = lam(x) 1).  By Radford (Amer. J. Math.
+    98, 1976) S is bijective and lam(Lambda) != 0, so right_dual_integral
+    scales lam to lam(Lambda) = 1.  Since Delta is multiplicative and
+    x_2 Lambda = eps(x_2) Lambda,
+        S(x) Lambda_1 (x) Lambda_2 = S(x_1) x_2 Lambda_1 (x) x_3 Lambda_2
+                                   = Lambda_1 (x) x Lambda_2.
+    Put S^-1(x) for x and apply lam (x) id:
+        T(x) = lam(x Lambda_1) Lambda_2 = lam(Lambda_1) S^-1(x) Lambda_2
+             = S^-1(x) lam(Lambda) 1 = S^-1(x).
+    So T is invertible, its inverse is S, and S passes the certificate.
     """
     field = h.field
     dim = h.dim
@@ -439,43 +486,30 @@ def solve_antipode(h: HopfAlgebra) -> Matrix:
 
 
 def _solve_antipode_dense(h: HopfAlgebra) -> Matrix:
-    # stacked left+right law system in dim^2 unknowns; for small inputs only
+    """S as the inverse of T(x) = lam(x Lambda_1) Lambda_2 (see solve_antipode).
+
+    Lambda is a left integral of h and lam a right integral of h*.
+    """
     field = h.field
     dim = h.dim
-    if dim > 12:
-        raise ArithmeticError(
-            "antipode system is not block-triangular and too large to stack"
-        )
-    n = dim * dim
-    rows = []
-    rhs = []
-    prod = h.algebra.basis_product
-    for i in range(dim):
-        for law in ("left", "right"):
-            coeff = [[field.zero()] * n for _ in range(dim)]
-            for j, k, c in h.delta_basis(i):
-                if law == "left":
-                    for l in range(dim):
-                        for t, m in prod(l, k):
-                            coeff[t][j * dim + l] = coeff[t][j * dim + l] + c * m
-                else:
-                    for l in range(dim):
-                        for t, m in prod(j, l):
-                            coeff[t][k * dim + l] = coeff[t][k * dim + l] + c * m
-            for t in range(dim):
-                rows.append(coeff[t])
-                rhs.append(h.counit[i] * h.unit[t])
-    aug = Matrix(field, rows)
-    sol = aug.solve(tuple(rhs))
-    if sol is None:
-        raise NoAntipode("no solution to the antipode equations")
-    particular, kernel = sol
-    if kernel:
-        raise NoAntipode("antipode equations are degenerate")
-    cols = [
-        tuple(particular[j * dim + l] for l in range(dim)) for j in range(dim)
-    ]
-    return Matrix.from_columns(field, cols)
+    try:
+        big_lambda, lam = _integral_pair(h)
+    except DegenerateIntegral as exc:
+        raise NoAntipode(str(exc)) from None
+    zero = field.zero()
+    pairing = [[zero] * dim for _ in range(dim)]  # pairing[j][i] = lam(b_i b_j)
+    for (i, j, t), c in h.algebra.mult.entries.items():
+        if not lam[t].is_zero():
+            pairing[j][i] = pairing[j][i] + c * lam[t]
+    cols = [[zero] * dim for _ in range(dim)]  # cols[i] = T(b_i)
+    for (j, k), c in h.delta_vec(big_lambda).items():
+        for i, x in enumerate(pairing[j]):
+            if not x.is_zero():
+                cols[i][k] = cols[i][k] + c * x
+    try:
+        return Matrix.from_columns(field, cols).inverse()
+    except ZeroDivisionError:
+        raise NoAntipode("lam(x Lambda_1) Lambda_2 is singular") from None
 
 
 def dual(h: HopfAlgebra) -> HopfAlgebra:
@@ -579,24 +613,7 @@ class IntegralData:
 def integrals(h: HopfAlgebra) -> IntegralData:
     field = h.field
     dim = h.dim
-
-    def left_block(i):
-        eps = h.counit[i]
-
-        def apply(v):
-            return vec_sub(h.algebra.basis_times(i, v), vec_scale(eps, v))
-
-        return apply
-
-    big_lambda = integral_line(
-        [left_block(i) for i in range(dim)],
-        field,
-        dim,
-        "left integral space has dimension %d",
-    )
-    lam = right_dual_integral(
-        h, big_lambda, "right dual integral space has dimension %d"
-    )
+    big_lambda, lam = _integral_pair(h)
 
     # distinguished a in G(H):  lam -> h = lam(h) a
     def hit(i):

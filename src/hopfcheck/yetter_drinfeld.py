@@ -36,6 +36,7 @@ from hopfcheck.linalg import (
     Tensor3,
     sparse_equal,
     unit_vector,
+    vec_combination,
     vec_dot,
     vec_outer,
     vec_scale,
@@ -620,152 +621,80 @@ def bosonize(r: BraidedHopf, base: HopfAlgebra, check: bool = True) -> HopfAlgeb
 
 
 def dual_braided(r: BraidedHopf, check: bool = True) -> BraidedHopf:
-    """R* as a braided Hopf algebra over B*, extracted from (R x B)*.
+    """R* as a braided Hopf algebra over B*.
 
-    All structure is obtained by tensor transposition of R x B followed by
-    the canonical projections onto the R*- and B*-legs, so no convention is
-    assumed beyond the biproduct formulas themselves; the result is re-run
-    through verify_braided_hopf.
+    R*'s multiplication, unit, comultiplication, counit and antipode are the
+    transposes of R's comultiplication, counit, multiplication, unit and S_R,
+    with the index permutations of hopf.dual.  Only the B*-action and the
+    B*-coaction are extracted from (R x B)*, through the embedding
+    f -> f (x) eps_B and evaluation of the B-leg at 1_B.  The result is
+    re-run through verify_braided_hopf.
+
+    These are the structure maps that R* inherits inside (R x B)*.  In the
+    biproduct, (r 1_B)(s 1_B) = rs 1_B, because 1_B acts trivially, and
+    Delta(r 1_B) = r_1 (r_2)_{-1} (x) (r_2)_0 1_B, because Delta(1_B) =
+    1_B (x) 1_B.  Evaluated on these elements:
+        (f eps_B)(g eps_B) at r 1_B = f(r_1) eps_B((r_2)_{-1}) g((r_2)_0)
+                                    = f(r_1) g(r_2),
+    by eps(v_{-1}) v_0 = v, which is Delta_R transposed.  Likewise
+        Delta*(f eps_B) at (r 1_B, s 1_B) = f(rs),
+    which is m_R transposed.  The unit eps_R (x) eps_B evaluates to eps_R,
+    and f (x) eps_B at 1_R 1_B is f(1_R).  The convolution laws of S_R then
+    transpose: with m* = Delta^T, Delta* = m^T, 1* = eps and eps*(f) = f(1),
+        (m* (S^T (x) id) Delta*)(f) at r = f(S(r_1) r_2) = eps(r) f(1),
+    which is eps*(f) 1* at r, and the same on the right.  So S_R^T is the
+    antipode of R*, unique as the convolution inverse of the identity.
     """
     base = r.base
     hdual = dual(bosonize(r, base, check=False))
     bdual = dual(base)
     field = r.field
     rd, bd = r.dim, base.dim
+    zero = field.zero()
 
-    def fuse(i, j):
-        return i * bd + j
-
-    def inj_r(f):  # R* -> (R x B)*: f (x) eps_B
-        out = [field.zero()] * (rd * bd)
-        for i, c in enumerate(f):
-            if not c.is_zero():
-                for j, e in enumerate(base.counit):
-                    if not e.is_zero():
-                        out[fuse(i, j)] = c * e
-        return tuple(out)
-
-    def inj_b(f):  # B* -> (R x B)*: eps_R (x) f
-        out = [field.zero()] * (rd * bd)
-        for j, c in enumerate(f):
-            if not c.is_zero():
-                for i, e in enumerate(r.counit):
-                    if not e.is_zero():
-                        out[fuse(i, j)] = c * e
-        return tuple(out)
+    def flat(u, w):  # u (x) w on the R-major basis of (R x B)*
+        return tuple(x * y for x in u for y in w)
 
     def proj_r(v):  # evaluate the B-leg at 1_B
-        out = [field.zero()] * rd
-        for i in range(rd):
-            acc = field.zero()
-            for j, u in enumerate(base.unit):
-                if not u.is_zero():
-                    acc = acc + v[fuse(i, j)] * u
-            out[i] = acc
-        return tuple(out)
+        return tuple(vec_dot(v[i * bd:(i + 1) * bd], base.unit) for i in range(rd))
 
-    def proj_b(v):  # evaluate the R-leg at 1_R
-        out = [field.zero()] * bd
-        for j in range(bd):
-            acc = field.zero()
-            for i, u in enumerate(r.unit):
-                if not u.is_zero():
-                    acc = acc + v[fuse(i, j)] * u
-            out[j] = acc
-        return tuple(out)
-
-    rstar_units = [inj_r(unit_vector(field, rd, i)) for i in range(rd)]
-    bstar_units = [inj_b(unit_vector(field, bd, j)) for j in range(bd)]
-
-    mult_entries = {}
-    for i in range(rd):
-        for j in range(rd):
-            prod = proj_r(hdual.algebra.multiply(rstar_units[i], rstar_units[j]))
-            for k, c in enumerate(prod):
-                if not c.is_zero():
-                    mult_entries[(i, j, k)] = c
-    unit_r = proj_r(hdual.unit)
-    comult_entries = {}
-    for i in range(rd):
-        dd = hdual.delta_vec(rstar_units[i])
-        acc: dict = {}
-        for (x, y), c in dd.items():
-            rx = proj_r(unit_vector(field, rd * bd, x))
-            ry = proj_r(unit_vector(field, rd * bd, y))
-            for j, cj in enumerate(rx):
-                if cj.is_zero():
-                    continue
-                for k, ck in enumerate(ry):
-                    if not ck.is_zero():
-                        key = (j, k)
-                        acc[key] = acc.get(key, field.zero()) + c * cj * ck
-        for (j, k), c in acc.items():
-            if not c.is_zero():
-                comult_entries[(i, j, k)] = c
-    counit_r = tuple(hdual.counit_of(f) for f in rstar_units)
+    rstar_units = [flat(unit_vector(field, rd, i), base.counit) for i in range(rd)]
+    bstar_units = [flat(r.counit, unit_vector(field, bd, j)) for j in range(bd)]
 
     # B*-action on R*: beta . f = Pi_R( beta1 f S*(beta2) )
     action = []
-    for j in range(bd):
+    for beta in bstar_units:
+        d_beta = hdual.delta_vec(beta)
         cols = []
-        bstar = bstar_units[j]
-        d_beta = hdual.delta_vec(bstar)
-        for i in range(rd):
-            f = rstar_units[i]
-            acc = [field.zero()] * rd
-            for (x, y), c in d_beta.items():
-                sx = hdual.antipode.apply(unit_vector(field, rd * bd, y))
-                term = hdual.algebra.multiply(
-                    hdual.algebra.multiply(unit_vector(field, rd * bd, x), f), sx
+        for f in rstar_units:
+            terms = [
+                hdual.algebra.multiply(
+                    hdual.algebra.basis_times(x, f), hdual.antipode.column(y)
                 )
-                pr = proj_r(term)
-                for t, v in enumerate(pr):
-                    if not v.is_zero():
-                        acc[t] = acc[t] + c * v
-            cols.append(tuple(acc))
+                for x, y in d_beta
+            ]
+            cols.append(proj_r(vec_combination(d_beta.values(), terms, field, rd * bd)))
         action.append(Matrix.from_columns(field, cols))
 
-    # B*-coaction on R*: (Pi_B (x) Pi_R) Delta* restricted to R*
-    coaction_entries = {}
-    for i in range(rd):
-        dd = hdual.delta_vec(rstar_units[i])
-        acc: dict = {}
-        for (x, y), c in dd.items():
-            bx = proj_b(unit_vector(field, rd * bd, x))
-            ry = proj_r(unit_vector(field, rd * bd, y))
-            for j, cj in enumerate(bx):
-                if cj.is_zero():
-                    continue
-                for k, ck in enumerate(ry):
-                    if not ck.is_zero():
-                        key = (j, k)
-                        acc[key] = acc.get(key, field.zero()) + c * cj * ck
-        for (j, k), c in acc.items():
-            if not c.is_zero():
-                coaction_entries[(i, j, k)] = c
+    # B*-coaction on R*: Delta*(f (x) eps_B), the left factor's R-leg evaluated
+    # at 1_R and the right factor's B-leg at 1_B
+    coaction_entries: dict = {}
+    for i, f in enumerate(rstar_units):
+        for (x, y), c in hdual.delta_vec(f).items():
+            key = (i, x % bd, y // bd)
+            c = c * r.unit[x // bd] * base.unit[y % bd]
+            coaction_entries[key] = coaction_entries.get(key, zero) + c
 
     yd_star = YDModule(
         bdual, rd, action, Tensor3(field, (rd, bd, rd), coaction_entries)
     )
-    # the braided antipode satisfies the ordinary convolution equations in
-    # R*'s own structure; direct extraction from S_{(R x B)*} would carry a
-    # coaction twist, so solve instead (the solution is unique)
-    from hopfcheck.hopf import solve_antipode
-
-    rstar_alg = AssocAlgebra(
-        field, rd, Tensor3(field, (rd, rd, rd), mult_entries), unit_r
-    )
-    carrier = HopfAlgebra(
-        rstar_alg, Tensor3(field, (rd, rd, rd), comult_entries), counit_r
-    )
-    anti = solve_antipode(carrier)
     rstar = BraidedHopf(
         yd_star,
-        Tensor3(field, (rd, rd, rd), mult_entries),
-        unit_r,
-        Tensor3(field, (rd, rd, rd), comult_entries),
-        counit_r,
-        anti,
+        r.comult.permuted((1, 2, 0)),
+        r.counit,
+        r.mult.permuted((2, 0, 1)),
+        r.unit,
+        r.antipode.transpose(),
     )
     if check:
         report = verify_braided_hopf(rstar)

@@ -29,6 +29,7 @@ from hopfcheck.hopf import (
 )
 from hopfcheck.io import manifest_for, parse, serialize
 from hopfcheck.linalg import Matrix, Tensor3, unit_vector, vec_scale
+from test_verify_generators import transport, transpose
 
 Q = make_field(1)
 
@@ -47,6 +48,36 @@ def perturbed_sweedler_antipode():
 def fresh_copy(h):
     """The same structure through a manifest round trip: no shared caches."""
     return parse(serialize(manifest_for(h))).payload
+
+
+def monoid_algebra(table):
+    """k[M] for the monoid with b_i b_j = b_table[i][j] and unit b_0; every
+    b_i is group-like.  A bialgebra, and a Hopf algebra only if M is a group."""
+    n = len(table)
+    mult = {(i, j, table[i][j]): 1 for i in range(n) for j in range(n)}
+    alg = AssocAlgebra(Q, n, Tensor3(Q, (n, n, n), mult), unit_vector(Q, n, 0))
+    comult = Tensor3(Q, (n, n, n), {(i, i, i): 1 for i in range(n)})
+    return HopfAlgebra(alg, comult, [Q.one()] * n)
+
+
+def idempotent_monoid():
+    """k[{1, z}] with z^2 = z and Delta(z) = z (x) z."""
+    return monoid_algebra([[0, 1], [1, 1]])
+
+
+def spread(h):
+    """h in the basis b_{i+1} + (b_0 + ... + b_{n-1}): the unit is off every
+    basis vector and no comultiplication slice of these inputs is triangular."""
+    field, dim = h.field, h.dim
+    cols = [
+        tuple(field.from_rational(1 + (r == (i + 1) % dim)) for r in range(dim))
+        for i in range(dim)
+    ]
+    return transport(h, cols)
+
+
+def without_antipode(h):
+    return HopfAlgebra(h.algebra, h.comult, h.counit)
 
 
 class TestVerifyHopf:
@@ -89,15 +120,75 @@ class TestSolveAntipode:
             assert s.column(i) == unit_vector(h.field, 6, (-i) % 6)
 
     def test_idempotent_monoid_has_no_antipode(self):
-        # monoid algebra of {1, z} with z^2 = z, Delta(z) = z (x) z
-        mult = Tensor3(
-            Q, (2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 1): 1}
-        )
-        comult = Tensor3(Q, (2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1})
-        alg = AssocAlgebra(Q, 2, mult, unit_vector(Q, 2, 0))
-        h = HopfAlgebra(alg, comult, (Q.one(), Q.one()))
         with pytest.raises(NoAntipode):
+            solve_antipode(idempotent_monoid())
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """The dimension of each input that reaches hopf._solve_antipode_dense."""
+    calls = []
+    original = hopf._solve_antipode_dense
+
+    def counting(h):
+        calls.append(h.dim)
+        return original(h)
+
+    monkeypatch.setattr(hopf, "_solve_antipode_dense", counting)
+    return calls
+
+
+def broken_sweedler():
+    """Sweedler's algebra with 1 (x) 1 added to Delta(x): not a bialgebra."""
+    h = sweedler()
+    entries = dict(h.comult.entries)
+    entries[(1, 0, 0)] = 1
+    return HopfAlgebra(h.algebra, Tensor3(Q, h.comult.dims, entries), h.counit)
+
+
+LEFT_ZERO = [[0, 1, 2], [1, 1, 1], [2, 2, 2]]  # a b = a for a, b != 1
+RIGHT_ZERO = [[0, 1, 2], [1, 1, 2], [2, 1, 2]]  # a b = b for a, b != 1
+
+
+class TestAntipodeFromIntegrals:
+    """The fallback inverts T(x) = lam(x Lambda_1) Lambda_2 (Radford)."""
+
+    @pytest.mark.parametrize(
+        "make",
+        (sweedler, lambda: a_tau_mu(3, 2, -1, 0), lambda: a_tau_mu(3, 2, -1, 1),
+         lambda: group_algebra(6)),
+        ids=("sweedler", "A(3,0)", "A(3,1)", "k[Z6]"),
+    )
+    def test_moved_input_gets_the_transported_antipode(self, fallback_calls, make):
+        h = spread(make())
+        assert solve_antipode(without_antipode(h)) == h.antipode
+        assert fallback_calls == [h.dim]
+
+    def test_a51_dual_gets_its_antipode(self, fallback_calls):
+        h = dual(a_tau_mu(5, 2, -1, 1))
+        assert solve_antipode(without_antipode(h)) == h.antipode
+        assert fallback_calls == [20]
+
+    @pytest.mark.parametrize(
+        "make, message",
+        (
+            (lambda: monoid_algebra(LEFT_ZERO), "left integral space has dimension 0"),
+            (lambda: monoid_algebra(RIGHT_ZERO), "left integral space has dimension 2"),
+            (lambda: transpose(monoid_algebra(LEFT_ZERO)),
+             "right dual integral space has dimension 2"),
+            (lambda: transpose(monoid_algebra(RIGHT_ZERO)),
+             "right dual integral space has dimension 0"),
+            (idempotent_monoid, r"lam\(x Lambda_1\) Lambda_2 is singular"),
+            (broken_sweedler, "left antipode law fails on basis 0"),
+        ),
+        ids=("left-zero", "right-zero", "left-zero*", "right-zero*", "idempotent",
+             "certificate"),
+    )
+    def test_each_failure_is_no_antipode(self, fallback_calls, make, message):
+        h = spread(make())
+        with pytest.raises(NoAntipode, match="^%s$" % message):
             solve_antipode(h)
+        assert fallback_calls == [h.dim]
 
 
 class TestDual:

@@ -25,6 +25,7 @@ from hopfcheck.io import (
     serialize,
 )
 from hopfcheck.yetter_drinfeld import ordinary_to_braided, trivial_yd
+from test_hopf import idempotent_monoid
 
 
 # the directory holding the imported package, so the CLI subprocess runs the
@@ -263,8 +264,8 @@ class TestCli:
 
 @pytest.fixture(scope="module")
 def dual_a51_without_antipode(tmp_path_factory):
-    """A(5,1)* (dim 20) with its antipode stripped: the triangular solve does
-    not finish and the dense fallback refuses a system this large."""
+    """A(5,1)* (dim 20) with its antipode stripped: the triangular sweep does
+    not finish, so the antipode comes from the integrals."""
     d = dual(a_tau_mu(5, 2, -1, 1))
     path = tmp_path_factory.mktemp("hostile") / "a51dual.json"
     stripped = HopfAlgebra(d.algebra, d.comult, d.counit)
@@ -272,19 +273,43 @@ def dual_a51_without_antipode(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def idempotent_monoid_file(tmp_path_factory):
+    """k[{1, z}] with z^2 = z and Delta(z) = z (x) z: a bialgebra with no
+    antipode."""
+    path = tmp_path_factory.mktemp("hostile") / "monoid.json"
+    path.write_bytes(serialize(manifest_for(idempotent_monoid())))
+    return path
+
+
 class TestCliErrors:
-    @pytest.mark.parametrize("verb", ("verify", "invariants", "classify", "dualize"))
-    def test_unsolvable_antipode_is_one_error_line(
-        self, dual_a51_without_antipode, tmp_path, verb
+    def test_verify_solves_a51_dual(self, dual_a51_without_antipode):
+        r = run_cli("verify", str(dual_a51_without_antipode))
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout.startswith("antipode: solved\n")
+
+    def test_dualize_a51_dual_gives_a51(self, dual_a51_without_antipode, tmp_path):
+        out = tmp_path / "out.json"
+        r = run_cli("dualize", str(dual_a51_without_antipode), "-o", str(out))
+        assert (r.returncode, r.stderr) == (0, "")
+        assert structure_equal(parse(out.read_bytes()).payload, a_tau_mu(5, 2, -1, 1))
+
+    def test_verify_without_antipode_is_one_line(self, idempotent_monoid_file):
+        r = run_cli("verify", str(idempotent_monoid_file))
+        assert (r.returncode, r.stdout, r.stderr) == (
+            1, "antipode: unsolvable (antipode equation unsolvable at basis 1)\n", ""
+        )
+
+    @pytest.mark.parametrize("verb", ("invariants", "classify", "dualize"))
+    def test_no_antipode_is_one_error_line(
+        self, idempotent_monoid_file, tmp_path, verb
     ):
-        argv = [verb, str(dual_a51_without_antipode)]
+        argv = [verb, str(idempotent_monoid_file)]
         if verb == "dualize":
             argv += ["-o", str(tmp_path / "out.json")]
         r = run_cli(*argv)
-        assert r.returncode == 1
-        assert r.stdout == ""
-        assert r.stderr == (
-            "error: antipode system is not block-triangular and too large to stack\n"
+        assert (r.returncode, r.stdout, r.stderr) == (
+            1, "", "verification failure: antipode equation unsolvable at basis 1\n"
         )
 
     @pytest.mark.parametrize(

@@ -246,6 +246,14 @@ class TestDualBiproduct:
         assert verify_braided_hopf(dual_braided(r)).ok
         assert check_dual_biproduct(r, r.base)
 
+    def test_antipode_not_its_own_transpose(self):
+        # S(x) = gx but S(gx) = -x in sweedler's basis 1, x, g, gx, so
+        # S_{R*} = S_R^T is pinned down here; the lines above have symmetric S_R
+        base = group_algebra(1, Q)
+        r = ordinary_to_braided(sweedler(), base)
+        assert dual_braided(r).antipode != r.antipode
+        assert check_dual_biproduct(r, base)
+
 
 class TestBraidedIntegrals:
     def test_group_algebra_integral(self):
