@@ -20,6 +20,7 @@ from hopfcheck.cyclotomic import (
     FieldElement,
     FieldMismatch,
     MultiPoly,
+    PolyRing,
     Rational,
     UniPoly,
     VariableMismatch,

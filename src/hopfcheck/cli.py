@@ -2,11 +2,12 @@
 bosonize, and the dimension-5 case report.
 
 Reports are line-oriented and deterministic (golden-file friendly).  Exit
-codes: 0 pass/success (dim5-check exits 0 when the expected contradiction IS
-found), 1 verification failure, missing contradiction or a computation that
-cannot finish on the input (no antipode, a degenerate integral, a group-like
-search or antipode order that fails), 2 usage and parse errors.  Errors
-print one line on stderr, never a traceback.
+codes: 0 pass/success (dim5-check exits 0 when the structure laws hold and
+the expected contradiction IS found), 1 verification failure, a failed dim5
+structure law or missing contradiction, or a computation that cannot finish
+on the input (no antipode, a degenerate integral, a group-like search or
+antipode order that fails), 2 usage and parse errors.  Errors print one
+line on stderr, never a traceback.
 """
 
 from __future__ import annotations

@@ -1267,6 +1267,10 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def is_one(self) -> bool:
+        c = self.terms.get((0,) * len(self.variables))
+        return len(self.terms) == 1 and c is not None and c.is_one()
+
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
@@ -1411,3 +1415,47 @@ class MultiPoly:
             else:
                 parts.append("%r*%s" % (c, mono))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+class PolyRing:
+    """field[variables] as a scalar domain for Matrix, Tensor3 and the
+    verifiers: the MultiPoly counterpart of CycloField."""
+
+    __slots__ = ("field", "variables", "_zero", "_one")
+
+    def __init__(self, field: CycloField, variables):
+        self.field = field
+        self.variables = tuple(variables)
+        self._zero = MultiPoly(field, self.variables)
+        self._one = MultiPoly.constant(field, self.variables, 1)
+
+    def __repr__(self):
+        return "%r[%s]" % (self.field, ", ".join(self.variables))
+
+    def __eq__(self, other):
+        return isinstance(other, PolyRing) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):
+        return ("PolyRing", self.field, self.variables)
+
+    def zero(self) -> MultiPoly:
+        return self._zero
+
+    def one(self) -> MultiPoly:
+        return self._one
+
+    def promote(self, value) -> MultiPoly:
+        """value as an element of the ring; a MultiPoly must already be one."""
+        if not isinstance(value, MultiPoly):
+            return MultiPoly.constant(self.field, self.variables, value)
+        if value.variables != self.variables:
+            raise VariableMismatch("variables %r used in %r" % (value.variables, self))
+        if value.field != self.field:
+            raise FieldMismatch("polynomial over %r used in %r" % (value.field, self))
+        return value
+
+    def var(self, name: str) -> MultiPoly:
+        return MultiPoly.variable(self.field, self.variables, name)

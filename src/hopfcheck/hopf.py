@@ -122,7 +122,7 @@ class HopfAlgebra:
 
 def structure_equal(h1: HopfAlgebra, h2: HopfAlgebra) -> bool:
     """Exact equality of all structure tensors over the same field."""
-    if h1.field.order != h2.field.order or h1.dim != h2.dim:
+    if h1.field != h2.field or h1.dim != h2.dim:
         return False
     if h1.algebra.mult != h2.algebra.mult or h1.algebra.unit != h2.algebra.unit:
         return False
@@ -545,7 +545,7 @@ def dual_algebra(h: HopfAlgebra) -> AssocAlgebra:
 
 def tensor_hopf(h1: HopfAlgebra, h2: HopfAlgebra) -> HopfAlgebra:
     """Componentwise Hopf structure on the tensor product basis (lex order)."""
-    if h1.field.order != h2.field.order:
+    if h1.field != h2.field:
         raise FieldMismatch("tensor factors over different fields")
     field = h1.field
     d1, d2 = h1.dim, h2.dim

@@ -229,6 +229,8 @@ def _dec_hopf(payload, path) -> HopfAlgebra:
 def _dec_yd(payload, path) -> YDModule:
     base = _dec_hopf(_expect(payload, "base", dict, path), path + ".base")
     dim = _expect(payload, "dim", int, path)
+    if dim < 1:
+        raise ParseError("%s.dim must be >= 1" % path)
     action_data = _expect(payload, "action", list, path)
     if len(action_data) != base.dim:
         raise ParseError(

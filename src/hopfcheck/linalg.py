@@ -2,9 +2,11 @@
 3-index tensors that carry multiplication/comultiplication structure
 constants.
 
-Vectors are tuples of FieldElement.  Pivoting always takes the first nonzero
-entry in column order; with exact arithmetic this is purely a determinism
-choice.
+Vectors are tuples of FieldElement.  Matrix and Tensor3 also take a
+PolyRing for their field and MultiPoly entries, for everything but
+elimination (rref, solve, inverse, kernels).  Pivoting always takes the
+first nonzero entry in column order; with exact arithmetic this is purely a
+determinism choice.
 """
 
 from __future__ import annotations
@@ -142,12 +144,12 @@ class Matrix:
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and self.field.order == other.field.order
+            and self.field == other.field
             and self.data == other.data
         )
 
     def __hash__(self):
-        return hash((self.field.order, tuple(tuple(r) for r in self.data)))
+        return hash((self.field, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self):
         return "Matrix(%dx%d over %r)" % (self.rows, self.cols, self.field)
@@ -190,7 +192,7 @@ class Matrix:
     def _shape_check(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("matrix shapes differ")
-        if self.field.order != other.field.order:
+        if self.field != other.field:
             raise FieldMismatch("matrices over different fields")
 
     def scale(self, c) -> "Matrix":
@@ -201,10 +203,9 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ShapeMismatch("matrix product shapes")
-            cols = other.columns()
+            cols = [self.apply(col) for col in other.columns()]
             return Matrix._wrap(
-                self.field,
-                [[vec_dot(row, col) for col in cols] for row in self.data],
+                self.field, [[col[i] for col in cols] for i in range(self.rows)]
             )
         return NotImplemented
 
@@ -474,14 +475,14 @@ class Tensor3:
     def __eq__(self, other):
         return (
             isinstance(other, Tensor3)
-            and self.field.order == other.field.order
+            and self.field == other.field
             and self.dims == other.dims
             and self.entries == other.entries
         )
 
     def __hash__(self):
         return hash(
-            (self.field.order, self.dims, tuple(sorted(self.entries.items())))
+            (self.field, self.dims, tuple(sorted(self.entries.items())))
         )
 
     def __repr__(self):

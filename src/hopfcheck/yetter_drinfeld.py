@@ -287,12 +287,62 @@ class BraidedHopf:
 
 def ordinary_to_braided(h: HopfAlgebra, base: HopfAlgebra) -> BraidedHopf:
     """An ordinary Hopf algebra as a braided one with trivial YD structure."""
-    if h.field.order != base.field.order:
+    if h.field != base.field:
         raise FieldMismatch("braided object and base over different fields")
     yd = trivial_yd(base, h.dim)
     return BraidedHopf(
         yd, h.algebra.mult, h.unit, h.comult, h.counit, h.antipode
     )
+
+
+def module_algebra_failures(yd: YDModule, alg: AssocAlgebra):
+    """Locations where alg, on yd's space, is not a module algebra: per base
+    index bi, (bi,) if b . 1 != eps(b) 1, then (bi, i, j) for each basis pair
+    with b . (rs) != (b1 . r)(b2 . s).  A generator, like
+    hopf.antipode_law_failures."""
+    base = yd.base
+    field = yd.field
+    dim = yd.dim
+    basis = [unit_vector(field, dim, i) for i in range(dim)]
+    for bi in range(base.dim):
+        if yd.action[bi].apply(alg.unit) != vec_scale(base.counit[bi], alg.unit):
+            yield (bi,)
+        deltas = base.delta_basis(bi)
+        for i in range(dim):
+            for j in range(dim):
+                terms = [
+                    alg.multiply(yd.action[b1].column(i), yd.action[b2].column(j))
+                    for b1, b2, _ in deltas
+                ]
+                rhs = vec_combination([c for _, _, c in deltas], terms, field, dim)
+                if yd.action[bi].apply(alg.multiply(basis[i], basis[j])) != rhs:
+                    yield (bi, i, j)
+
+
+def comodule_algebra_failures(yd: YDModule, alg: AssocAlgebra):
+    """Locations where alg, on yd's space, is not a comodule algebra:
+    ("unit",) if rho(1) != 1 (x) 1, then (i, j) for each basis pair with
+    rho(rs) != r_{-1} s_{-1} (x) r_0 s_0.  A generator."""
+    base = yd.base
+    field = yd.field
+    dim = yd.dim
+    basis = [unit_vector(field, dim, i) for i in range(dim)]
+    if not sparse_equal(yd.coact_vec(alg.unit), vec_outer(base.unit, alg.unit)):
+        yield ("unit",)
+    for i in range(dim):
+        for j in range(dim):
+            prod = alg.multiply(basis[i], basis[j])
+            rhs: dict = {}
+            for a1, k1, c1 in yd.coact_basis(i):
+                for a2, k2, c2 in yd.coact_basis(j):
+                    c = c1 * c2
+                    rprod = alg.basis_product(k1, k2)
+                    for t, x in base.algebra.basis_product(a1, a2):
+                        for u, y in rprod:
+                            key = (t, u)
+                            rhs[key] = rhs.get(key, field.zero()) + c * x * y
+            if not sparse_equal(yd.coact_vec(prod), rhs):
+                yield (i, j)
 
 
 def verify_braided_hopf(r: BraidedHopf) -> Report:
@@ -339,54 +389,12 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
         if not coassociative(rows, r.delta_basis, r.delta_basis, field):
             report.add(Violation("coalgebra", (i,), "comult not coassociative"))
 
-    # module algebra: b . (rs) = (b1 . r)(b2 . s); b . 1 = eps(b) 1
-    for bi in range(bdim):
-        if yd.act(unit_vector(field, bdim, bi), r.unit) != vec_scale(
-            base.counit[bi], r.unit
-        ):
-            report.add(Violation("module-algebra", (bi,), "b . 1 != eps(b) 1"))
-        for i in range(dim):
-            for j in range(dim):
-                prod = r.algebra.multiply(
-                    unit_vector(field, dim, i), unit_vector(field, dim, j)
-                )
-                lhs = yd.action[bi].apply(prod)
-                rhs = list(zero_vector(field, dim))
-                for b1, b2, c in base.delta_basis(bi):
-                    left = yd.action[b1].column(i)
-                    right = yd.action[b2].column(j)
-                    term = r.algebra.multiply(left, right)
-                    for t, x in enumerate(term):
-                        if not x.is_zero():
-                            rhs[t] = rhs[t] + c * x
-                if lhs != tuple(rhs):
-                    report.add(
-                        Violation("module-algebra", (bi, i, j), "not a module algebra")
-                    )
-
-    # comodule algebra: rho(rs) = r_{-1} s_{-1} (x) r_0 s_0; rho(1) = 1 (x) 1
-    if not sparse_equal(yd.coact_vec(r.unit), vec_outer(base.unit, r.unit)):
-        report.add(Violation("comodule-algebra", ("unit",), "rho(1) != 1 (x) 1"))
-    for i in range(dim):
-        for j in range(dim):
-            prod = r.algebra.multiply(
-                unit_vector(field, dim, i), unit_vector(field, dim, j)
-            )
-            lhs = yd.coact_vec(prod)
-            rhs: dict = {}
-            for a1, k1, c1 in yd.coact_basis(i):
-                for a2, k2, c2 in yd.coact_basis(j):
-                    c = c1 * c2
-                    bprod = base.algebra.basis_product(a1, a2)
-                    rprod = r.algebra.basis_product(k1, k2)
-                    for t, x in bprod:
-                        for u, y in rprod:
-                            key = (t, u)
-                            rhs[key] = rhs.get(key, field.zero()) + c * x * y
-            if not sparse_equal(lhs, rhs):
-                report.add(
-                    Violation("comodule-algebra", (i, j), "not a comodule algebra")
-                )
+    for loc in module_algebra_failures(yd, r.algebra):
+        detail = "b . 1 != eps(b) 1" if len(loc) == 1 else "not a module algebra"
+        report.add(Violation("module-algebra", loc, detail))
+    for loc in comodule_algebra_failures(yd, r.algebra):
+        detail = "rho(1) != 1 (x) 1" if loc == ("unit",) else "not a comodule algebra"
+        report.add(Violation("comodule-algebra", loc, detail))
 
     # module coalgebra: Delta(b . r) = b1 . r1 (x) b2 . r2; eps(b.r) = eps(b)eps(r)
     for bi in range(bdim):

@@ -6,6 +6,7 @@ import pytest
 from hopfcheck.cyclotomic import (
     FieldMismatch,
     MultiPoly,
+    PolyRing,
     UniPoly,
     VariableMismatch,
     cyclotomic_coeffs,
@@ -17,6 +18,7 @@ from hopfcheck.cyclotomic import (
     roots_in_field,
     squarefree_decomposition,
 )
+from hopfcheck.linalg import Matrix
 
 
 def poly(field, *ints):
@@ -247,3 +249,61 @@ class TestMultiPoly:
     def test_too_many_variables(self):
         with pytest.raises(ValueError):
             MultiPoly(self.f, tuple("v%d" % i for i in range(13)))
+
+
+class TestPolyRing:
+    VARS = ("alpha", "beta")
+
+    def setup_method(self):
+        self.f = make_field(1)
+        self.ring = PolyRing(self.f, self.VARS)
+
+    def test_promote(self):
+        ring = self.ring
+        three = MultiPoly.constant(self.f, self.VARS, 3)
+        assert ring.promote(3) == three
+        half = Fraction(1, 2)
+        assert ring.promote(half).terms == {(0, 0): self.f.from_rational(half)}
+        assert ring.promote(self.f.from_rational(3)) == three
+        alpha = ring.var("alpha")
+        assert ring.promote(alpha) is alpha
+        assert alpha.terms == {(1, 0): self.f.one()}
+
+    def test_promote_rejects_other_variables(self):
+        with pytest.raises(VariableMismatch):
+            self.ring.promote(MultiPoly.variable(self.f, ("x", "y"), "x"))
+
+    def test_promote_rejects_other_fields(self):
+        with pytest.raises(FieldMismatch):
+            self.ring.promote(make_field(3).zeta())
+        with pytest.raises(FieldMismatch):
+            self.ring.promote(MultiPoly.constant(make_field(3), self.VARS, 1))
+
+    def test_is_one_and_is_zero(self):
+        ring = self.ring
+        alpha = ring.var("alpha")
+        assert ring.one().is_one() and not ring.one().is_zero()
+        assert ring.zero().is_zero() and not ring.zero().is_one()
+        assert (alpha - alpha + 1).is_one()
+        for p in (alpha, alpha + 1, ring.promote(2), ring.promote(-1)):
+            assert not p.is_one() and not p.is_zero()
+
+    def test_equality_and_hash(self):
+        same = PolyRing(make_field(1), list(self.VARS))
+        assert same == self.ring and hash(same) == hash(self.ring)
+        assert PolyRing(self.f, ("beta", "alpha")) != self.ring
+        assert PolyRing(make_field(3), self.VARS) != self.ring
+        assert self.ring != self.f and self.f != self.ring
+
+    def test_matrix_over_ring_is_not_a_q_matrix(self):
+        q_mat = Matrix.identity(self.f, 2)
+        ring_mat = Matrix.identity(self.ring, 2)
+        assert ring_mat.is_identity()
+        assert q_mat != ring_mat and ring_mat != q_mat
+        with pytest.raises(FieldMismatch):
+            q_mat + ring_mat
+        alpha = self.ring.var("alpha")
+        m = Matrix(self.ring, [[alpha, 1], [0, alpha]])
+        square = (m * m).data
+        assert square == [[alpha * alpha, 2 * alpha], [0, alpha * alpha]]
+        assert all(isinstance(c, MultiPoly) for row in square for c in row)

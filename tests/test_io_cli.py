@@ -343,6 +343,32 @@ class TestCliErrors:
         assert (captured.out, captured.err) == ("", message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ("yd", "braided"))
+    @pytest.mark.parametrize("verb", ("verify", "bosonize"))
+    def test_dim_zero_is_one_parse_error(self, capsys, tmp_path, kind, verb):
+        # a consistent dim-0 module over k: every matrix, vector and tensor
+        # of the module has length 0
+        base = group_algebra(1)
+        r = ordinary_to_braided(base, base)
+        doc = json.loads(serialize(manifest_for(r if kind == "braided" else r.yd)))
+        payload = doc["payload"]
+        payload.update(dim=0, action=[[]], coaction={"dims": [0, 1, 0], "entries": []})
+        if kind == "braided":
+            empty = {"dims": [0, 0, 0], "entries": []}
+            payload.update(mult=empty, comult=empty, unit=[], counit=[], antipode=[])
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        base_file = tmp_path / "base.json"
+        base_file.write_bytes(serialize(manifest_for(base)))
+        argv = ["verify", str(path)]
+        if verb == "bosonize":
+            argv = ["bosonize", str(path), str(base_file), "-o", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "parse error: payload.dim must be >= 1\n"
+        )
+
     def test_bosonize_base_over_other_field_exit_2(self, capsys, tmp_path):
         r_file, base_file = tmp_path / "r.json", tmp_path / "h4.json"
         out = tmp_path / "boso.json"
