@@ -205,7 +205,7 @@ def algebra_generators(alg: AssocAlgebra, limit: int | None = None):
     Why the generators decide a law (nothing is sampled).  Let X be a
     subspace of alg with 1 in X and xy in X for x, y in X.  Every word is
     1 or g w with g a generator and w an earlier word, so if the generators
-    lie in X, so does every word, and X = alg once the words span.  Three
+    lie in X, so does every word, and X = alg once the words span.  Six
     such X, each with the preconditions it needs:
 
     - {x : (xb)c = x(bc) for all b, c}, given the two-sided unit laws:
@@ -215,8 +215,25 @@ def algebra_generators(alg: AssocAlgebra, limit: int | None = None):
       Delta((xy)z) = Delta(x(yz)) = Delta(x)Delta(y)Delta(z).
     - {x : eps(xy) = eps(x)eps(y) for all y}, given associativity, the unit
       laws and eps(1) = 1, by the same computation.
+    - {x : D(xy) = D(x)g(y) + h(x)D(y) for all y} for a linear D and
+      characters g, h of alg (an (h, g)-derivation), given associativity and
+      D(1) = 0: D(xyz) = D(x)g(yz) + h(x)(D(y)g(z) + h(y)D(z))
+      = D(xy)g(z) + h(xy)D(z).
+    - {x : x I in I and I x in I} for a subspace I, given associativity
+      and the unit laws: L_xy = L_x L_y and R_xy = R_y R_x.  So an ideal is
+      the closure of its seeds under multiplication by generators.
+    - {x : xy = yx for all y in Y}, given associativity and the unit laws.
+      When the generators commute with each other, this set holds them for
+      Y the generators, so every x commutes with the generators; then it
+      holds them for Y = alg, and alg is commutative.  So the commutator
+      ideal is the ideal of the commutators of generator pairs.
 
     So a law that holds on the rows of the generators holds on all of alg.
+    The invariants that use the last three sets do not check associativity.
+    hopf.skew_primitives therefore certifies its reduced kernel against
+    every equation, so its answer is exact on any input.  ideal_closure and
+    characters assume an associative algebra, as the radical already does;
+    every character returned still passes _is_character.
     """
     if alg._generators is _UNSEARCHED:
         ech = EchelonBasis(alg.field, alg.dim)
@@ -334,14 +351,22 @@ class EchelonBasis:
 
 
 def ideal_closure(alg: AssocAlgebra, generators) -> list[tuple]:
-    """Basis of the two-sided ideal generated by the given vectors."""
-    ech = EchelonBasis(alg.field, alg.dim)
+    """Basis of the two-sided ideal generated by the given vectors.
+
+    The span is closed under multiplication by algebra_generators(alg) only
+    (see there), or by every basis element when there are none.
+    """
     queue = [tuple(v) for v in generators]
+    if not queue:
+        return []
+    ech = EchelonBasis(alg.field, alg.dim)
+    gens = algebra_generators(alg)
+    mults = range(alg.dim) if gens is None else gens
     while queue:
         v = queue.pop()
         if not ech.insert(v):
             continue
-        for i in range(alg.dim):
+        for i in mults:
             queue.append(alg.basis_times(i, v))
             queue.append(alg.basis_times(i, v, right=True))
     return ech.basis()
@@ -447,14 +472,19 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
 
     Route: quotient by the radical, then by the commutator ideal, then split
     the commutative semisimple quotient into common eigenspaces by factoring
-    minimal polynomials of multiplication maps.
+    minimal polynomials of multiplication maps.  The commutators and the
+    first splits are taken on algebra generators (see algebra_generators);
+    after them every block of a split quotient has dimension 1.
     """
     field = alg.field
     dim = alg.dim
     semi, proj1, _ = quotient_algebra(alg, radical(alg))
+    gens = algebra_generators(semi)
+    if gens is None:
+        gens = range(semi.dim)
     comms = []
-    for i in range(semi.dim):
-        for j in range(i + 1, semi.dim):
+    for a, i in enumerate(gens):
+        for j in gens[a + 1:]:
             ei = unit_vector(field, semi.dim, i)
             ej = unit_vector(field, semi.dim, j)
             c = tuple(
@@ -467,28 +497,28 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
     if len(ideal) == semi.dim:
         return CharacterSearch([], [])
     quotient, proj2, _ = quotient_algebra(semi, ideal)
-    proj = proj2 * proj1
 
-    # (vectors, eigenvalue per generator so far); chi is linear, so the
-    # eigenvalue list determines the character on the quotient
+    # (vectors, eigenvalue per basis element so far); chi is linear, so the
+    # eigenvalues determine the character on the quotient
     qdim = quotient.dim
-    blocks = [([unit_vector(field, qdim, i) for i in range(qdim)], [])]
+    first = algebra_generators(quotient) or []
+    order = first + [i for i in range(qdim) if i not in first]
+    blocks = [([unit_vector(field, qdim, i) for i in range(qdim)], {})]
     unresolved = []
-    for gen in range(qdim):
-        e = unit_vector(field, qdim, gen)
-        lmat = quotient.left_mult_matrix(e)
+    for gen in order:
         new_blocks = []
         for block, eigs in blocks:
             if len(block) == 1:
                 # already split: read off the eigenvalue, check it exactly
                 v = block[0]
-                w = lmat.apply(v)
+                w = quotient.basis_times(gen, v)
                 p = next(t for t, c in enumerate(v) if not c.is_zero())
                 eigenvalue = w[p] / v[p]
                 if any(x != eigenvalue * y for x, y in zip(w, v)):
                     raise ArithmeticError("block is not invariant")
-                new_blocks.append((block, eigs + [eigenvalue]))
+                new_blocks.append((block, {**eigs, gen: eigenvalue}))
                 continue
+            lmat = quotient.left_mult_matrix(unit_vector(field, qdim, gen))
             restricted = _restrict(lmat, block, field)
             minpoly = minimal_polynomial(restricted)
             pieces = factor_unipoly(minpoly)
@@ -505,22 +535,17 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
                     for combo in sub.kernel()
                 ]
                 if piece:
-                    new_blocks.append((piece, eigs + [eigenvalue]))
+                    new_blocks.append((piece, {**eigs, gen: eigenvalue}))
         blocks = new_blocks
 
     chars = []
     for block, eigs in blocks:
         if len(block) != 1:
             continue
-        chi = []
-        for i in range(dim):
-            col = proj.column(i)
-            acc = field.zero()
-            for g in range(qdim):
-                if not col[g].is_zero():
-                    acc = acc + col[g] * eigs[g]
-            chi.append(acc)
-        chars.append(tuple(chi))
+        # chi = (eigs proj2) proj1, two vector-matrix products
+        ev = [eigs[g] for g in range(qdim)]
+        on_semi = vec_combination(ev, proj2.data, field, semi.dim)
+        chars.append(vec_combination(on_semi, proj1.data, field, dim))
     verified = [chi for chi in chars if _is_character(alg, chi)]
     verified.sort(key=lambda c: tuple(tuple(x.coeffs) for x in c))
     return CharacterSearch(verified, unresolved)
@@ -556,17 +581,24 @@ def _plus_scalar(m: Matrix, c) -> Matrix:
 
 
 def _is_character(alg: AssocAlgebra, chi) -> bool:
+    """chi(1) = 1 and chi(b_i b_j) = chi(b_i) chi(b_j) on every basis pair.
+
+    A pair with no table row has chi(b_i b_j) = 0, which fails exactly when
+    chi(b_i) and chi(b_j) are both nonzero; so the table rows and the pairs
+    of nonzero entries of chi cover every pair.  On dual_algebra(h) this is
+    the group-like test Delta(g) = g (x) g, eps(g) = 1 of h.
+    """
     one = alg.field.zero()
     for c, u in zip(chi, alg.unit):
         one = one + c * u
     if not one.is_one():
         return False
     table = alg.mult.by_ij()
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            acc = alg.field.zero()
-            for k, m in table.get((i, j), ()):
-                acc = acc + m * chi[k]
-            if acc != chi[i] * chi[j]:
-                return False
-    return True
+    for (i, j), row in table.items():
+        acc = alg.field.zero()
+        for k, m in row:
+            acc = acc + m * chi[k]
+        if acc != chi[i] * chi[j]:
+            return False
+    support = [i for i, c in enumerate(chi) if not c.is_zero()]
+    return all((i, j) in table for i in support for j in support)

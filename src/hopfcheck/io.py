@@ -135,11 +135,17 @@ def _expect(doc, key, types, path):
     return val
 
 
-def _dec_element(field, data, path) -> FieldElement:
+def _dec_element(field, data, path, memo) -> FieldElement:
+    """One element; memo maps each valid coefficient list already parsed
+    (as a tuple) to its element, so a repeated list is parsed once."""
     if not isinstance(data, list) or len(data) != field.degree:
         raise ParseError(
             "%s must be a list of %d rational strings" % (path, field.degree)
         )
+    try:
+        return memo[tuple(data)]
+    except (KeyError, TypeError):  # TypeError: an unhashable item, refused below
+        pass
     coeffs = []
     for t, s in enumerate(data):
         if not isinstance(s, str):
@@ -150,25 +156,28 @@ def _dec_element(field, data, path) -> FieldElement:
             raise ParseError("%s[%d] has denominator 0" % (path, t)) from None
         except ValueError:
             raise ParseError("%s[%d] is not a rational" % (path, t)) from None
-    return field.element(coeffs)
+    el = memo[tuple(data)] = field.element(coeffs)
+    return el
 
 
-def _dec_vector(field, data, dim, path) -> tuple:
+def _dec_vector(field, data, dim, path, memo) -> tuple:
     if not isinstance(data, list) or len(data) != dim:
         raise ParseError("%s must be a list of length %d" % (path, dim))
-    return tuple(_dec_element(field, c, "%s[%d]" % (path, i)) for i, c in enumerate(data))
+    return tuple(
+        _dec_element(field, c, "%s[%d]" % (path, i), memo) for i, c in enumerate(data)
+    )
 
 
-def _dec_matrix(field, data, rows, cols, path) -> Matrix:
+def _dec_matrix(field, data, rows, cols, path, memo) -> Matrix:
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError("%s must have %d rows" % (path, rows))
     out = []
     for i, row in enumerate(data):
-        out.append(list(_dec_vector(field, row, cols, "%s[%d]" % (path, i))))
+        out.append(list(_dec_vector(field, row, cols, "%s[%d]" % (path, i), memo)))
     return Matrix(field, out)
 
 
-def _dec_tensor(field, data, dims, path) -> Tensor3:
+def _dec_tensor(field, data, dims, path, memo) -> Tensor3:
     entry_list = _expect(data, "entries", list, path)
     declared = _expect(data, "dims", list, path)
     if any(type(x) is not int for x in declared) or tuple(declared) != tuple(dims):
@@ -183,51 +192,92 @@ def _dec_tensor(field, data, dims, path) -> Tensor3:
             raise ParseError("%s indices must be integers" % epath)
         if (i, j, k) in entries:
             raise ParseError("%s duplicates index (%d,%d,%d)" % (epath, i, j, k))
-        entries[(i, j, k)] = _dec_element(field, coeff, epath + "[3]")
+        entries[(i, j, k)] = _dec_element(field, coeff, epath + "[3]", memo)
     try:
         return Tensor3(field, dims, entries)
     except Exception as exc:
         raise ParseError("%s: %s" % (path, exc)) from None
 
 
-def _dec_structure(payload, field, dim, path) -> tuple:
+def _dec_structure(payload, field, dim, path, memo) -> tuple:
     """mult, unit, comult and counit of a Hopf or braided payload."""
     mult = _dec_tensor(
-        field, _expect(payload, "mult", dict, path), (dim, dim, dim), path + ".mult"
+        field,
+        _expect(payload, "mult", dict, path),
+        (dim, dim, dim),
+        path + ".mult",
+        memo,
     )
-    unit = _dec_vector(field, _expect(payload, "unit", list, path), dim, path + ".unit")
+    unit = _dec_vector(
+        field, _expect(payload, "unit", list, path), dim, path + ".unit", memo
+    )
     comult = _dec_tensor(
         field,
         _expect(payload, "comult", dict, path),
         (dim, dim, dim),
         path + ".comult",
+        memo,
     )
     counit = _dec_vector(
-        field, _expect(payload, "counit", list, path), dim, path + ".counit"
+        field, _expect(payload, "counit", list, path), dim, path + ".counit", memo
     )
     return mult, unit, comult, counit
 
 
-def _dec_hopf(payload, path) -> HopfAlgebra:
+def _check_field_order(payload, order, dim, path):
+    """Refuse an order n whose phi(n) is not the length L of unit[0], the
+    length of every element, before make_field computes Phi_n.
+
+    phi(n) >= sqrt(n / 2), so n > 2 L^2 is refused at once; otherwise phi(n)
+    comes from trial division up to sqrt(n) <= 1.5 L.
+    """
+    unit = _expect(payload, "unit", list, path)
+    if len(unit) != dim:
+        raise ParseError("%s.unit must be a list of length %d" % (path, dim))
+    if not isinstance(unit[0], list):
+        raise ParseError("%s.unit[0] must be a list of rational strings" % path)
+    degree = len(unit[0])
+    if order > 2 * degree * degree or _euler_phi(order) != degree:
+        raise ParseError(
+            "%s.field %d does not have degree %d, the length of %s.unit[0]"
+            % (path, order, degree, path)
+        )
+
+
+def _euler_phi(n: int) -> int:
+    phi, rest, p = n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            phi -= phi // p
+        p += 1
+    if rest > 1:
+        phi -= phi // rest
+    return phi
+
+
+def _dec_hopf(payload, path, memo) -> HopfAlgebra:
     order = _expect(payload, "field", int, path)
     if order < 1:
         raise ParseError("%s.field must be >= 1" % path)
     dim = _expect(payload, "dim", int, path)
     if dim < 1:
         raise ParseError("%s.dim must be >= 1" % path)
+    _check_field_order(payload, order, dim, path)
     field = make_field(order)
-    mult, unit, comult, counit = _dec_structure(payload, field, dim, path)
+    mult, unit, comult, counit = _dec_structure(payload, field, dim, path, memo)
     antipode = None
     if "antipode" in payload and payload["antipode"] is not None:
         antipode = _dec_matrix(
-            field, payload["antipode"], dim, dim, path + ".antipode"
+            field, payload["antipode"], dim, dim, path + ".antipode", memo
         )
     alg = AssocAlgebra(field, dim, mult, unit)
     return HopfAlgebra(alg, comult, counit, antipode)
 
 
-def _dec_yd(payload, path) -> YDModule:
-    base = _dec_hopf(_expect(payload, "base", dict, path), path + ".base")
+def _dec_yd(payload, path, memo) -> YDModule:
+    base = _dec_hopf(_expect(payload, "base", dict, path), path + ".base", memo)
     dim = _expect(payload, "dim", int, path)
     if dim < 1:
         raise ParseError("%s.dim must be >= 1" % path)
@@ -237,7 +287,7 @@ def _dec_yd(payload, path) -> YDModule:
             "%s.action must have one matrix per base basis element" % path
         )
     action = [
-        _dec_matrix(base.field, m, dim, dim, "%s.action[%d]" % (path, i))
+        _dec_matrix(base.field, m, dim, dim, "%s.action[%d]" % (path, i), memo)
         for i, m in enumerate(action_data)
     ]
     coaction = _dec_tensor(
@@ -245,21 +295,23 @@ def _dec_yd(payload, path) -> YDModule:
         _expect(payload, "coaction", dict, path),
         (dim, base.dim, dim),
         path + ".coaction",
+        memo,
     )
     return YDModule(base, dim, action, coaction)
 
 
-def _dec_braided(payload, path) -> BraidedHopf:
-    yd = _dec_yd(payload, path)
+def _dec_braided(payload, path, memo) -> BraidedHopf:
+    yd = _dec_yd(payload, path, memo)
     field = yd.field
     dim = yd.dim
-    mult, unit, comult, counit = _dec_structure(payload, field, dim, path)
+    mult, unit, comult, counit = _dec_structure(payload, field, dim, path, memo)
     antipode = _dec_matrix(
         field,
         _expect(payload, "antipode", list, path),
         dim,
         dim,
         path + ".antipode",
+        memo,
     )
     return BraidedHopf(yd, mult, unit, comult, counit, antipode)
 
@@ -280,12 +332,14 @@ def parse(data: bytes) -> Manifest:
         )
     kind = _expect(doc, "object_kind", str, "$")
     payload = _expect(doc, "payload", dict, "$")
+    # a manifest has one field, so parsed elements are keyed by coefficients
+    memo: dict = {}
     if kind == "hopf":
-        obj = _dec_hopf(payload, "payload")
+        obj = _dec_hopf(payload, "payload", memo)
     elif kind == "yd":
-        obj = _dec_yd(payload, "payload")
+        obj = _dec_yd(payload, "payload", memo)
     elif kind == "braided":
-        obj = _dec_braided(payload, "payload")
+        obj = _dec_braided(payload, "payload", memo)
     else:
         raise ParseError("unknown object_kind %r" % kind)
     return Manifest(version, kind, obj)

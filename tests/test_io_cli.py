@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -33,15 +34,19 @@ from test_hopf import idempotent_monoid
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hopfcheck.__file__)))
 
 
-def run_cli(*argv, cwd=None):
+def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(*argv, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "hopfcheck.cli", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
+        env=cli_env(),
     )
 
 
@@ -124,6 +129,19 @@ class TestParseErrors:
         doc["object_kind"] = "frobenius"
         with pytest.raises(ParseError):
             parse(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("order", (3, 30030, 10**40))
+    def test_field_order_must_match_element_length(self, order):
+        """Sweedler's elements have length 1 = phi(1).  Q(zeta_3) has degree
+        2; an order above 2 * 1^2 is refused before make_field, which takes
+        seconds for the 30030th cyclotomic polynomial."""
+        doc = self._doc()
+        doc["payload"]["field"] = order
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse(json.dumps(doc).encode())
+        assert time.perf_counter() - start < 1.0
+        assert "payload.field %d does not have degree 1" % order in str(err.value)
 
 
 def _set_field(doc, value):
@@ -283,6 +301,21 @@ def idempotent_monoid_file(tmp_path_factory):
 
 
 class TestCliErrors:
+    def test_closed_stdout_exits_1_without_traceback(self):
+        """The reader of stdout is gone before the first line is written."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "hopfcheck.cli", "dim5-check", "--case", "A"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=cli_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert (r.returncode, r.stderr) == (1, b"")
+
     def test_verify_solves_a51_dual(self, dual_a51_without_antipode):
         r = run_cli("verify", str(dual_a51_without_antipode))
         assert (r.returncode, r.stderr) == (0, "")

@@ -4,8 +4,8 @@ ParseError, and nothing else.
 The seeds are small hopf, yd and braided manifests.  A mutation drops a key
 or list item, puts a value of another type in a node's place, sets an
 integer node to another integer, or shortens or lengthens a list.  Mutated
-integers stay in [-2, 64]: a large `field` order makes `cyclotomic_coeffs`
-slow, and the parser does not bound it.
+integers stay in [-2, 64]; test_io_cli checks that a large `field` order
+is refused before `cyclotomic_coeffs` runs.
 """
 
 import copy

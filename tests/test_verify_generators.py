@@ -1,10 +1,17 @@
-"""The generator shortcut of verify_algebra/verify_hopf against full loops.
+"""The generator shortcuts of the verifiers and invariants against full loops.
 
 verify_algebra decides associativity, and verify_hopf decides
 Delta(ab) = Delta(a)Delta(b), on the rows of algebra generators of H or H*
 and reruns the per-pair loop on any failure.  The reference model below is
 that per-pair loop, written out on its own: on every input, perturbed or
 not, both must give the same violations in the same order.
+
+skew_primitives, ideal_closure and characters work on generators too, and
+_is_character on the nonzero rows of the table; each has a full-loop
+reference at the end of this file.  skew_primitives certifies its answer,
+so it matches its reference on every input.  Ideals and characters assume
+an associative algebra, so on a perturbed one that is not associative only
+the containments they promise are checked.
 """
 
 import random
@@ -14,15 +21,41 @@ import pytest
 from hopfcheck import hopf
 from hopfcheck.algebra import (
     AssocAlgebra,
+    EchelonBasis,
     Report,
     Violation,
+    _apply_poly,
+    _is_character,
+    _restrict,
     algebra_generators,
+    characters,
+    ideal_closure,
+    minimal_polynomial,
+    quotient_algebra,
+    radical,
     verify_algebra,
 )
-from hopfcheck.cyclotomic import make_field
+from hopfcheck.cyclotomic import factor_unipoly, make_field
 from hopfcheck.families import a_tau_mu, group_algebra, sweedler, taft_tensor_group
-from hopfcheck.hopf import HopfAlgebra, dual, dual_algebra, trace_s2, verify_hopf
-from hopfcheck.linalg import Matrix, Tensor3, unit_vector
+from hopfcheck.hopf import (
+    HopfAlgebra,
+    dual,
+    dual_algebra,
+    group_likes,
+    skew_primitives,
+    skew_profile,
+    trace_s2,
+    verify_hopf,
+)
+from hopfcheck.linalg import (
+    Matrix,
+    Tensor3,
+    row_space_basis,
+    unit_vector,
+    vec_is_zero,
+    vec_scale,
+    vec_sub,
+)
 
 # --- the reference model: every law on every basis element/pair/triple ---------
 
@@ -487,3 +520,245 @@ def test_basis_times_matches_dense_product(name):
 def test_trace_s2_matches_dense_square(name):
     h = build(name)
     assert trace_s2(h) == (h.antipode * h.antipode).trace()
+
+
+# --- invariants on generators: skew primitives, ideals, characters -----------------
+
+
+def ref_skew_primitives(h, g, hv):
+    """All dim^2 equations of Delta(x) = x (x) g + h (x) x, solved densely,
+    then reduced modulo span{g - h} as skew_primitives documents."""
+    field, dim = h.field, h.dim
+    rows = []
+    for j in range(dim):
+        for k in range(dim):
+            row = [h.comult.get(i, j, k) for i in range(dim)]
+            row[j] = row[j] - g[k]
+            row[k] = row[k] - hv[j]
+            rows.append(row)
+    space = Matrix(field, rows).kernel()
+    trivial = vec_sub(g, hv)
+    if vec_is_zero(trivial):
+        return space
+    p = next(t for t, c in enumerate(trivial) if not c.is_zero())
+    reduced = [vec_sub(v, vec_scale(v[p] / trivial[p], trivial)) for v in space]
+    return row_space_basis(field, [v for v in reduced if not vec_is_zero(v)])
+
+
+def ref_ideal_closure(alg, seeds):
+    """Closure under left and right multiplication by every basis element."""
+    ech = EchelonBasis(alg.field, alg.dim)
+    queue = [tuple(v) for v in seeds]
+    while queue:
+        v = queue.pop()
+        if ech.insert(v):
+            for i in range(alg.dim):
+                e = unit_vector(alg.field, alg.dim, i)
+                queue.append(alg.multiply(e, v))
+                queue.append(alg.multiply(v, e))
+    return ech.basis()
+
+
+def ref_is_character(alg, chi):
+    field, dim = alg.field, alg.dim
+    if not sum((c * u for c, u in zip(chi, alg.unit)), field.zero()).is_one():
+        return False
+    for i in range(dim):
+        for j in range(dim):
+            acc = field.zero()
+            for k, m in alg.basis_product(i, j):
+                acc = acc + m * chi[k]
+            if acc != chi[i] * chi[j]:
+                return False
+    return True
+
+
+def ref_characters(alg):
+    """Commutators of every basis pair, the ideal closed under every basis
+    element, and eigenspaces split on every basis element in index order."""
+    field, dim = alg.field, alg.dim
+    semi, proj1, _ = quotient_algebra(alg, radical(alg))
+    comms = []
+    for i in range(semi.dim):
+        for j in range(i + 1, semi.dim):
+            ei = unit_vector(field, semi.dim, i)
+            ej = unit_vector(field, semi.dim, j)
+            c = vec_sub(semi.multiply(ei, ej), semi.multiply(ej, ei))
+            if not vec_is_zero(c):
+                comms.append(c)
+    ideal = ref_ideal_closure(semi, comms)
+    if len(ideal) == semi.dim:
+        return []
+    quotient, proj2, _ = quotient_algebra(semi, ideal)
+    proj = proj2 * proj1
+    qdim = quotient.dim
+    blocks = [([unit_vector(field, qdim, i) for i in range(qdim)], [])]
+    for i in range(qdim):
+        lmat = quotient.left_mult_matrix(unit_vector(field, qdim, i))
+        split = []
+        for block, eigs in blocks:
+            restricted = _restrict(lmat, block, field)
+            for fac, _ in factor_unipoly(minimal_polynomial(restricted)):
+                if fac.degree == 1:
+                    kernel = _apply_poly(restricted, fac).kernel()
+                    piece = [Matrix.from_columns(field, block).apply(c) for c in kernel]
+                    split.append((piece, eigs + [-fac.coeffs[0]]))
+        blocks = split
+    found = []
+    for block, eigs in blocks:
+        if len(block) == 1:
+            chi = tuple(
+                sum((proj.data[g][i] * eigs[g] for g in range(qdim)), field.zero())
+                for i in range(dim)
+            )
+            if ref_is_character(alg, chi):
+                found.append(chi)
+    return sorted(found, key=lambda c: tuple(tuple(x.coeffs) for x in c))
+
+
+def with_perturbations(name):
+    """(label, input) for the input and each of its one-constant changes."""
+    h = build(name)
+    return [("unperturbed", h)] + perturbations(h, name)
+
+
+def both_algebras(h):
+    return (("H", h.algebra), ("H*", dual_algebra(h)))
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_skew_primitives_match_reference(name):
+    """The endpoints are the unperturbed group-likes, passed unchecked, so
+    on a perturbed input the reduced system may miss solutions or admit
+    false ones; the certificate and the full-system fallback must catch
+    both."""
+    likes = group_likes(build(name)).elements
+    for label, h in with_perturbations(name):
+        for g in likes:
+            for k in likes:
+                got = skew_primitives(h, g, k, _checked=True)
+                assert got == ref_skew_primitives(h, g, k), (label, g, k)
+
+
+def _count_sparse_kernel_rows(monkeypatch):
+    rows = []
+    original = hopf.sparse_kernel
+
+    def counting(field, dim, sparse_rows):
+        rows.append(len(sparse_rows))
+        return original(field, dim, sparse_rows)
+
+    monkeypatch.setattr(hopf, "sparse_kernel", counting)
+    return rows
+
+
+def test_failed_skew_certificate_solves_full_system(monkeypatch):
+    """Sweedler (basis 1, x, g, gx) with Delta(gx) given an extra g (x) gx:
+    the generator rows admit a vector that is not (1, g)-skew primitive."""
+    h = sweedler()
+    field = h.field
+    entries = dict(h.comult.entries)
+    entries[(3, 2, 3)] = entries.get((3, 2, 3), field.zero()) + field.one()
+    bad = HopfAlgebra(h.algebra, Tensor3(field, (4, 4, 4), entries), h.counit)
+    one, g = h.unit, unit_vector(field, 4, 2)
+    rows = _count_sparse_kernel_rows(monkeypatch)
+    got = skew_primitives(bad, one, g, _checked=True)
+    assert len(rows) == 2  # the reduced system, then the full one
+    assert got == ref_skew_primitives(bad, one, g) == []
+
+
+def test_skew_profile_solves_generator_rows(monkeypatch):
+    """A(3,1): each solve takes at most |gens(H*)| * dim + 1 rows, not dim^2."""
+    h = a_tau_mu(3, 2, -1, 1)
+    gens = algebra_generators(dual_algebra(h))
+    likes = group_likes(h)
+    rows = _count_sparse_kernel_rows(monkeypatch)
+    skew_profile(h, likes)
+    assert len(rows) == len(likes)
+    assert max(rows) <= len(gens) * h.dim + 1 < h.dim**2
+
+
+def _seed_lists(alg):
+    """Each basis vector alone, and the radical, as ideal seeds."""
+    seeds = [[unit_vector(alg.field, alg.dim, i)] for i in range(alg.dim)]
+    return seeds + [radical(alg)]
+
+
+def _span_contains(big, small, field):
+    return len(row_space_basis(field, list(big) + list(small))) == len(big)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_ideal_closure_matches_reference(name):
+    for label, h in with_perturbations(name):
+        for side, alg in both_algebras(h):
+            associative = verify_algebra(alg).ok
+            for seeds in _seed_lists(alg):
+                got = ideal_closure(alg, seeds)
+                ref = ref_ideal_closure(alg, seeds)
+                if associative:
+                    assert got == ref, (label, side, seeds)
+                else:
+                    assert _span_contains(ref, got, alg.field), (label, side, seeds)
+            assert ideal_closure(alg, []) == []
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_characters_match_reference(name):
+    """On a non-associative perturbation the search may stop with
+    ArithmeticError, and what it returns is still a character."""
+    for label, h in with_perturbations(name):
+        for side, alg in both_algebras(h):
+            if verify_algebra(alg).ok:
+                search = characters(alg)
+                assert search.characters == ref_characters(alg), (label, side)
+                continue
+            try:
+                found = characters(alg).characters
+            except ArithmeticError:
+                continue
+            assert all(ref_is_character(alg, chi) for chi in found), (label, side)
+
+
+def test_without_generators_every_path_runs_its_full_loop(monkeypatch):
+    """Sweedler with zero unit and counit: neither H nor H* has generators."""
+    h = sweedler()
+    field, dim = h.field, h.dim
+    zero = (field.zero(),) * dim
+    bad = HopfAlgebra(AssocAlgebra(field, dim, h.algebra.mult, zero), h.comult, zero)
+    for _, alg in both_algebras(bad):
+        assert algebra_generators(alg) is None
+        for seeds in _seed_lists(alg):
+            assert ideal_closure(alg, seeds) == ref_ideal_closure(alg, seeds)
+        assert characters(alg).characters == ref_characters(alg) == []
+    rows = _count_sparse_kernel_rows(monkeypatch)
+    one, g = h.unit, unit_vector(field, dim, 2)
+    got = skew_primitives(bad, one, g, _checked=True)
+    assert got == ref_skew_primitives(bad, one, g)
+    assert len(rows) == 1  # the full system only
+
+
+def _character_candidates(alg, seed):
+    """Characters of alg, each with one coordinate bumped, and small vectors."""
+    rng = random.Random(seed)
+    field, dim = alg.field, alg.dim
+    out = []
+    for chi in ref_characters(alg):
+        out.append(chi)
+        t = rng.randrange(dim)
+        out.append(chi[:t] + (_bump(field, chi[t]),) + chi[t + 1:])
+    for _ in range(4):
+        out.append(tuple(field.from_rational(rng.choice((0, 0, 1, -1))) for _ in range(dim)))
+    out.append(alg.unit)
+    return out
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_is_character_matches_reference(name):
+    clean = {side: alg for side, alg in both_algebras(build(name))}
+    for label, h in with_perturbations(name):
+        for side, alg in both_algebras(h):
+            for chi in _character_candidates(clean[side], name + side):
+                assert _is_character(alg, chi) == ref_is_character(alg, chi), (
+                    label, side, chi
+                )
