@@ -11,12 +11,15 @@ from dataclasses import dataclass, field as dc_field
 
 from hopfcheck.cyclotomic import CycloField, FieldElement, UniPoly, factor_unipoly
 from hopfcheck.linalg import (
+    EchelonBasis,
     Matrix,
     Tensor3,
+    dense_vector,
     sparse_equal,
+    sparse_sub_scaled,
+    sparse_vector,
     unit_vector,
     vec_combination,
-    vec_is_zero,
 )
 
 
@@ -100,16 +103,16 @@ class AssocAlgebra:
                     out[k] = out[k] + c * m
         return tuple(out)
 
-    def basis_times(self, i: int, v, right: bool = False) -> tuple:
-        """b_i * v, or v * b_i when right: one table row per nonzero of v."""
-        out = [self.field.zero()] * self.dim
+    def basis_times(self, i: int, v: dict, right: bool = False) -> dict:
+        """b_i * v, or v * b_i when right, for v and the result given as
+        {index: coeff} without zeros: one table row per entry of v."""
+        out: dict = {}
+        zero = self.field.zero()
         table = self.mult.by_ij()
-        for j, c in enumerate(v):
-            if c.is_zero():
-                continue
+        for j, c in v.items():
             for k, m in table.get((j, i) if right else (i, j), ()):
-                out[k] = out[k] + c * m
-        return tuple(out)
+                out[k] = out.get(k, zero) + c * m
+        return {k: x for k, x in out.items() if not x.is_zero()}
 
     def tensor_square_product(self, a: dict, b: dict) -> dict:
         """Product in A (x) A of two sparse {(j, k): coeff} elements."""
@@ -153,9 +156,9 @@ def verify_algebra(alg: AssocAlgebra) -> Report:
     """
     report = Report(checks=["unit", "associativity"])
     dim = alg.dim
-    unit = alg.unit
+    unit = sparse_vector(alg.unit)
     for i in range(dim):
-        e = unit_vector(alg.field, dim, i)
+        e = {i: alg.field.one()}
         if alg.basis_times(i, unit, right=True) != e:
             report.add(Violation("unit", (i,), "1*b != b"))
         if alg.basis_times(i, unit) != e:
@@ -248,11 +251,11 @@ def algebra_generators(alg: AssocAlgebra, limit: int | None = None):
                     words.append(v)
                     queue.extend(alg.basis_times(g, v) for g in gens)
 
-        close([alg.unit])
+        close([sparse_vector(alg.unit)])
         for i in range(alg.dim):
             if len(ech.rows) == alg.dim:
                 break
-            if vec_is_zero(ech.reduce(unit_vector(alg.field, alg.dim, i))):
+            if not ech.reduce({i: alg.field.one()}):
                 continue
             if limit is not None and len(gens) == limit:
                 return None
@@ -307,56 +310,13 @@ def center(alg: AssocAlgebra) -> list[tuple]:
     return Matrix(alg.field, rows).kernel()
 
 
-class EchelonBasis:
-    """Incrementally maintained reduced row space; cheap membership tests."""
-
-    def __init__(self, field: CycloField, dim: int):
-        self.field = field
-        self.dim = dim
-        self.rows = []  # (pivot column, vector with pivot scaled to 1)
-
-    def reduce(self, vec) -> tuple:
-        v = list(vec)
-        for pivot, row in self.rows:
-            c = v[pivot]
-            if not c.is_zero():
-                for t in range(self.dim):
-                    if not row[t].is_zero():
-                        v[t] = v[t] - c * row[t]
-        return tuple(v)
-
-    def insert(self, vec) -> bool:
-        """Reduce and add; True when the vector enlarged the span."""
-        v = self.reduce(vec)
-        pivot = None
-        for t, c in enumerate(v):
-            if not c.is_zero():
-                pivot = t
-                break
-        if pivot is None:
-            return False
-        inv = v[pivot].inverse()
-        v = tuple(inv * c for c in v)
-        for entry in self.rows:
-            row = entry[1]
-            c = row[pivot]
-            if not c.is_zero():
-                entry[1] = tuple(x - c * y for x, y in zip(row, v))
-        self.rows.append([pivot, v])
-        self.rows.sort(key=lambda e: e[0])
-        return True
-
-    def basis(self) -> list[tuple]:
-        return [row for _, row in self.rows]
-
-
 def ideal_closure(alg: AssocAlgebra, generators) -> list[tuple]:
     """Basis of the two-sided ideal generated by the given vectors.
 
     The span is closed under multiplication by algebra_generators(alg) only
     (see there), or by every basis element when there are none.
     """
-    queue = [tuple(v) for v in generators]
+    queue = [sparse_vector(v) for v in generators]
     if not queue:
         return []
     ech = EchelonBasis(alg.field, alg.dim)
@@ -383,35 +343,38 @@ def quotient_algebra(alg: AssocAlgebra, ideal_basis):
     if not ideal_basis:
         proj = Matrix.identity(field, dim)
         return alg, proj, list(range(dim))
-    echelon = Matrix(field, [list(v) for v in ideal_basis])
-    red, rank, pivots = echelon.rref()
+    red, rank, pivots = Matrix(field, [list(v) for v in ideal_basis]).rref()
     complement = [c for c in range(dim) if c not in pivots]
     qdim = len(complement)
-    zero = field.zero()
+    zero, one = field.zero(), field.one()
 
-    # projection: subtract the ideal part using the echelon rows
-    def project(vec):
-        v = list(vec)
-        for r, pc in enumerate(pivots):
-            c = v[pc]
-            if not c.is_zero():
-                row = red.data[r]
-                for t in range(dim):
-                    if not row[t].is_zero():
-                        v[t] = v[t] - c * row[t]
-        return tuple(v[c] for c in complement)
+    # the projection is linear: b_c for c in the complement, and minus the
+    # rest of its echelon row for a pivot column; products and the unit are
+    # mapped through these rows
+    proj_rows = {c: {a: one} for a, c in enumerate(complement)}
+    for r, pc in enumerate(pivots):
+        row = red.data[r]
+        proj_rows[pc] = {
+            a: -row[c] for a, c in enumerate(complement) if not row[c].is_zero()
+        }
+    proj = Matrix._wrap(
+        field, [[proj_rows[i].get(a, zero) for i in range(dim)] for a in range(qdim)]
+    ) if qdim else None
 
-    proj_rows = [project(unit_vector(field, dim, i)) for i in range(dim)]
-    proj = Matrix(field, [list(r) for r in zip(*proj_rows)]) if qdim else None
+    def project(terms) -> dict:
+        out: dict = {}
+        for k, m in terms:
+            for a, x in proj_rows[k].items():
+                out[a] = out.get(a, zero) + m * x
+        return out
 
+    table = alg.mult.by_ij()
     entries = {}
     for a_idx, qa in enumerate(complement):
         for b_idx, qb in enumerate(complement):
-            prod = alg.basis_times(qa, unit_vector(field, dim, qb))
-            for k_idx, c in enumerate(project(prod)):
-                if not c.is_zero():
-                    entries[(a_idx, b_idx, k_idx)] = c
-    unit_q = project(alg.unit)
+            for k_idx, c in project(table.get((qa, qb), ())).items():
+                entries[(a_idx, b_idx, k_idx)] = c
+    unit_q = dense_vector(field, qdim, project(sparse_vector(alg.unit).items()))
     quotient = AssocAlgebra(
         field, qdim, Tensor3(field, (qdim, qdim, qdim), entries), unit_q
     )
@@ -419,26 +382,28 @@ def quotient_algebra(alg: AssocAlgebra, ideal_basis):
 
 
 def minimal_polynomial(m: Matrix) -> UniPoly:
-    """Minimal polynomial by Krylov chains from each basis vector."""
+    """Minimal polynomial by Krylov chains from each basis vector.
+
+    One EchelonBasis per chain v, Mv, M^2 v, ... holds M^k v with a marker
+    1 in column n + k.  The first power that reduces to zero on the first n
+    columns is M^k v - sum_t a_t M^t v = 0, and its marker columns hold the
+    coefficients -a_0, ..., -a_(k-1), 1 of the chain's polynomial.
+    """
     field = m.field
     n = m.rows
-    result = UniPoly(field, [field.one()])
+    zero, one = field.zero(), field.one()
+    result = UniPoly(field, [one])
     for start in range(n):
-        v = unit_vector(field, n, start)
-        krylov = [v]
-        cur = v
-        while True:
-            cur = m.apply(cur)
-            columns = Matrix.from_columns(field, krylov + [cur])
-            red, rank, pivots = columns.rref()
-            if rank < len(krylov) + 1:
-                sol = columns.kernel()[0]
-                scale = sol[-1].inverse()
-                coeffs = [c * scale for c in sol]
-                local = UniPoly(field, coeffs)
+        ech = EchelonBasis(field, 2 * n + 1)
+        cur = unit_vector(field, n, start)
+        for k in range(n + 1):
+            v = ech.reduce({**sparse_vector(cur), n + k: one})
+            if min(v) >= n:
+                local = UniPoly(field, [v.get(n + t, zero) for t in range(k + 1)])
                 result = _poly_lcm(result, local)
                 break
-            krylov.append(cur)
+            ech.insert(v)
+            cur = m.apply(cur)
         if result.degree == n:
             break
     return result.monic()
@@ -483,16 +448,13 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
     if gens is None:
         gens = range(semi.dim)
     comms = []
+    one = field.one()
     for a, i in enumerate(gens):
         for j in gens[a + 1:]:
-            ei = unit_vector(field, semi.dim, i)
-            ej = unit_vector(field, semi.dim, j)
-            c = tuple(
-                x - y
-                for x, y in zip(semi.basis_times(i, ej), semi.basis_times(j, ei))
-            )
-            if not vec_is_zero(c):
-                comms.append(c)
+            c = semi.basis_times(i, {j: one})
+            sparse_sub_scaled(c, one, semi.basis_times(j, {i: one}))
+            if c:
+                comms.append(dense_vector(field, semi.dim, c))
     ideal = ideal_closure(semi, comms)
     if len(ideal) == semi.dim:
         return CharacterSearch([], [])
@@ -510,11 +472,11 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
         for block, eigs in blocks:
             if len(block) == 1:
                 # already split: read off the eigenvalue, check it exactly
-                v = block[0]
+                v = sparse_vector(block[0])
                 w = quotient.basis_times(gen, v)
-                p = next(t for t, c in enumerate(v) if not c.is_zero())
-                eigenvalue = w[p] / v[p]
-                if any(x != eigenvalue * y for x, y in zip(w, v)):
+                p = min(v)
+                eigenvalue = w.get(p, field.zero()) / v[p]
+                if not sparse_equal(w, {t: eigenvalue * y for t, y in v.items()}):
                     raise ArithmeticError("block is not invariant")
                 new_blocks.append((block, {**eigs, gen: eigenvalue}))
                 continue

@@ -133,28 +133,48 @@ def _verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _checked(h, compute):
+    """compute(); when it raises ArithmeticError or NotGroupLike on an input
+    that fails verify_hopf, a VerificationFailure naming the first failed
+    law instead.  Valid inputs never run verify_hopf here."""
+    try:
+        return compute()
+    except (ArithmeticError, NotGroupLike):
+        report = verify_hopf(h)
+        if report.ok:
+            raise
+        v = report.violations[0]
+        where = ",".join(str(x) for x in v.location)
+        raise VerificationFailure("%s fails at (%s)" % (v.law, where)) from None
+
+
+def _invariant_lines(h) -> list:
+    likes = group_likes(h)
+    hdual = dual(h)
+    dual_likes = group_likes(hdual)
+    lines = [
+        "dim: %d" % h.dim,
+        "group_likes: %d" % len(likes),
+        "group_like_orders: %s" % ",".join(str(o) for o in sorted(likes.orders)),
+        "dual_group_likes: %d" % len(dual_likes),
+        "trace_s2: %r" % trace_s2(h),
+        "antipode_order: %d" % antipode_order(h),
+        "semisimple: %s" % ("yes" if is_semisimple_lr(h) else "no"),
+        "pointed: %s" % ("yes" if len(coradical(h)) == len(likes) else "no"),
+        "dual_pointed: %s"
+        % ("yes" if len(coradical(hdual)) == len(dual_likes) else "no"),
+    ]
+    profile = sorted(skew_profile(h, likes).items())
+    return lines + [
+        "skew_primitives[ord %d, ord %d]: %d" % (og, oh, d) for (og, oh), d in profile
+    ]
+
+
 def _invariants(args) -> int:
     h = _load_hopf(args.file, "invariants")
     if h is None:
         return 2
-    likes = group_likes(h)
-    hdual = dual(h)
-    dual_likes = group_likes(hdual)
-    print("dim: %d" % h.dim)
-    print("group_likes: %d" % len(likes))
-    print("group_like_orders: %s" % ",".join(str(o) for o in sorted(likes.orders)))
-    print("dual_group_likes: %d" % len(dual_likes))
-    print("trace_s2: %r" % trace_s2(h))
-    print("antipode_order: %d" % antipode_order(h))
-    print("semisimple: %s" % ("yes" if is_semisimple_lr(h) else "no"))
-    print("pointed: %s" % ("yes" if len(coradical(h)) == len(likes) else "no"))
-    print(
-        "dual_pointed: %s"
-        % ("yes" if len(coradical(hdual)) == len(dual_likes) else "no")
-    )
-    profile = skew_profile(h, likes)
-    for (og, oh), d in sorted(profile.items()):
-        print("skew_primitives[ord %d, ord %d]: %d" % (og, oh, d))
+    print("\n".join(_checked(h, lambda: _invariant_lines(h))))
     return 0
 
 
@@ -162,7 +182,7 @@ def _classify(args) -> int:
     h = _load_hopf(args.file, "classify")
     if h is None:
         return 2
-    print(classify_4p(h))
+    print(_checked(h, lambda: classify_4p(h)))
     return 0
 
 

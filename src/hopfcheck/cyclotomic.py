@@ -1195,25 +1195,32 @@ def _trager_squarefree(poly: UniPoly) -> list[UniPoly]:
     return out
 
 
+_FACTORS: dict = {}  # UniPoly (field order and coefficients) -> its factors
+
+
 def factor_unipoly(poly: UniPoly) -> list[tuple[UniPoly, int]]:
     """Monic irreducible factors with multiplicity over the coefficient field.
 
     The product of the factors (with multiplicity) times the input's leading
-    coefficient reconstructs the input exactly.
+    coefficient reconstructs the input exactly.  Memoized per field and
+    coefficient tuple; every call returns a fresh list.
     """
     if poly.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if poly.degree == 0:
         return []
-    out = []
-    for sq, mult in squarefree_decomposition(poly):
-        if poly.field.order == 1:
-            parts = _factor_squarefree_q(sq)
-        else:
-            parts = _factor_squarefree_cyclo(sq)
-        out.extend((p, mult) for p in parts)
-    out.sort(key=lambda pm: _poly_sort_key(pm[0]))
-    return out
+    cached = _FACTORS.get(poly)
+    if cached is None:
+        out = []
+        for sq, mult in squarefree_decomposition(poly):
+            if poly.field.order == 1:
+                parts = _factor_squarefree_q(sq)
+            else:
+                parts = _factor_squarefree_cyclo(sq)
+            out.extend((p, mult) for p in parts)
+        out.sort(key=lambda pm: _poly_sort_key(pm[0]))
+        cached = _FACTORS[poly] = tuple(out)
+    return list(cached)
 
 
 def roots_in_field(poly: UniPoly) -> list[FieldElement]:

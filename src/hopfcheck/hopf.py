@@ -37,6 +37,7 @@ from hopfcheck.linalg import (
     row_space_basis,
     sparse_equal,
     sparse_kernel,
+    sparse_vector,
     unit_vector,
     vec_dot,
     vec_is_zero,
@@ -103,7 +104,7 @@ class HopfAlgebra:
         return "HopfAlgebra(dim=%d over %r)" % (self.dim, self.field)
 
     def counit_of(self, vec) -> FieldElement:
-        return vec_dot(self.counit, vec)
+        return vec_dot(self.counit, vec, self.field)
 
     def delta_basis(self, i: int):
         """Delta(b_i) as a sparse tuple of (j, k, coeff)."""
@@ -310,19 +311,15 @@ def antipode_law_failures(h, s: Matrix):
     """
     field = h.field
     dim = h.dim
-    cols = s.columns()
+    cols = [sparse_vector(col) for col in s.columns()]
     for i in range(dim):
         left = list(zero_vector(field, dim))
         right = list(zero_vector(field, dim))
         for j, k, c in h.delta_basis(i):
-            term = h.algebra.basis_times(k, cols[j], right=True)
-            for t, x in enumerate(term):
-                if not x.is_zero():
-                    left[t] = left[t] + c * x
-            term = h.algebra.basis_times(j, cols[k])
-            for t, x in enumerate(term):
-                if not x.is_zero():
-                    right[t] = right[t] + c * x
+            for t, x in h.algebra.basis_times(k, cols[j], right=True).items():
+                left[t] = left[t] + c * x
+            for t, x in h.algebra.basis_times(j, cols[k]).items():
+                right[t] = right[t] + c * x
         target = vec_scale(h.counit[i], h.unit)
         if tuple(left) != target:
             yield i, "left"
@@ -361,7 +358,7 @@ def right_dual_integral(h, integral, message) -> tuple:
         return apply
 
     lam = integral_line([block(i) for i in range(h.dim)], h.field, h.dim, message)
-    pairing = vec_dot(lam, integral)
+    pairing = vec_dot(lam, integral, h.field)
     if not pairing.is_zero():
         lam = vec_scale(pairing.inverse(), lam)
     return lam
@@ -372,12 +369,14 @@ def _integral_pair(h: HopfAlgebra) -> tuple:
     eps(x) Lambda) and lam the right integrals of h*, with lam(Lambda) = 1
     when that pairing is nonzero.  Raises DegenerateIntegral when either
     space is not a line."""
+    zero = h.field.zero()
 
     def left_block(i):
         eps = h.counit[i]
 
         def apply(v):
-            return vec_sub(h.algebra.basis_times(i, v), vec_scale(eps, v))
+            w = h.algebra.basis_times(i, sparse_vector(v))
+            return tuple(w.get(t, zero) - eps * x for t, x in enumerate(v))
 
         return apply
 
@@ -431,9 +430,7 @@ def solve_antipode(h: HopfAlgebra) -> Matrix:
         for j, k, c in h.delta_basis(i):
             terms.setdefault(j, []).append((k, c))
         equations.append(terms)
-    right_mults = [
-        h.algebra.right_mult_matrix(unit_vector(field, dim, k)) for k in range(dim)
-    ]
+    table = h.algebra.mult.by_ij()
     solved: dict = {}
     pending = list(range(dim))
     progress = True
@@ -449,11 +446,10 @@ def solve_antipode(h: HopfAlgebra) -> Matrix:
             rhs = list(vec_scale(h.counit[i], h.unit))
             for j, klist in terms.items():
                 if j in solved:
+                    s_j = sparse_vector(solved[j])
                     for k, c in klist:
-                        img = right_mults[k].apply(solved[j])
-                        for t, x in enumerate(img):
-                            if not x.is_zero():
-                                rhs[t] = rhs[t] - c * x
+                        for t, x in h.algebra.basis_times(k, s_j, right=True).items():
+                            rhs[t] = rhs[t] - c * x
             if not unknown:
                 if not vec_is_zero(tuple(rhs)):
                     raise NoAntipode("inconsistent antipode equation")
@@ -461,12 +457,10 @@ def solve_antipode(h: HopfAlgebra) -> Matrix:
                 continue
             j0 = unknown[0]
             acc = [[field.zero()] * dim for _ in range(dim)]
-            for k, c in terms[j0]:
-                for r in range(dim):
-                    row = right_mults[k].data[r]
-                    for col in range(dim):
-                        if not row[col].is_zero():
-                            acc[r][col] = acc[r][col] + c * row[col]
+            for k, c in terms[j0]:  # c R_{b_k}: column col is b_col b_k
+                for col in range(dim):
+                    for r, m in table.get((col, k), ()):
+                        acc[r][col] = acc[r][col] + c * m
             mat = Matrix(field, acc)
             sol = mat.solve(tuple(rhs))
             if sol is None:
@@ -634,12 +628,13 @@ def integrals(h: HopfAlgebra) -> IntegralData:
             raise DegenerateIntegral("distinguished group-like a is ill-defined")
 
     # distinguished alpha in G(H*):  L h = alpha(h) L
-    lpivot = next(i for i in range(dim) if not big_lambda[i].is_zero())
+    lam_vec = sparse_vector(big_lambda)
+    lpivot = min(lam_vec)
     alpha = []
     for i in range(dim):
-        w = h.algebra.basis_times(i, big_lambda, right=True)
-        scale = w[lpivot] / big_lambda[lpivot]
-        if w != vec_scale(scale, big_lambda):
+        w = h.algebra.basis_times(i, lam_vec, right=True)
+        scale = w.get(lpivot, field.zero()) / lam_vec[lpivot]
+        if not sparse_equal(w, {t: scale * x for t, x in lam_vec.items()}):
             raise DegenerateIntegral("distinguished group-like alpha is ill-defined")
         alpha.append(scale)
     return IntegralData(big_lambda, lam, a_vec, tuple(alpha))
@@ -653,7 +648,7 @@ def check_radford_s4(h: HopfAlgebra, data: IntegralData) -> bool:
     dim = h.dim
     s4 = h.antipode.power(4)
     alpha = data.distinguished_alpha
-    alpha_inv = tuple(vec_dot(alpha, h.antipode.column(j)) for j in range(dim))
+    alpha_inv = tuple(vec_dot(alpha, h.antipode.column(j), field) for j in range(dim))
     a = data.distinguished_a
     a_inv = h.antipode.apply(a)
     for i in range(dim):
@@ -903,17 +898,16 @@ def skew_primitives(h: HopfAlgebra, g, hvec, _checked: bool = False) -> list[tup
                 raise NotGroupLike("skew primitive endpoints must be group-like")
     field = h.field
     dim = h.dim
-    dual_alg = dual_algebra(h)
-    gens = algebra_generators(dual_alg)
+    gens = algebra_generators(dual_algebra(h))
     space = None
     if (
         gens is not None
         and h.counit_of(g).is_one()
         and h.counit_of(hv).is_one()
-        and dual_alg.multiply(h.counit, h.counit) == h.counit
+        and _counit_idempotent(h)
     ):
         rows = _skew_rows(h, g, hv, gens)
-        rows.append({i: c for i, c in enumerate(h.counit) if not c.is_zero()})
+        rows.append(sparse_vector(h.counit))
         space = sparse_kernel(field, dim, rows)
         if not all(_is_skew_primitive(h, x, g, hv) for x in space):
             space = None
@@ -933,18 +927,29 @@ def skew_primitives(h: HopfAlgebra, g, hvec, _checked: bool = False) -> list[tup
     return row_space_basis(field, reduced)
 
 
+def _counit_idempotent(h: HopfAlgebra) -> bool:
+    """eps * eps = eps in H*, that is (eps (x) eps)Delta = eps; cached on h."""
+    if "counit_idempotent" not in h._cache:
+        eps = h.counit
+        h._cache["counit_idempotent"] = dual_algebra(h).multiply(eps, eps) == eps
+    return h._cache["counit_idempotent"]
+
+
 def _skew_rows(h: HopfAlgebra, g, hv, js) -> list:
     """Sparse rows (j, k), j in js, of sum_i Delta[i][j][k] x_i - g_k x_j - h_j x_k."""
     table = dual_algebra(h).mult.by_ij()  # (j, k) -> the (i, Delta[i][j][k])
     zero = h.field.zero()
+    g_nz, h_nz = sparse_vector(g), sparse_vector(hv)
     rows = []
     for j in js:
+        hj = h_nz.get(j)
         for k in range(h.dim):
             row = dict(table.get((j, k), ()))
-            if not g[k].is_zero():
-                row[j] = row.get(j, zero) - g[k]
-            if not hv[j].is_zero():
-                row[k] = row.get(k, zero) - hv[j]
+            gk = g_nz.get(k)
+            if gk is not None:
+                row[j] = row.get(j, zero) - gk
+            if hj is not None:
+                row[k] = row.get(k, zero) - hj
             if row:
                 rows.append(row)
     return rows

@@ -1,12 +1,16 @@
-"""Exact dense linear algebra over a cyclotomic field, plus the sparse
-3-index tensors that carry multiplication/comultiplication structure
-constants.
+"""Exact linear algebra over a cyclotomic field, plus the sparse 3-index
+tensors that carry multiplication/comultiplication structure constants.
 
-Vectors are tuples of FieldElement.  Matrix and Tensor3 also take a
-PolyRing for their field and MultiPoly entries, for everything but
-elimination (rref, solve, inverse, kernels).  Pivoting always takes the
-first nonzero entry in column order; with exact arithmetic this is purely a
-determinism choice.
+The public API takes and returns dense vectors, tuples of FieldElement, and
+Matrix keeps dense rows.  Inside the elimination kernels a vector or row is
+a {index: coeff} dict holding only nonzero entries (sparse_vector,
+dense_vector convert), and every loop visits only those: Matrix.apply walks
+the nonzeros of its input, rref the support of each pivot row, and
+sparse_kernel and EchelonBasis keep {column: coeff} rows keyed by pivot.
+Matrix and Tensor3 also take a PolyRing for their field and MultiPoly
+entries, for everything but elimination (rref, solve, inverse, kernels).
+Pivoting always takes the first nonzero entry in column order; with exact
+arithmetic this is purely a determinism choice.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ def vec_is_zero(a) -> bool:
     return all(x.is_zero() for x in a)
 
 
-def vec_dot(a, b):
-    field = a[0].field
+def vec_dot(a, b, field):
+    """sum_i a_i b_i, starting from field.zero()."""
     acc = field.zero()
     for x, y in zip(a, b):
         if not (x.is_zero() or y.is_zero()):
@@ -62,16 +66,38 @@ def vec_combination(coeffs, vectors, field: CycloField, n: int) -> tuple:
     return tuple(out)
 
 
+def sparse_vector(a) -> dict:
+    """The nonzero entries of a dense vector as {index: coeff}."""
+    return {i: x for i, x in enumerate(a) if not x.is_zero()}
+
+
+def dense_vector(field, n: int, v: dict) -> tuple:
+    """The length-n dense tuple of a {index: coeff} vector."""
+    out = [field.zero()] * n
+    for i, x in v.items():
+        out[i] = x
+    return tuple(out)
+
+
+def sparse_sub_scaled(v: dict, c, row: dict) -> None:
+    """v -= c * row in place, for nonzero c and rows without zeros; entries
+    that cancel are dropped."""
+    for t, x in row.items():
+        y = v.get(t)
+        if y is None:
+            v[t] = -(c * x)
+        else:
+            y = y - c * x
+            if y.is_zero():
+                del v[t]
+            else:
+                v[t] = y
+
+
 def vec_outer(a, b) -> dict:
     """a (x) b as a sparse {(j, k): coeff} dict."""
-    out = {}
-    for j, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for k, y in enumerate(b):
-            if not y.is_zero():
-                out[(j, k)] = x * y
-    return out
+    right = sparse_vector(b).items()
+    return {(j, k): x * y for j, x in sparse_vector(a).items() for k, y in right}
 
 
 def sparse_equal(a: dict, b: dict) -> bool:
@@ -212,12 +238,14 @@ class Matrix:
     def apply(self, vec) -> tuple:
         if len(vec) != self.cols:
             raise ShapeMismatch("matrix-vector shapes")
+        nonzero = [(j, x) for j, x in enumerate(vec) if not x.is_zero()]
         out = []
         zero = self.field.zero()
         for row in self.data:
             acc = zero
-            for a, x in zip(row, vec):
-                if not (a.is_zero() or x.is_zero()):
+            for j, x in nonzero:
+                a = row[j]
+                if not a.is_zero():
                     acc = acc + a * x
             out.append(acc)
         return tuple(out)
@@ -245,7 +273,12 @@ class Matrix:
         return result
 
     def rref(self) -> tuple["Matrix", int, list[int]]:
-        """Reduced row echelon form: (R, rank, pivot column indices)."""
+        """Reduced row echelon form: (R, rank, pivot column indices).
+
+        Row operations touch only the support of the pivot row, which is zero
+        left of its pivot: earlier pivot columns are cleared and the other
+        earlier columns were zero from row r down.
+        """
         data = [list(row) for row in self.data]
         pivots = []
         r = 0
@@ -258,14 +291,16 @@ class Matrix:
             if pivot_row is None:
                 continue
             data[r], data[pivot_row] = data[pivot_row], data[r]
-            inv = data[r][c].inverse()
-            data[r] = [inv * x for x in data[r]]
-            for i in range(self.rows):
-                if i != r and not data[i][c].is_zero():
-                    factor = data[i][c]
-                    data[i] = [
-                        x - factor * y for x, y in zip(data[i], data[r])
-                    ]
+            prow = data[r]
+            inv = prow[c].inverse()
+            support = [t for t in range(c, self.cols) if not prow[t].is_zero()]
+            for t in support:
+                prow[t] = inv * prow[t]
+            for i, row in enumerate(data):
+                factor = row[c]
+                if i != r and not factor.is_zero():
+                    for t in support:
+                        row[t] = row[t] - factor * prow[t]
             pivots.append(c)
             r += 1
             if r == self.rows:
@@ -343,56 +378,66 @@ def row_space_basis(field, vectors) -> list[tuple]:
 def sparse_kernel(field: CycloField, dim: int, sparse_rows) -> list[tuple]:
     """Kernel of a system given as sparse rows ({column: coeff} dicts).
 
-    Rows are eliminated into a fully reduced echelon of dicts; sparsity is
-    preserved throughout, so tall near-diagonal systems stay cheap.
+    Rows are inserted, shortest first, into an EchelonBasis, a fully reduced
+    echelon of dicts keyed by pivot, so sparsity is preserved throughout and
+    tall near-diagonal systems stay cheap.
     """
-    echelon: list = []  # (pivot column, {column: coeff} with pivot -> 1)
+    ech = EchelonBasis(field, dim)
     for row in sorted(sparse_rows, key=len):
-        work = {c: v for c, v in row.items() if not v.is_zero()}
-        for pivot, prow in echelon:
-            c = work.get(pivot)
-            if c is None or c.is_zero():
-                continue
-            for col, v in prow.items():
-                cur = work.get(col)
-                nxt = (cur - c * v) if cur is not None else -(c * v)
-                if nxt.is_zero():
-                    work.pop(col, None)
-                else:
-                    work[col] = nxt
-        work = {c: v for c, v in work.items() if not v.is_zero()}
-        if not work:
-            continue
-        pivot = min(work)
-        inv = work[pivot].inverse()
-        work = {c: inv * v for c, v in work.items()}
-        for entry in echelon:
-            prow = entry[1]
-            c = prow.get(pivot)
-            if c is None or c.is_zero():
-                continue
-            for col, v in work.items():
-                cur = prow.get(col)
-                nxt = (cur - c * v) if cur is not None else -(c * v)
-                if nxt.is_zero():
-                    prow.pop(col, None)
-                else:
-                    prow[col] = nxt
-        echelon.append((pivot, work))
-    pivots = {p for p, _ in echelon}
+        ech.insert({c: v for c, v in row.items() if not v.is_zero()})
     zero, one = field.zero(), field.one()
-    basis = []
-    for free in range(dim):
-        if free in pivots:
-            continue
-        vec = [zero] * dim
+    basis = {free: [zero] * dim for free in range(dim) if free not in ech.rows}
+    for free, vec in basis.items():
         vec[free] = one
-        for pivot, prow in echelon:
-            c = prow.get(free)
-            if c is not None and not c.is_zero():
-                vec[pivot] = -c
-        basis.append(tuple(vec))
-    return basis
+    for pivot, prow in ech.rows.items():
+        for col, c in prow.items():
+            if col != pivot:
+                basis[col][pivot] = -c
+    return [tuple(vec) for vec in basis.values()]
+
+
+class EchelonBasis:
+    """Incrementally maintained reduced row space; cheap membership tests.
+
+    rows maps each pivot (the least column of its row, scaled to 1) to a
+    {column: coeff} row without zeros; the rows are fully reduced, so no row
+    has an entry at another row's pivot.  Vectors in and out are {column:
+    coeff} dicts without zeros; basis() gives dense tuples.
+    """
+
+    def __init__(self, field: CycloField, dim: int):
+        self.field = field
+        self.dim = dim
+        self.rows: dict = {}
+
+    def reduce(self, vec: dict) -> dict:
+        """vec minus its component in the span, as a new dict."""
+        v = dict(vec)
+        # a row has no entry at another pivot, so these coefficients stay put
+        for pivot in [t for t in v if t in self.rows]:
+            sparse_sub_scaled(v, v[pivot], self.rows[pivot])
+        return v
+
+    def insert(self, vec: dict) -> bool:
+        """Reduce and add; True when the vector enlarged the span."""
+        v = self.reduce(vec)
+        if not v:
+            return False
+        pivot = min(v)
+        inv = v[pivot].inverse()
+        v = {t: inv * c for t, c in v.items()}
+        for row in self.rows.values():
+            c = row.get(pivot)
+            if c is not None:
+                sparse_sub_scaled(row, c, v)
+        self.rows[pivot] = v
+        return True
+
+    def basis(self) -> list[tuple]:
+        """The rows in pivot order, as dense tuples."""
+        return [
+            dense_vector(self.field, self.dim, self.rows[p]) for p in sorted(self.rows)
+        ]
 
 
 def common_kernel(blocks, dim: int, field: CycloField) -> list[tuple]:
@@ -509,28 +554,29 @@ class Tensor3:
         """
         d1, d2, d3 = self.dims
         zero = self.field.zero()
+        nz = sparse_vector(v)
         if mode == "left-mult":
             if len(v) != d1:
                 raise ShapeMismatch("vector length != dims[0]")
             rows = [[zero] * d2 for _ in range(d3)]
             for (i, j, k), c in self.entries.items():
-                if not v[i].is_zero():
-                    rows[k][j] = rows[k][j] + v[i] * c
+                if i in nz:
+                    rows[k][j] = rows[k][j] + nz[i] * c
             return Matrix._wrap(self.field, rows)
         if mode in ("right-mult", "comult-left"):
             if len(v) != d2:
                 raise ShapeMismatch("vector length != dims[1]")
             rows = [[zero] * d1 for _ in range(d3)]
             for (i, j, k), c in self.entries.items():
-                if not v[j].is_zero():
-                    rows[k][i] = rows[k][i] + v[j] * c
+                if j in nz:
+                    rows[k][i] = rows[k][i] + nz[j] * c
             return Matrix._wrap(self.field, rows)
         if mode == "comult-right":
             if len(v) != d3:
                 raise ShapeMismatch("vector length != dims[2]")
             rows = [[zero] * d1 for _ in range(d2)]
             for (i, j, k), c in self.entries.items():
-                if not v[k].is_zero():
-                    rows[j][i] = rows[j][i] + v[k] * c
+                if k in nz:
+                    rows[j][i] = rows[j][i] + nz[k] * c
             return Matrix._wrap(self.field, rows)
         raise ValueError("unknown contraction mode %r" % mode)

@@ -34,7 +34,9 @@ from hopfcheck.hopf import (
 from hopfcheck.linalg import (
     Matrix,
     Tensor3,
+    dense_vector,
     sparse_equal,
+    sparse_vector,
     unit_vector,
     vec_combination,
     vec_dot,
@@ -282,7 +284,7 @@ class BraidedHopf:
         return self.comult.by_i().get(i, ())
 
     def counit_of(self, v):
-        return vec_dot(self.counit, v)
+        return vec_dot(self.counit, v, self.field)
 
 
 def ordinary_to_braided(h: HopfAlgebra, base: HopfAlgebra) -> BraidedHopf:
@@ -664,7 +666,9 @@ def dual_braided(r: BraidedHopf, check: bool = True) -> BraidedHopf:
         return tuple(x * y for x in u for y in w)
 
     def proj_r(v):  # evaluate the B-leg at 1_B
-        return tuple(vec_dot(v[i * bd:(i + 1) * bd], base.unit) for i in range(rd))
+        return tuple(
+            vec_dot(v[i * bd:(i + 1) * bd], base.unit, field) for i in range(rd)
+        )
 
     rstar_units = [flat(unit_vector(field, rd, i), base.counit) for i in range(rd)]
     bstar_units = [flat(r.counit, unit_vector(field, bd, j)) for j in range(bd)]
@@ -674,10 +678,11 @@ def dual_braided(r: BraidedHopf, check: bool = True) -> BraidedHopf:
     for beta in bstar_units:
         d_beta = hdual.delta_vec(beta)
         cols = []
-        for f in rstar_units:
+        for f in map(sparse_vector, rstar_units):
             terms = [
                 hdual.algebra.multiply(
-                    hdual.algebra.basis_times(x, f), hdual.antipode.column(y)
+                    dense_vector(field, rd * bd, hdual.algebra.basis_times(x, f)),
+                    hdual.antipode.column(y),
                 )
                 for x, y in d_beta
             ]

@@ -148,6 +148,15 @@ class TestFactorization:
         assert m == 2 and p == poly(f, -2, 1)
         assert roots_in_field(poly(f, 4, -4, 1)) == [f.from_rational(2)] * 2
 
+    def test_memoized_factors_come_in_a_fresh_list(self):
+        f = make_field(3)
+        first = factor_unipoly(poly(f, -1, 0, 0, 1))
+        first.clear()
+        again = factor_unipoly(poly(f, -1, 0, 0, 1))
+        assert again is not first and [p.degree for p, _ in again] == [1, 1, 1]
+        # the same coefficients over another field are factored there
+        assert [p.degree for p, _ in factor_unipoly(poly(make_field(1), -1, 0, 0, 1))] == [1, 2]
+
     def test_roots_x3_minus_1_over_q_zeta3(self):
         f = make_field(3)
         roots = roots_in_field(poly(f, -1, 0, 0, 1))

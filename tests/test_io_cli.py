@@ -362,6 +362,32 @@ class TestCliErrors:
         assert (captured.out, captured.err) == ("", "error: boom\n")
 
     @pytest.mark.parametrize(
+        "verb, build, entry, message",
+        (
+            ("invariants", sweedler, (0, 2, 3), "coassociativity fails at (0)"),
+            ("classify", lambda: a_tau_mu(3, 2, -1, 1), (2, 2, 2),
+             "coassociativity fails at (1)"),
+        ),
+    )
+    def test_invariant_errors_on_invalid_input_name_the_law(
+        self, capsys, tmp_path, verb, build, entry, message
+    ):
+        """One comultiplication constant bumped: the invariants stop with
+        ArithmeticError or NotGroupLike, and verify_hopf names the law."""
+        h = build()
+        entries = dict(h.comult.entries)
+        entries[entry] = entries.get(entry, h.field.zero()) + h.field.one()
+        comult = type(h.comult)(h.field, h.comult.dims, entries)
+        bad = HopfAlgebra(h.algebra, comult, h.counit, h.antipode)
+        path = tmp_path / "bad.json"
+        path.write_bytes(serialize(manifest_for(bad)))
+        assert cli.main([verb, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "verification failure: %s\n" % message
+        )
+
+    @pytest.mark.parametrize(
         "argv, message",
         (
             (("taft", "--q", "0"), "error: --q must be >= 1\n"),

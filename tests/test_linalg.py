@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcheck.cyclotomic import make_field
+from hopfcheck.cyclotomic import MultiPoly, PolyRing, make_field
 from hopfcheck.linalg import (
     Matrix,
     ShapeMismatch,
     Tensor3,
     common_kernel,
     unit_vector,
+    vec_dot,
     vec_is_zero,
     zero_vector,
 )
@@ -227,3 +228,23 @@ class TestCommonKernel:
     def test_empty_intersection(self):
         blocks = [Matrix.identity(Q, 2).apply]
         assert common_kernel(blocks, 2, Q) == []
+
+
+class TestVecDot:
+    def test_empty_vectors_give_the_fields_zero(self):
+        assert vec_dot((), (), Q) is Q.zero()
+        q12 = make_field(12)
+        assert vec_dot((), (), q12) is q12.zero()
+
+    def test_ring_entries_give_a_ring_element(self):
+        ring = PolyRing(Q, ("alpha", "beta"))
+        alpha, beta = ring.var("alpha"), ring.var("beta")
+        assert vec_dot((alpha, ring.zero()), (ring.zero(), beta), ring) == ring.zero()
+        got = vec_dot((alpha, ring.one()), (beta, ring.promote(2)), ring)
+        assert isinstance(got, MultiPoly)
+        assert got == alpha * beta + ring.promote(2)
+
+    def test_field_entries(self):
+        v = (Q.from_rational(2), Q.zero(), Q.from_rational(-1))
+        w = (Q.from_rational(3), Q.from_rational(5), Q.from_rational(4))
+        assert vec_dot(v, w, Q) == Q.from_rational(2)

@@ -21,7 +21,6 @@ import pytest
 from hopfcheck import hopf
 from hopfcheck.algebra import (
     AssocAlgebra,
-    EchelonBasis,
     Report,
     Violation,
     _apply_poly,
@@ -30,8 +29,6 @@ from hopfcheck.algebra import (
     algebra_generators,
     characters,
     ideal_closure,
-    minimal_polynomial,
-    quotient_algebra,
     radical,
     verify_algebra,
 )
@@ -50,11 +47,18 @@ from hopfcheck.hopf import (
 from hopfcheck.linalg import (
     Matrix,
     Tensor3,
+    dense_vector,
     row_space_basis,
+    sparse_vector,
     unit_vector,
     vec_is_zero,
     vec_scale,
     vec_sub,
+)
+from test_sparse_kernels import (
+    RefEchelonBasis,
+    ref_minimal_polynomial,
+    ref_quotient_algebra,
 )
 
 # --- the reference model: every law on every basis element/pair/triple ---------
@@ -512,8 +516,11 @@ def test_basis_times_matches_dense_product(name):
         v = tuple(field.from_rational(rng.randint(-2, 2)) for _ in range(dim))
         for i in range(dim):
             e = unit_vector(field, dim, i)
-            assert alg.basis_times(i, v) == alg.multiply(e, v)
-            assert alg.basis_times(i, v, right=True) == alg.multiply(v, e)
+            left = alg.basis_times(i, sparse_vector(v))
+            right = alg.basis_times(i, sparse_vector(v), right=True)
+            assert dense_vector(field, dim, left) == alg.multiply(e, v)
+            assert dense_vector(field, dim, right) == alg.multiply(v, e)
+            assert not any(x.is_zero() for x in (*left.values(), *right.values()))
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -547,7 +554,7 @@ def ref_skew_primitives(h, g, hv):
 
 def ref_ideal_closure(alg, seeds):
     """Closure under left and right multiplication by every basis element."""
-    ech = EchelonBasis(alg.field, alg.dim)
+    ech = RefEchelonBasis(alg.field, alg.dim)
     queue = [tuple(v) for v in seeds]
     while queue:
         v = queue.pop()
@@ -577,7 +584,7 @@ def ref_characters(alg):
     """Commutators of every basis pair, the ideal closed under every basis
     element, and eigenspaces split on every basis element in index order."""
     field, dim = alg.field, alg.dim
-    semi, proj1, _ = quotient_algebra(alg, radical(alg))
+    semi, proj1, _ = ref_quotient_algebra(alg, radical(alg))
     comms = []
     for i in range(semi.dim):
         for j in range(i + 1, semi.dim):
@@ -589,7 +596,7 @@ def ref_characters(alg):
     ideal = ref_ideal_closure(semi, comms)
     if len(ideal) == semi.dim:
         return []
-    quotient, proj2, _ = quotient_algebra(semi, ideal)
+    quotient, proj2, _ = ref_quotient_algebra(semi, ideal)
     proj = proj2 * proj1
     qdim = quotient.dim
     blocks = [([unit_vector(field, qdim, i) for i in range(qdim)], [])]
@@ -598,7 +605,7 @@ def ref_characters(alg):
         split = []
         for block, eigs in blocks:
             restricted = _restrict(lmat, block, field)
-            for fac, _ in factor_unipoly(minimal_polynomial(restricted)):
+            for fac, _ in factor_unipoly(ref_minimal_polynomial(restricted)):
                 if fac.degree == 1:
                     kernel = _apply_poly(restricted, fac).kernel()
                     piece = [Matrix.from_columns(field, block).apply(c) for c in kernel]
@@ -676,6 +683,23 @@ def test_skew_profile_solves_generator_rows(monkeypatch):
     skew_profile(h, likes)
     assert len(rows) == len(likes)
     assert max(rows) <= len(gens) * h.dim + 1 < h.dim**2
+
+
+def test_skew_profile_checks_the_counit_precondition_once(monkeypatch):
+    """eps * eps = eps in H* depends only on h: one product for |G| solves."""
+    h = a_tau_mu(3, 2, -1, 1)
+    likes = group_likes(h)
+    calls = []
+    original = AssocAlgebra.multiply
+
+    def counting(alg, a, b):
+        calls.append((a, b))
+        return original(alg, a, b)
+
+    monkeypatch.setattr(AssocAlgebra, "multiply", counting)
+    skew_profile(h, likes)
+    skew_primitives(h, h.unit, likes.elements[1])
+    assert len(likes) > 1 and calls == [(h.counit, h.counit)]
 
 
 def _seed_lists(alg):
