@@ -1,0 +1,87 @@
+"""No answer depends on the basis: transport of structure as an oracle.
+
+Each input is moved to a random basis P = (permutation) (a few integer
+shears), so P and its inverse are integral, and only bases that move the
+unit off index 0 are kept.  In the new basis solve_antipode on the stripped
+structure returns the transported antipode P^-1 S P, verify_hopf passes, and
+|G(H)|, Tr(S^2) and (at dimension 12) the classify_4p label are those of
+the original.
+"""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hopfcheck.families import a_tau_mu, group_algebra, sweedler, taft_tensor_group
+from hopfcheck.hopf import (
+    HopfAlgebra,
+    classify_4p,
+    group_likes,
+    solve_antipode,
+    trace_s2,
+    verify_hopf,
+)
+from hopfcheck.linalg import Matrix, unit_vector
+from test_verify_generators import transport
+
+INPUTS = {
+    "sweedler": sweedler,
+    "A(3,0)": lambda: a_tau_mu(3, 2, -1, 0),
+    "A(3,1)": lambda: a_tau_mu(3, 2, -1, 1),
+    "k[Z6]": lambda: group_algebra(6),
+    "T2xk[Z3]": lambda: taft_tensor_group(2, -1, 3),
+}
+
+_INVARIANTS: dict = {}
+
+
+def invariants(h):
+    """|G(H)|, Tr(S^2) and, at dimension 12, the classify_4p label."""
+    label = classify_4p(h) if h.dim == 12 else None
+    return len(group_likes(h).elements), trace_s2(h), label
+
+
+def original(name):
+    """The input in its own basis and its invariants, computed once."""
+    if name not in _INVARIANTS:
+        h = INPUTS[name]()
+        _INVARIANTS[name] = invariants(h)
+    return INPUTS[name](), _INVARIANTS[name]
+
+
+@st.composite
+def unimodular_columns(draw, dim, field):
+    """The columns of (permutation) (I + a few strictly upper integer
+    entries): an integer matrix of determinant +-1 with an integer inverse.
+
+    A few shears keep the structure constants sparse; a dense basis change
+    makes verify_hopf's tensor-square products too slow for a unit test.
+    """
+    perm = draw(st.permutations(range(dim)))
+    data = [[int(perm[i] == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, dim - 2))
+        j = draw(st.integers(i + 1, dim - 1))
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        for row in data:  # column j += c * column i
+            row[j] += c * row[i]
+    return Matrix(field, data).columns()
+
+
+@st.composite
+def moved_inputs(draw):
+    name = draw(st.sampled_from(sorted(INPUTS)))
+    h, expected = original(name)
+    cols = draw(unimodular_columns(h.dim, h.field))
+    moved = transport(h, cols)
+    assume(tuple(moved.unit) != unit_vector(h.field, h.dim, 0))
+    return name, moved, expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(moved_inputs())
+def test_answers_do_not_depend_on_the_basis(case):
+    name, h, expected = case
+    stripped = HopfAlgebra(h.algebra, h.comult, h.counit)
+    assert solve_antipode(stripped) == h.antipode, name
+    assert verify_hopf(h).ok, name
+    assert invariants(h) == expected, name

@@ -6,7 +6,9 @@ are the dense loops of the earlier code, kept here verbatim in behaviour: on
 random sparse matrices over Q and Q(zeta_12) (zero rows and columns,
 rank-deficient products, the identity, single entries) both must return
 equal results.  Exact arithmetic has one form per value, so equal means
-entry for entry.
+entry for entry.  Matrix.solve, Matrix.inverse, row_space_basis,
+common_kernel and algebra.center are compared with dense models built on
+ref_rref in the same way.
 
 A last test counts FieldElement.is_zero calls in a cold classify_4p of
 A(3,1) and fails above a fixed ceiling, so a dense loop cannot creep back.
@@ -17,21 +19,30 @@ prints that count for A(P,1) (default 11) in a fresh process.
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcheck import cyclotomic, hopf
-from hopfcheck.algebra import AssocAlgebra, minimal_polynomial, quotient_algebra
+from hopfcheck.algebra import (
+    AssocAlgebra,
+    center,
+    minimal_polynomial,
+    quotient_algebra,
+)
 from hopfcheck.cyclotomic import UniPoly, make_field
 from hopfcheck.families import a_tau_mu
 from hopfcheck.linalg import (
     EchelonBasis,
     Matrix,
     Tensor3,
+    common_kernel,
     dense_vector,
+    row_space_basis,
     sparse_kernel,
     sparse_vector,
     unit_vector,
+    vec_combination,
 )
 
 FIELDS = (make_field(1), make_field(12))
@@ -382,6 +393,121 @@ def test_quotient_algebra_matches_reference(case):
     assert (proj, complement) == (ref_proj, ref_complement)
     assert quotient.mult == ref_quotient.mult
     assert quotient.unit == ref_quotient.unit
+
+
+# --- the callers of rref against dense models on ref_rref ------------------------------
+
+
+def ref_solve(m, b):
+    aug = Matrix(m.field, [list(row) + [b[i]] for i, row in enumerate(m.data)])
+    red, _, pivots = ref_rref(aug)
+    if m.cols in pivots:
+        return None
+    particular = [m.field.zero()] * m.cols
+    for r, pc in enumerate(pivots):
+        particular[pc] = red.data[r][m.cols]
+    return tuple(particular), ref_kernel(m)
+
+
+def ref_inverse(m):
+    n = m.rows
+    eye = Matrix.identity(m.field, n)
+    red, rank, pivots = ref_rref(
+        Matrix(m.field, [m.data[i] + eye.data[i] for i in range(n)])
+    )
+    if pivots[:n] != list(range(n)):
+        return None
+    return Matrix(m.field, [row[n:] for row in red.data])
+
+
+def ref_row_space_basis(field, vectors):
+    red, rank, _ = ref_rref(Matrix(field, [list(v) for v in vectors]))
+    return [red.row(i) for i in range(rank)]
+
+
+def ref_common_kernel(matrices_, dim, field):
+    basis = [unit_vector(field, dim, i) for i in range(dim)]
+    for m in matrices_:
+        if not basis:
+            return []
+        images = [m.apply(v) for v in basis]
+        if all(x.is_zero() for img in images for x in img):
+            continue
+        constraint = Matrix.from_columns(field, images)
+        basis = [
+            vec_combination(combo, basis, field, dim)
+            for combo in ref_kernel(constraint)
+        ]
+    return basis
+
+
+def ref_center(alg):
+    rows = []
+    for i in range(alg.dim):
+        e = unit_vector(alg.field, alg.dim, i)
+        diff = alg.left_mult_matrix(e) - alg.right_mult_matrix(e)
+        rows.extend(diff.data)
+    return ref_kernel(Matrix(alg.field, rows))
+
+
+@st.composite
+def systems(draw):
+    """M and a right-hand side: M x for a random x (solvable) or random."""
+    m = draw(matrices())
+    if draw(st.booleans()):
+        b = m.apply(tuple(draw(scalars(m.field)) for _ in range(m.cols)))
+    else:
+        b = tuple(draw(scalars(m.field)) for _ in range(m.rows))
+    return m, b
+
+
+@SETTINGS
+@given(systems())
+def test_solve_matches_reference(case):
+    m, b = case
+    got = m.solve(b)
+    assert got == ref_solve(m, b)
+    if got is not None:
+        assert m.apply(got[0]) == b
+
+
+@SETTINGS
+@given(matrices(square=True))
+def test_inverse_matches_reference(m):
+    """Singular inputs (products, zero rows, single entries) raise."""
+    expected = ref_inverse(m)
+    if expected is None:
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+    else:
+        assert m.inverse() == expected
+        assert (m * expected).is_identity()
+
+
+@SETTINGS
+@given(matrices())
+def test_row_space_basis_matches_reference(m):
+    vectors = [tuple(row) for row in m.data]
+    assert row_space_basis(m.field, vectors) == ref_row_space_basis(m.field, vectors)
+
+
+@SETTINGS
+@given(st.lists(matrices(max_dim=5), min_size=1, max_size=3))
+def test_common_kernel_matches_reference(ms):
+    """Blocks of one field and width; blocks of another width are dropped."""
+    field, dim = ms[0].field, ms[0].cols
+    blocks = [m for m in ms if m.field == field and m.cols == dim]
+    got = common_kernel([m.apply for m in blocks], dim, field)
+    assert got == ref_common_kernel(blocks, dim, field)
+    for m in blocks:
+        assert all(x.is_zero() for v in got for x in m.apply(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras_with_ideals())
+def test_center_matches_reference(case):
+    alg, _ = case
+    assert center(alg) == ref_center(alg)
 
 
 # --- the is_zero count of a cold classify ----------------------------------------------
