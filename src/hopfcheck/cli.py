@@ -6,8 +6,8 @@ codes: 0 pass/success (dim5-check exits 0 when the structure laws hold and
 the expected contradiction IS found), 1 verification failure, a failed dim5
 structure law or missing contradiction, or a computation that cannot finish
 on the input (no antipode, a degenerate integral, a group-like search or
-antipode order that fails), 2 usage and parse errors.  Errors print one
-line on stderr, never a traceback.
+antipode order that fails), 2 usage and parse errors and paths that cannot
+be read or written.  Errors print one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ from hopfcheck.yetter_drinfeld import (
 FAMILIES = ("sweedler", "taft", "group_algebra", "a_tau_mu", "taft_tensor_group")
 
 
+class PathError(Exception):
+    """An input that cannot be read or an output that cannot be written."""
+
+
 def _require_positive(args, *flags):
     for flag in flags:
         if getattr(args, flag) < 1:
@@ -88,16 +92,26 @@ def _construct(args) -> int:
     else:
         print("unknown family %r" % name, file=sys.stderr)
         return 2
-    data = serialize(manifest_for(h))
-    with open(args.output, "wb") as fh:
-        fh.write(data)
+    _write(args.output, serialize(manifest_for(h)))
     print("wrote %s (%s, dim %d)" % (args.output, name, h.dim))
     return 0
 
 
 def _load(path: str) -> Manifest:
-    with open(path, "rb") as fh:
-        return parse(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        raise PathError("cannot read %s" % path) from None
+    return parse(data)
+
+
+def _write(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError:
+        raise PathError("cannot write %s" % path) from None
 
 
 def _load_hopf(path: str, verb: str):
@@ -190,8 +204,7 @@ def _dualize(args) -> int:
     h = _load_hopf(args.file, "dualize")
     if h is None:
         return 2
-    with open(args.output, "wb") as fh:
-        fh.write(serialize(manifest_for(dual(h))))
+    _write(args.output, serialize(manifest_for(dual(h))))
     print("wrote %s" % args.output)
     return 0
 
@@ -203,8 +216,7 @@ def _bosonize(args) -> int:
         print("bosonize needs a braided manifest and a hopf manifest", file=sys.stderr)
         return 2
     h = bosonize(r_manifest.payload, b_manifest.payload)
-    with open(args.output, "wb") as fh:
-        fh.write(serialize(manifest_for(h)))
+    _write(args.output, serialize(manifest_for(h)))
     print("wrote %s (dim %d)" % (args.output, h.dim))
     return 0
 
@@ -280,8 +292,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print("cannot read %s" % exc.filename, file=sys.stderr)
+    except PathError as exc:
+        print(exc, file=sys.stderr)
         return 2
     except (BadDimension, BaseMismatch, families.BadParams,
             families.NotPrimitiveRoot) as exc:

@@ -442,3 +442,57 @@ class TestCliErrors:
             "", "error: braided object lives over a different base\n"
         )
         assert not out.exists()
+
+
+class TestCliPathErrors:
+    """A path that cannot be opened is one line and exit 2, never a traceback:
+    `cannot read PATH` for an input, `cannot write PATH` for an output."""
+
+    @pytest.fixture
+    def manifests(self, tmp_path):
+        hopf_file, braided_file = tmp_path / "h.json", tmp_path / "r.json"
+        base = group_algebra(2)
+        hopf_file.write_bytes(serialize(manifest_for(base)))
+        braided_file.write_bytes(serialize(manifest_for(ordinary_to_braided(base, base))))
+        return str(hopf_file), str(braided_file)
+
+    def _run(self, capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("verb", ("verify", "invariants", "classify", "dualize"))
+    def test_directory_input_cannot_be_read(self, capsys, tmp_path, verb):
+        argv = [verb, str(tmp_path)]
+        if verb == "dualize":
+            argv += ["-o", str(tmp_path / "out.json")]
+        assert self._run(capsys, argv) == (2, "", "cannot read %s\n" % tmp_path)
+
+    def test_missing_input_cannot_be_read(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        assert self._run(capsys, ["verify", str(path)]) == (
+            2, "", "cannot read %s\n" % path
+        )
+
+    def test_bosonize_directory_input_cannot_be_read(self, capsys, tmp_path, manifests):
+        hopf_file, _ = manifests
+        argv = ["bosonize", str(tmp_path), hopf_file, "-o", str(tmp_path / "o.json")]
+        assert self._run(capsys, argv) == (2, "", "cannot read %s\n" % tmp_path)
+
+    @pytest.mark.parametrize("target", ("directory", "missing-parent"))
+    @pytest.mark.parametrize("verb", ("construct", "dualize", "bosonize"))
+    def test_output_that_cannot_be_written(self, capsys, tmp_path, manifests, verb, target):
+        out = tmp_path if target == "directory" else tmp_path / "nonexistent" / "x.json"
+        hopf_file, braided_file = manifests
+        argv = {
+            "construct": ["construct", "sweedler"],
+            "dualize": ["dualize", hopf_file],
+            "bosonize": ["bosonize", braided_file, hopf_file],
+        }[verb] + ["-o", str(out)]
+        assert self._run(capsys, argv) == (2, "", "cannot write %s\n" % out)
+
+    def test_directory_output_is_one_line_in_a_subprocess(self, tmp_path):
+        r = run_cli("construct", "sweedler", "-o", str(tmp_path))
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "cannot write %s\n" % tmp_path
+        )
