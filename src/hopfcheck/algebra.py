@@ -16,6 +16,7 @@ from hopfcheck.linalg import (
     Tensor3,
     dense_vector,
     sparse_equal,
+    sparse_kernel,
     sparse_sub_scaled,
     sparse_vector,
     unit_vector,
@@ -297,17 +298,19 @@ def is_semisimple_trace(alg: AssocAlgebra) -> bool:
 
 
 def center(alg: AssocAlgebra) -> list[tuple]:
-    """Basis of {z : zb = bz for all basis b} by one stacked kernel."""
-    dim = alg.dim
-    blocks = []
-    for i in range(dim):
-        e = unit_vector(alg.field, dim, i)
-        diff = alg.left_mult_matrix(e) - alg.right_mult_matrix(e)
-        blocks.append(diff)
-    rows = []
-    for b in blocks:
-        rows.extend(b.data)
-    return Matrix(alg.field, rows).kernel()
+    """Basis of {z : zb = bz for all basis b} by one stacked kernel.
+
+    Row (i, k) is the b_k coefficient of b_i z - z b_i: m[i][j][k] -
+    m[j][i][k] at z_j, read off the table entries.
+    """
+    zero = alg.field.zero()
+    rows: dict = {}
+    for (i, j, k), c in alg.mult.entries.items():
+        row = rows.setdefault((i, k), {})
+        row[j] = row.get(j, zero) + c
+        row = rows.setdefault((j, k), {})
+        row[i] = row.get(i, zero) - c
+    return sparse_kernel(alg.field, alg.dim, list(rows.values()))
 
 
 def ideal_closure(alg: AssocAlgebra, generators) -> list[tuple]:
@@ -343,8 +346,8 @@ def quotient_algebra(alg: AssocAlgebra, ideal_basis):
     if not ideal_basis:
         proj = Matrix.identity(field, dim)
         return alg, proj, list(range(dim))
-    red, rank, pivots = Matrix(field, [list(v) for v in ideal_basis]).rref()
-    complement = [c for c in range(dim) if c not in pivots]
+    ech = EchelonBasis.spanned_by(field, dim, map(sparse_vector, ideal_basis))
+    complement = [c for c in range(dim) if c not in ech.rows]
     qdim = len(complement)
     zero, one = field.zero(), field.one()
 
@@ -352,11 +355,8 @@ def quotient_algebra(alg: AssocAlgebra, ideal_basis):
     # rest of its echelon row for a pivot column; products and the unit are
     # mapped through these rows
     proj_rows = {c: {a: one} for a, c in enumerate(complement)}
-    for r, pc in enumerate(pivots):
-        row = red.data[r]
-        proj_rows[pc] = {
-            a: -row[c] for a, c in enumerate(complement) if not row[c].is_zero()
-        }
+    for pc, row in ech.rows.items():
+        proj_rows[pc] = {a: -row[c] for a, c in enumerate(complement) if c in row}
     proj = Matrix._wrap(
         field, [[proj_rows[i].get(a, zero) for i in range(dim)] for a in range(qdim)]
     ) if qdim else None

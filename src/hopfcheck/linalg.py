@@ -4,13 +4,16 @@ tensors that carry multiplication/comultiplication structure constants.
 The public API takes and returns dense vectors, tuples of FieldElement, and
 Matrix keeps dense rows.  Inside the elimination kernels a vector or row is
 a {index: coeff} dict holding only nonzero entries (sparse_vector,
-dense_vector convert), and every loop visits only those: Matrix.apply walks
-the nonzeros of its input, rref the support of each pivot row, and
-sparse_kernel and EchelonBasis keep {column: coeff} rows keyed by pivot.
-Matrix and Tensor3 also take a PolyRing for their field and MultiPoly
-entries, for everything but elimination (rref, solve, inverse, kernels).
-Pivoting always takes the first nonzero entry in column order; with exact
-arithmetic this is purely a determinism choice.
+dense_vector convert), and every loop visits only those; Matrix.apply walks
+the nonzeros of its input.
+
+One echelon does all elimination: every rref, kernel and solve inserts its
+rows into an EchelonBasis, and _echelon_kernel reads every kernel.  The
+reduced row echelon form of a matrix is unique, whatever the order of the
+row operations, and a kernel basis has one vector per free column in column
+order; exact scalars have one stored form, so each result is entry for entry
+that of a dense Gauss-Jordan sweep.  Matrix and Tensor3 also take a PolyRing
+for their field and MultiPoly entries, for everything but elimination.
 """
 
 from __future__ import annotations
@@ -275,45 +278,28 @@ class Matrix:
     def rref(self) -> tuple["Matrix", int, list[int]]:
         """Reduced row echelon form: (R, rank, pivot column indices).
 
-        Row operations touch only the support of the pivot row, which is zero
-        left of its pivot: earlier pivot columns are cleared and the other
-        earlier columns were zero from row r down.
+        R is the rows of one EchelonBasis of the rows, in pivot order, with
+        zero rows below; the reduced form is unique, so it is the R of any
+        elimination order.
         """
-        data = [list(row) for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if not data[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            data[r], data[pivot_row] = data[pivot_row], data[r]
-            prow = data[r]
-            inv = prow[c].inverse()
-            support = [t for t in range(c, self.cols) if not prow[t].is_zero()]
-            for t in support:
-                prow[t] = inv * prow[t]
-            for i, row in enumerate(data):
-                factor = row[c]
-                if i != r and not factor.is_zero():
-                    for t in support:
-                        row[t] = row[t] - factor * prow[t]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
+        rows = map(sparse_vector, self.data)
+        ech = EchelonBasis.spanned_by(self.field, self.cols, rows)
+        zero = self.field.zero()
+        data = [[zero] * self.cols for _ in range(self.rows)]
+        pivots = sorted(ech.rows)
+        for row, pivot in zip(data, pivots):
+            for c, x in ech.rows[pivot].items():
+                row[c] = x
         return Matrix._wrap(self.field, data), len(pivots), pivots
 
     def kernel(self) -> list[tuple]:
         """Exact basis of the right null space."""
-        red, rank, pivots = self.rref()
-        return _rref_kernel(red, pivots, self.cols)
+        rows = [dict(enumerate(row)) for row in self.data]
+        return sparse_kernel(self.field, self.cols, rows)
 
     def solve(self, b):
-        """Solve M x = b: (particular solution, kernel basis) or None."""
+        """Solve M x = b: (particular solution, kernel basis) or None, from
+        one rref of (M | b), whose first cols columns are the rref of M."""
         if len(b) != self.rows:
             raise ShapeMismatch("rhs length does not match row count")
         aug = Matrix(
@@ -323,76 +309,56 @@ class Matrix:
         red, rank, pivots = aug.rref()
         if self.cols in pivots:
             return None
-        zero = self.field.zero()
-        particular = [zero] * self.cols
-        for r, pc in enumerate(pivots):
-            particular[pc] = red.data[r][self.cols]
-        # the first cols columns of the augmented RREF are the RREF of self
-        return tuple(particular), _rref_kernel(red, pivots, self.cols)
+        rows = {pivot: dict(enumerate(red.data[r])) for r, pivot in enumerate(pivots)}
+        particular = {pivot: row[self.cols] for pivot, row in rows.items()}
+        return (
+            dense_vector(self.field, self.cols, particular),
+            _echelon_kernel(self.field, self.cols, rows),
+        )
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ShapeMismatch("only square matrices invert")
         n = self.rows
-        aug = Matrix._wrap(
-            self.field,
-            [
-                list(self.data[i])
-                + [
-                    self.field.one() if j == i else self.field.zero()
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ],
-        )
+        eye = Matrix.identity(self.field, n).data
+        aug = Matrix._wrap(self.field, [self.data[i] + eye[i] for i in range(n)])
         red, rank, pivots = aug.rref()
-        if rank < n or pivots[:n] != list(range(n)):
+        if pivots[:n] != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
         return Matrix._wrap(self.field, [row[n:] for row in red.data])
-
-
-def _rref_kernel(red: Matrix, pivots: list[int], cols: int) -> list[tuple]:
-    """Null space basis of the first `cols` columns of a reduced echelon form
-    whose pivots all lie among them: one vector per free column, in order."""
-    basis = []
-    zero, one = red.field.zero(), red.field.one()
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        vec = [zero] * cols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red.data[r][fc]
-        basis.append(tuple(vec))
-    return basis
 
 
 def row_space_basis(field, vectors) -> list[tuple]:
     """Independent spanning subset, echelonized, deterministic."""
     if not vectors:
         return []
-    red, rank, _ = Matrix(field, [list(v) for v in vectors]).rref()
-    return [red.row(i) for i in range(rank)]
+    rows = map(sparse_vector, vectors)
+    return EchelonBasis.spanned_by(field, len(vectors[0]), rows).basis()
 
 
 def sparse_kernel(field: CycloField, dim: int, sparse_rows) -> list[tuple]:
-    """Kernel of a system given as sparse rows ({column: coeff} dicts).
+    """Kernel of a system given as sparse rows ({column: coeff} dicts, zero
+    coefficients allowed), read off one EchelonBasis of the rows."""
+    rows = [{c: v for c, v in row.items() if not v.is_zero()} for row in sparse_rows]
+    return _echelon_kernel(field, dim, EchelonBasis.spanned_by(field, dim, rows).rows)
 
-    Rows are inserted, shortest first, into an EchelonBasis, a fully reduced
-    echelon of dicts keyed by pivot, so sparsity is preserved throughout and
-    tall near-diagonal systems stay cheap.
+
+def _echelon_kernel(field, dim: int, rows: dict) -> list[tuple]:
+    """Null space basis of the first `dim` columns of a reduced echelon form
+    whose pivots all lie among them: one vector per free column, in order.
+
+    rows maps each pivot to its {column: coeff} row; entries in columns from
+    `dim` on, and zero entries, are allowed and ignored.
     """
-    ech = EchelonBasis(field, dim)
-    for row in sorted(sparse_rows, key=len):
-        ech.insert({c: v for c, v in row.items() if not v.is_zero()})
     zero, one = field.zero(), field.one()
-    basis = {free: [zero] * dim for free in range(dim) if free not in ech.rows}
+    basis = {free: [zero] * dim for free in range(dim) if free not in rows}
     for free, vec in basis.items():
         vec[free] = one
-    for pivot, prow in ech.rows.items():
+    for pivot, prow in rows.items():
         for col, c in prow.items():
-            if col != pivot:
-                basis[col][pivot] = -c
+            vec = basis.get(col)
+            if vec is not None:
+                vec[pivot] = -c
     return [tuple(vec) for vec in basis.values()]
 
 
@@ -402,13 +368,23 @@ class EchelonBasis:
     rows maps each pivot (the least column of its row, scaled to 1) to a
     {column: coeff} row without zeros; the rows are fully reduced, so no row
     has an entry at another row's pivot.  Vectors in and out are {column:
-    coeff} dicts without zeros; basis() gives dense tuples.
+    coeff} dicts without zeros; basis() gives dense tuples.  insert is the
+    package's one Gauss-Jordan step (see the module docstring).
     """
 
     def __init__(self, field: CycloField, dim: int):
         self.field = field
         self.dim = dim
         self.rows: dict = {}
+
+    @classmethod
+    def spanned_by(cls, field: CycloField, dim: int, rows) -> "EchelonBasis":
+        """The echelon of {column: coeff} rows without zeros, inserted
+        shortest first, so sparse rows stay sparse as they reduce."""
+        ech = cls(field, dim)
+        for row in sorted(rows, key=len):
+            ech.insert(row)
+        return ech
 
     def reduce(self, vec: dict) -> dict:
         """vec minus its component in the span, as a new dict."""
@@ -445,20 +421,23 @@ def common_kernel(blocks, dim: int, field: CycloField) -> list[tuple]:
 
     Each block is a callable mapping a length-`dim` vector to a constraint
     vector.  Constraints are imposed incrementally so the working space
-    shrinks as fast as possible.
+    shrinks as fast as possible: the rows of a block, in the coordinates of
+    the current basis, go to sparse_kernel.
     """
     basis = [unit_vector(field, dim, i) for i in range(dim)]
     for block in blocks:
         if not basis:
             return []
-        images = [block(v) for v in basis]
-        if all(vec_is_zero(img) for img in images):
-            continue
-        constraint = Matrix.from_columns(field, images)
-        basis = [
-            vec_combination(combo, basis, field, dim)
-            for combo in constraint.kernel()
-        ]
+        rows: dict = {}
+        for j, v in enumerate(basis):
+            for t, x in enumerate(block(v)):
+                if not x.is_zero():
+                    rows.setdefault(t, {})[j] = x
+        if rows:
+            basis = [
+                vec_combination(combo, basis, field, dim)
+                for combo in sparse_kernel(field, len(basis), list(rows.values()))
+            ]
     return basis
 
 
