@@ -916,15 +916,11 @@ def skew_primitives(h: HopfAlgebra, g, hvec, _checked: bool = False) -> list[tup
     trivial = vec_sub(g, hv)
     if vec_is_zero(trivial):
         return space
+    # g - h leads at column p, so p is a pivot of span(space, g - h); the
+    # other rows of its echelon, zero at p, are the reduced basis of the
+    # projection of space along g - h onto x_p = 0
     p = next(t for t, c in enumerate(trivial) if not c.is_zero())
-    inv = trivial[p].inverse()
-    reduced = []
-    for v in space:
-        if not v[p].is_zero():
-            v = vec_sub(v, vec_scale(v[p] * inv, trivial))
-        if not vec_is_zero(v):
-            reduced.append(v)
-    return row_space_basis(field, reduced)
+    return [v for v in row_space_basis(field, [trivial] + space) if v[p].is_zero()]
 
 
 def _counit_idempotent(h: HopfAlgebra) -> bool:

@@ -302,10 +302,8 @@ class Matrix:
         one rref of (M | b), whose first cols columns are the rref of M."""
         if len(b) != self.rows:
             raise ShapeMismatch("rhs length does not match row count")
-        aug = Matrix(
-            self.field,
-            [list(row) + [b[i]] for i, row in enumerate(self.data)],
-        )
+        promote = self.field.promote
+        aug = Matrix._wrap(self.field, [r + [promote(x)] for r, x in zip(self.data, b)])
         red, rank, pivots = aug.rref()
         if self.cols in pivots:
             return None
@@ -347,19 +345,22 @@ def _echelon_kernel(field, dim: int, rows: dict) -> list[tuple]:
     """Null space basis of the first `dim` columns of a reduced echelon form
     whose pivots all lie among them: one vector per free column, in order.
 
-    rows maps each pivot to its {column: coeff} row; entries in columns from
-    `dim` on, and zero entries, are allowed and ignored.
+    rows maps each pivot to its {column: coeff} row, zero entries allowed;
+    only the free columns are read, so a system of full rank costs nothing.
     """
     zero, one = field.zero(), field.one()
-    basis = {free: [zero] * dim for free in range(dim) if free not in rows}
-    for free, vec in basis.items():
+    basis = []
+    for free in range(dim):
+        if free in rows:
+            continue
+        vec = [zero] * dim
         vec[free] = one
-    for pivot, prow in rows.items():
-        for col, c in prow.items():
-            vec = basis.get(col)
-            if vec is not None:
+        for pivot, prow in rows.items():
+            c = prow.get(free)
+            if c is not None:
                 vec[pivot] = -c
-    return [tuple(vec) for vec in basis.values()]
+        basis.append(tuple(vec))
+    return basis
 
 
 class EchelonBasis:
