@@ -336,7 +336,8 @@ def row_space_basis(field, vectors) -> list[tuple]:
 
 def sparse_kernel(field: CycloField, dim: int, sparse_rows) -> list[tuple]:
     """Kernel of a system given as sparse rows ({column: coeff} dicts, zero
-    coefficients allowed), read off one EchelonBasis of the rows."""
+    coefficients allowed), read off one EchelonBasis of the rows: the basis
+    of the unique reduced echelon form (see the module docstring)."""
     rows = [{c: v for c, v in row.items() if not v.is_zero()} for row in sparse_rows]
     return _echelon_kernel(field, dim, EchelonBasis.spanned_by(field, dim, rows).rows)
 
@@ -401,8 +402,9 @@ class EchelonBasis:
         if not v:
             return False
         pivot = min(v)
-        inv = v[pivot].inverse()
-        v = {t: inv * c for t, c in v.items()}
+        if not v[pivot].is_one():
+            inv = v[pivot].inverse()
+            v = {t: inv * c for t, c in v.items()}
         for row in self.rows.values():
             c = row.get(pivot)
             if c is not None:
