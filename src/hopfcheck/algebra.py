@@ -346,7 +346,8 @@ def quotient_algebra(alg: AssocAlgebra, ideal_basis):
     if not ideal_basis:
         proj = Matrix.identity(field, dim)
         return alg, proj, list(range(dim))
-    ech = EchelonBasis.spanned_by(field, dim, map(sparse_vector, ideal_basis))
+    rows = map(sparse_vector, Matrix(field, ideal_basis).data)
+    ech = EchelonBasis.spanned_by(field, dim, rows)
     complement = [c for c in range(dim) if c not in ech.rows]
     qdim = len(complement)
     zero, one = field.zero(), field.one()

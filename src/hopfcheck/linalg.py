@@ -330,7 +330,7 @@ def row_space_basis(field, vectors) -> list[tuple]:
     """Independent spanning subset, echelonized, deterministic."""
     if not vectors:
         return []
-    rows = map(sparse_vector, vectors)
+    rows = map(sparse_vector, Matrix(field, vectors).data)
     return EchelonBasis.spanned_by(field, len(vectors[0]), rows).basis()
 
 
