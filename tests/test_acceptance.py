@@ -228,7 +228,7 @@ def check_criterion_9():
     step = next(s for s in case_a.steps if s.name == "rho(uv)")
     assert "g(x)uv" in step.detail.replace(" ", "").replace("(1).", "")
     for case, mismatch in (("B", -2), ("C", -3)):
-        report = check_antipode_contradiction(case)
+        report = check_antipode_contradiction(build_case(case))
         assert report.inconsistent
         assert report.forced == {"gamma": 1, "zeta2": 1, "alpha": 0, "zeta4": 1}
         uu = next(s for s in report.steps if s.name == "pair(u,u)")

@@ -1,11 +1,17 @@
 import pytest
 
 from hopfcheck import hopf
-from hopfcheck.algebra import AssocAlgebra, is_semisimple_trace, radical
-from hopfcheck.cyclotomic import make_field
+from hopfcheck.algebra import (
+    AssocAlgebra,
+    is_semisimple_trace,
+    minimal_polynomial,
+    radical,
+)
+from hopfcheck.cyclotomic import UniPoly, make_field, roots_in_field
 from hopfcheck.families import a_tau_mu, group_algebra, sweedler, taft, taft_tensor_group
 from hopfcheck.hopf import (
     HopfAlgebra,
+    _is_group_like,
     NoAntipode,
     NotGroupLike,
     antipode_order,
@@ -15,7 +21,6 @@ from hopfcheck.hopf import (
     dual_algebra,
     fingerprint,
     group_likes,
-    group_likes_bruteforce,
     integrals,
     is_pointed,
     is_semisimple_lr,
@@ -28,10 +33,109 @@ from hopfcheck.hopf import (
     verify_hopf,
 )
 from hopfcheck.io import manifest_for, parse, serialize
-from hopfcheck.linalg import Matrix, Tensor3, unit_vector, vec_scale
+from hopfcheck.linalg import (
+    Matrix,
+    Tensor3,
+    unit_vector,
+    vec_is_zero,
+    vec_scale,
+    vec_sub,
+)
 from test_verify_generators import transport, transpose
 
 Q = make_field(1)
+
+
+# --- brute-force group-like oracle ----------------------------------------
+
+
+def group_likes_bruteforce(h: HopfAlgebra) -> list[tuple]:
+    """Direct quadratic solve of Delta(g) = g (x) g, eps(g) = 1 (dim <= 6 oracle).
+
+    Any group-like has a nonzero coordinate at some pivot j0, and then is an
+    eigenvector of the slice operator A_j0 with eigenvalue equal to its own
+    j0-th coordinate.  Enumerates eigenvalues per pivot via minimal-polynomial
+    roots and verifies each isolated candidate against the full quadratic
+    system.
+    """
+    if h.dim > 6:
+        raise ValueError("brute-force group-like search is for dim <= 6")
+    field = h.field
+    dim = h.dim
+    found = {}
+    for j0 in range(dim):
+        f = unit_vector(field, dim, j0)
+        a_mat = h.comult.contract("comult-left", f)
+        minpoly = minimal_polynomial(a_mat)
+        for gamma in set(roots_in_field(minpoly)):
+            if gamma.is_zero():
+                continue
+            shifted = a_mat - Matrix.identity(field, dim).scale(gamma)
+            eigen = shifted.kernel()
+            coeffs = [v[j0] for v in eigen]
+            pivot = next((t for t, c in enumerate(coeffs) if not c.is_zero()), None)
+            if pivot is None:
+                continue
+            # affine slice of the eigenspace with j0-coordinate = gamma
+            base = vec_scale(gamma / coeffs[pivot], eigen[pivot])
+            directions = [
+                vec_sub(v, vec_scale(coeffs[t] / coeffs[pivot], eigen[pivot]))
+                for t, v in enumerate(eigen)
+                if t != pivot
+            ]
+            directions = [w for w in directions if not vec_is_zero(w)]
+            if not directions:
+                if _is_group_like(h, base):
+                    found[tuple(base)] = True
+            elif len(directions) == 1:
+                for cand in _quadratic_line_solutions(h, base, directions[0]):
+                    if _is_group_like(h, cand):
+                        found[tuple(cand)] = True
+            else:
+                raise ArithmeticError(
+                    "brute-force search inconclusive: affine family too large"
+                )
+    out = sorted(found, key=lambda g: tuple(tuple(c.coeffs) for c in g))
+    return [tuple(g) for g in out]
+
+
+def _quadratic_line_solutions(h: HopfAlgebra, base, direction):
+    """Solve Delta(v) = v (x) v with eps(v) = 1 on the line v = base + t*dir."""
+    field = h.field
+    d_base = h.delta_vec(base)
+    d_dir = h.delta_vec(direction)
+    keys = set(d_base) | set(d_dir)
+    for j in range(h.dim):
+        for k in range(h.dim):
+            if not (base[j].is_zero() and direction[j].is_zero()):
+                if not (base[k].is_zero() and direction[k].is_zero()):
+                    keys.add((j, k))
+    zero = field.zero()
+    candidates = None
+    for j, k in sorted(keys):
+        c0 = d_base.get((j, k), zero) - base[j] * base[k]
+        c1 = (
+            d_dir.get((j, k), zero)
+            - base[j] * direction[k]
+            - direction[j] * base[k]
+        )
+        c2 = -direction[j] * direction[k]
+        poly = UniPoly(field, [c0, c1, c2])
+        if poly.is_zero():
+            continue
+        if poly.degree == 0:
+            return []
+        roots = roots_in_field(poly)
+        root_set = set(roots)
+        candidates = root_set if candidates is None else candidates & root_set
+        if not candidates:
+            return []
+    if candidates is None:
+        return []
+    out = []
+    for t in candidates:
+        out.append(tuple(b + t * w for b, w in zip(base, direction)))
+    return out
 
 
 def perturbed_sweedler_antipode():
