@@ -247,6 +247,8 @@ def check_integral_constraints(cand: Candidate) -> ContradictionReport:
 
     For case A the trivial-coaction identity of the integral eliminates the
     case before any normalization; the report carries the residual g - 1.
+    The invariance steps evaluate the candidate's action and counit; a step
+    that forces nothing ends the report before any contradiction.
     """
     report = ContradictionReport(cand.case)
     ring = cand.ring
@@ -257,32 +259,41 @@ def check_integral_constraints(cand: Candidate) -> ContradictionReport:
         return vec_dot(vec, cand.lam, ring)
 
     # (a) lambda(iota) = lambda(u) = lambda(v) = 0 from
-    #     lambda(b . r) = eps(b) lambda(r)
+    #     lambda(b . r) = eps(b) lambda(r), with b . r read off the action
     lam_ring = PolyRing(ring.field, ("l_iota", "l_u", "l_v"))
     shadow = {i: lam_ring.var(n) for i, n in zip((IOTA, U, V), lam_ring.variables)}
 
-    def shadow_lam(vec_entries):
-        # vec given as {index: rational coeff}; uv and e carry fixed values 1
+    def shadow_lam(vec):
+        # lambda(vec) with lambda(uv) = lambda(e) = 1; None when a coefficient
+        # of vec involves the parameters
+        if not all(c.is_constant() for c in vec):
+            return None
         acc = lam_ring.zero()
-        for idx, c in vec_entries.items():
-            if idx in shadow:
-                acc = acc + c * shadow[idx]
-            elif idx in (UV, E):
-                acc = acc + lam_ring.promote(c)
+        for idx, c in enumerate(vec):
+            value = lam_ring.promote(c.constant_value)
+            acc = acc + value * shadow.get(idx, lam_ring.one())
         return acc
 
-    # g . u = -u, g . v = -v, x . v = iota (constant action values)
-    instances = [
-        ("lambda(g.u) - eps(g) lambda(u)", {U: -1}, {U: 1}, "l_u"),
-        ("lambda(g.v) - eps(g) lambda(v)", {V: -1}, {V: 1}, "l_v"),
-        ("lambda(x.v) - eps(x) lambda(v)", {IOTA: 1}, {}, "l_iota"),
-    ]
-    for name, acted, scaled, forced_var in instances:
-        residual = shadow_lam(acted) - shadow_lam(scaled)
-        report.add(
-            "integral-invariance",
-            "%s = %r, forcing %s = 0" % (name, residual, forced_var),
+    counit = cand.yd.base.counit
+    for b, r, forced in ((_H_G, U, "l_u"), (_H_G, V, "l_v"), (_H_X, V, "l_iota")):
+        bn, rn = _H_NAMES[b], _R_NAMES[r]
+        name = "lambda(%s.%s) - eps(%s) lambda(%s)" % (bn, rn, bn, rn)
+        # b . r - eps(b) r
+        acted = cand.yd.action[b].apply(basis[r])
+        moved = vec_sub(acted, vec_scale(counit[b], basis[r]))
+        residual = shadow_lam(moved)
+        # forcing needs residual = c * forced with c a nonzero constant
+        ok = (
+            residual is not None
+            and not residual.is_zero()
+            and residual.substitute({forced: 0}).is_zero()
         )
+        shown = "lambda(%s)" % _vec_repr(moved) if residual is None else repr(residual)
+        verb = "forcing" if ok else "not forcing"
+        detail = "%s = %s, %s %s = 0" % (name, shown, verb, forced)
+        report.add("integral-invariance", detail, ok=ok)
+        if not ok:
+            return report
     report.add("lambda", "lambda = (0, 0, 0, 1, 1) on (iota, u, v, uv, e)")
 
     # (b) lambda(vu) = gamma lambda(iota) - lambda(uv) = -1
@@ -360,11 +371,14 @@ def check_antipode_contradiction(cand: Candidate) -> ContradictionReport:
     Evaluates S(rs) - (r_{-1} . S(s)) S(r_0) on the ordered pairs (u,u),
     (v,u), (u,v) with gamma = zeta2 = 1 substituted, forcing alpha = 0 and
     zeta4 = 1 and ending at the exact mismatch -2 iota (B) or -3 iota (C).
-    run_case passes the candidate whose structure laws it has checked.
+    A failed integral step ends the chain there.  run_case passes the
+    candidate whose structure laws it has checked.
     """
     if cand.case not in ("B", "C"):
         raise ValueError("antipode contradiction applies to cases B and C")
     integral = check_integral_constraints(cand)
+    if not all(s.ok for s in integral.steps):
+        return integral
     cand = cand.substituted({"gamma": 1, "zeta2": 1})
     report = ContradictionReport(cand.case)
     report.steps.extend(integral.steps)

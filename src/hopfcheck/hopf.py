@@ -991,20 +991,76 @@ _REFERENCE_CACHE: dict = {}
 
 
 def reference_fingerprints(p: int) -> dict:
-    """Fingerprints of the five dimension-4p reference families at q = 2."""
+    """Fingerprints of the five dimension-4p reference families at q = 2,
+    in closed form; nothing is constructed.
+
+    With n = 2p and tau = -1, A(tau,mu) is a^n = 1, y^2 = mu(1 - a^2),
+    ay = tau ya, Delta(a) = a (x) a, Delta(y) = y (x) 1 + a (x) y; T2 (x)
+    k[Zp] is g^2 = 1, x^2 = 0, gx = -xg, Delta(x) = x (x) g + 1 (x) x,
+    tensored with the group-like generator c of order p.
+
+    - G(A(tau,mu)) = <a> and G(T2 (x) k[Zp]) = <g> x <c> are Z_n: both
+      algebras are generated by group-likes and one skew primitive, so they
+      are pointed.  Z_n has phi(d) elements of order d: 1, 2, p (p - 1
+      times) and n (p - 1 times).
+    - G(H*) is the set of characters.  A character chi of A(tau,mu) has
+      chi(a) chi(y) = tau chi(y) chi(a), so chi(y) = 0, and then y^2 =
+      mu(1 - a^2) gives mu(1 - chi(a)^2) = 0: chi(a) runs over mu_n for
+      mu = 0 and over +-1 for mu = 1.  So G(A(tau,0)*) = Z_n and
+      G(A(tau,1)*) = Z_2; T2 (x) k[Zp] is self-dual, so its dual has Z_n.
+    - a^2 is central, so A(tau,mu) splits into p blocks a^2 = w (w^p = 1)
+      with y^2 = mu(1 - w).  For mu = 0 every block is Sweedler's algebra:
+      A(tau,0) is basic and A(tau,0)* pointed.  For mu = 1 the p - 1
+      blocks with w != 1 are M_2(k): A(tau,1) has 2 characters but
+      dim H/rad H = 4p - 2, so only A(tau,1)* is not pointed.
+    - S^2 is conjugation by a (S^2(y) = a^{-1} y a = -y), resp. by g: it
+      is -1 on half of a basis a^i y^j (g^i x^j c^k), so Tr(S^2) = 0 and S
+      has order 4.  S of H* is the transpose: the same trace and order.
+    - Skew profiles count nontrivial (g, h)-skew primitives by (order g,
+      order h).  In A(tau,mu) they are the a^i y, of type (a^i, a^(i+1));
+      walking i over Z_n gives shape "a" below.  In T2 (x) k[Zp] they are
+      the g^i c^k x, of type (t g, t) with g of order 2: shape "t".  The
+      dual skew primitive xi of A(tau,mu)* reads the y-coordinate; xi(hk)
+      picks y from either factor, so Delta(xi) = xi (x) chi + eps (x) xi
+      with chi(a) = tau^{-1} = -1 of order 2.  Its translates by G(H*)
+      give shape "t" for mu = 0 and shape "z" (G = Z_2) for mu = 1.
+    """
     cached = _REFERENCE_CACHE.get(p)
     if cached is not None:
         return cached
-    from hopfcheck import families
+    n = 2 * p
+    cyclic = (1, 2) + (p,) * (p - 1) + (n,) * (p - 1)
+    shapes = {
+        "a": {
+            (1, n): 1, (2, p): 1, (p, 2): 1, (p, n): p - 2, (n, 1): 1, (n, p): p - 2,
+        },
+        "t": {(1, 2): 1, (2, 1): 1, (p, n): p - 1, (n, p): p - 1},
+        "z": {(1, 2): 1, (2, 1): 1},
+    }
+    # the element orders of G next to each skew shape; only the Z_2 side,
+    # A(tau,1)*, is not pointed
+    orders = {"a": cyclic, "t": cyclic, "z": (1, 2)}
 
-    a0 = families.a_tau_mu(p, 2, -1, 0)
-    a1 = families.a_tau_mu(p, 2, -1, 1)
+    def reference(skew: str, dual_skew: str) -> Fingerprint:
+        return Fingerprint(
+            dim=4 * p,
+            group_order=len(orders[skew]),
+            group_element_orders=orders[skew],
+            dual_group_order=len(orders[dual_skew]),
+            trace_s2_key=("rat", "0/1"),
+            antipode_order=4,
+            pointed=skew != "z",
+            dual_pointed=dual_skew != "z",
+            skew_profile=tuple(sorted(shapes[skew].items())),
+            dual_skew_profile=tuple(sorted(shapes[dual_skew].items())),
+        )
+
     refs = {
-        LABEL_A0: fingerprint(a0),
-        LABEL_A0_DUAL: fingerprint(dual(a0)),
-        LABEL_A1: fingerprint(a1),
-        LABEL_A1_DUAL: fingerprint(dual(a1)),
-        LABEL_TAFT_TENSOR: fingerprint(families.taft_tensor_group(2, -1, p)),
+        LABEL_A0: reference("a", "t"),
+        LABEL_A0_DUAL: reference("t", "a"),
+        LABEL_A1: reference("a", "z"),
+        LABEL_A1_DUAL: reference("z", "a"),
+        LABEL_TAFT_TENSOR: reference("t", "t"),
     }
     _REFERENCE_CACHE[p] = refs
     return refs
@@ -1014,7 +1070,8 @@ def classify_4p(h: HopfAlgebra) -> str:
     """Fingerprint-matching against the five reference families of dim 4p.
 
     Returns a label only on a unique match; "unknown" is a legitimate
-    output, never a misattribution.
+    output, never a misattribution.  The references are in closed form, so
+    the only algebra built here is h's dual.
     """
     if h.dim % 4 != 0:
         raise BadDimension("dimension %d is not 4p" % h.dim)

@@ -277,6 +277,39 @@ class TestIntegralConstraints:
         assert not step.ok
         assert "g" in step.detail and "!= 0" in step.detail
 
+    @pytest.mark.parametrize("case", CASES)
+    def test_invariance_reads_the_action(self, case):
+        # g . u = u: lambda(g.u) - eps(g) lambda(u) vanishes and forces nothing
+        cand = with_entries(build_case(case), action={(G, U, U): 1})
+        report = check_integral_constraints(cand)
+        assert [(s.name, s.detail, s.ok) for s in report.steps] == [
+            ("integral-invariance",
+             "lambda(g.u) - eps(g) lambda(u) = 0, not forcing l_u = 0", False),
+        ]
+        assert not report.inconsistent
+        if case != "A":
+            assert not check_antipode_contradiction(cand).inconsistent
+
+    def test_invariance_forces_only_its_variable(self):
+        cand = build_case("B")
+        alpha = cand.ring.var("alpha")
+        perturbed = [
+            # x . v = u forces l_u, not l_iota
+            ({(X, IOTA, V): 0, (X, U, V): 1},
+             "lambda(x.v) - eps(x) lambda(v) = l_u, not forcing l_iota = 0"),
+            # g . v = alpha v forces nothing for an unknown alpha
+            ({(G, V, V): alpha},
+             "lambda(g.v) - eps(g) lambda(v) = lambda((alpha - 1).v), "
+             "not forcing l_v = 0"),
+        ]
+        for action, detail in perturbed:
+            broken = with_entries(cand, action=action)
+            report = check_integral_constraints(broken)
+            assert report.steps[-1].detail == detail
+            assert not report.steps[-1].ok
+            assert all(s.ok for s in report.steps[:-1])
+            assert not check_antipode_contradiction(broken).inconsistent
+
     def test_dual_basis_residual_only_on_uv(self):
         report = check_integral_constraints(build_case("C"))
         for s in report.steps:

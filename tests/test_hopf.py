@@ -1,15 +1,23 @@
+import dataclasses
+
 import pytest
 
-from hopfcheck import hopf
+from hopfcheck import families, hopf
 from hopfcheck.algebra import (
     AssocAlgebra,
     is_semisimple_trace,
     minimal_polynomial,
     radical,
 )
-from hopfcheck.cyclotomic import UniPoly, make_field, roots_in_field
+from hopfcheck.cyclotomic import UniPoly, is_prime, make_field, roots_in_field
 from hopfcheck.families import a_tau_mu, group_algebra, sweedler, taft, taft_tensor_group
 from hopfcheck.hopf import (
+    LABEL_A0,
+    LABEL_A0_DUAL,
+    LABEL_A1,
+    LABEL_A1_DUAL,
+    LABEL_TAFT_TENSOR,
+    Fingerprint,
     HopfAlgebra,
     _is_group_like,
     NoAntipode,
@@ -23,6 +31,7 @@ from hopfcheck.hopf import (
     group_likes,
     integrals,
     is_pointed,
+    reference_fingerprints,
     is_semisimple_lr,
     skew_primitives,
     skew_profile,
@@ -626,3 +635,74 @@ class TestComputedOnce:
         # element of G(H) and of G(H*)
         assert len(group_likes(h)) + len(group_likes(dual(h))) == 8
         assert calls == {"characters": 2, "skew_primitives": 8}
+
+
+# --- the reference fingerprints: closed form against the computed path -----
+
+
+def computed_reference_fingerprints(p: int) -> dict:
+    """The five reference fingerprints of dimension 4p computed from the
+    constructed families: the oracle for reference_fingerprints' closed form."""
+    a0 = a_tau_mu(p, 2, -1, 0)
+    a1 = a_tau_mu(p, 2, -1, 1)
+    return {
+        LABEL_A0: fingerprint(a0),
+        LABEL_A0_DUAL: fingerprint(dual(a0)),
+        LABEL_A1: fingerprint(a1),
+        LABEL_A1_DUAL: fingerprint(dual(a1)),
+        LABEL_TAFT_TENSOR: fingerprint(taft_tensor_group(2, -1, p)),
+    }
+
+
+DUAL_LABEL = {
+    LABEL_A0: LABEL_A0_DUAL,
+    LABEL_A0_DUAL: LABEL_A0,
+    LABEL_A1: LABEL_A1_DUAL,
+    LABEL_A1_DUAL: LABEL_A1,
+    LABEL_TAFT_TENSOR: LABEL_TAFT_TENSOR,
+}
+
+
+class TestReferenceFingerprints:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_closed_form_matches_computed(self, p):
+        closed = reference_fingerprints(p)
+        computed = computed_reference_fingerprints(p)
+        assert list(closed) == list(computed)
+        for label, ref in computed.items():
+            for f in dataclasses.fields(Fingerprint):
+                got = getattr(closed[label], f.name)
+                assert got == getattr(ref, f.name), (p, label, f.name)
+
+    def test_closed_form_distinct_below_200(self):
+        # the unique-match rule of classify_4p needs five distinct references
+        for p in filter(is_prime, range(3, 200)):
+            refs = reference_fingerprints(p)
+            assert len(set(refs.values())) == 5, p
+            for label, fp in refs.items():
+                assert fp.dim == 4 * p
+                assert fp.group_order == len(fp.group_element_orders)
+                other = refs[DUAL_LABEL[label]]
+                assert fp.dual_group_order == other.group_order, (p, label)
+                assert fp.dual_pointed == other.pointed, (p, label)
+                assert fp.dual_skew_profile == other.skew_profile, (p, label)
+
+    def test_classify_builds_no_families(self, monkeypatch):
+        a0 = a_tau_mu(5, 2, -1, 0)
+        a1 = a_tau_mu(5, 2, -1, 1)
+        inputs = {
+            LABEL_A0: a0,
+            LABEL_A0_DUAL: dual(a0),
+            LABEL_A1: a1,
+            LABEL_A1_DUAL: dual(a1),
+            LABEL_TAFT_TENSOR: taft_tensor_group(2, -1, 5),
+        }
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("classify_4p constructed a reference family")
+
+        for name in ("a_tau_mu", "taft", "taft_tensor_group"):
+            monkeypatch.setattr(families, name, forbidden)
+        monkeypatch.setattr(hopf, "_REFERENCE_CACHE", {})
+        got = {label: hopf.classify_4p(h) for label, h in inputs.items()}
+        assert got == {label: label for label in inputs}
