@@ -16,9 +16,11 @@ from hopfcheck.algebra import (
     AssocAlgebra,
     Report,
     Violation,
+    _associates,
     algebra_generators,
     characters,
     radical,
+    unit_law_failures,
     verify_algebra,
 )
 from hopfcheck.cyclotomic import (
@@ -149,13 +151,34 @@ _CHECK_ORDER = [
 
 
 def verify_hopf(h: HopfAlgebra) -> Report:
-    """Every Hopf axiom on every basis element/pair/triple, exactly.
+    """Every Hopf axiom of h, decided exactly; the report lists each violation.
 
-    Delta(ab) = Delta(a)Delta(b) is first decided on the generator rows of H
-    or of H* (_multiplicative_on_generators); the per-pair loop runs when
-    that does not settle it, so every report is the full loop's.
+    _bialgebra_holds decides the laws before the antipode at once: the
+    per-element laws and eps(ab) = eps(a)eps(b) on every basis element or
+    pair, then associativity, Delta(ab) = Delta(a)Delta(b) and
+    coassociativity on the generator rows of H or of H*, whichever has fewer
+    generators.  Only when a law fails does _bialgebra_violations check each
+    one on every basis element, pair and triple, so a failing report is the
+    full loops' report.  The antipode laws run on every basis element.
     """
     report = Report(checks=list(_CHECK_ORDER))
+    if not _bialgebra_holds(h):
+        _bialgebra_violations(h, report)
+
+    # antipode laws
+    if h.antipode is None:
+        report.add(Violation("antipode-left", (), "antipode missing"))
+        report.add(Violation("antipode-right", (), "antipode missing"))
+        return report
+    for i, side in antipode_law_failures(h, h.antipode):
+        law, detail = _ANTIPODE_VIOLATIONS[side]
+        report.add(Violation(law, (i,), detail))
+    return report
+
+
+def _bialgebra_violations(h: HopfAlgebra, report: Report):
+    """Add each violation of the laws before the antipode to report, from
+    the full per-element, per-pair and per-triple loops."""
     for v in verify_algebra(h.algebra).violations:
         report.add(v)
     dim = h.dim
@@ -172,40 +195,80 @@ def verify_hopf(h: HopfAlgebra) -> Report:
             report.add(Violation("counit", (i,), "(id(x)eps)D != id"))
 
     # bialgebra compatibility
-    unit_delta = h.delta_vec(h.unit)
-    unit_outer = vec_outer(h.unit, h.unit)
-    if not sparse_equal(unit_delta, unit_outer):
+    if not _unit_is_grouplike(h):
         report.add(Violation("comult-algebra-map", ("unit",), "D(1) != 1(x)1"))
     if not h.counit_of(h.unit).is_one():
         report.add(Violation("counit-algebra-map", ("unit",), "eps(1) != 1"))
-    deltas = [{(j, k): c for j, k, c in h.delta_basis(i)} for i in range(dim)]
-    if not (
-        report.ok
-        and all(_counit_multiplies(h, i, j) for i in range(dim) for j in range(dim))
-        and _multiplicative_on_generators(h, deltas)
-    ):
-        for i in range(dim):
-            for j in range(dim):
-                if not _comult_multiplies(h.algebra, deltas, i, j):
-                    report.add(
-                        Violation("comult-algebra-map", (i, j), "D(ab) != D(a)D(b)")
-                    )
-                if not _counit_multiplies(h, i, j):
-                    report.add(
-                        Violation(
-                            "counit-algebra-map", (i, j), "eps(ab) != eps(a)eps(b)"
-                        )
-                    )
+    deltas = _delta_dicts(h)
+    for i in range(dim):
+        for j in range(dim):
+            if not _comult_multiplies(h.algebra, deltas, i, j):
+                report.add(Violation("comult-algebra-map", (i, j), "D(ab) != D(a)D(b)"))
+            if not _counit_multiplies(h, i, j):
+                report.add(
+                    Violation("counit-algebra-map", (i, j), "eps(ab) != eps(a)eps(b)")
+                )
 
-    # antipode laws
-    if h.antipode is None:
-        report.add(Violation("antipode-left", (), "antipode missing"))
-        report.add(Violation("antipode-right", (), "antipode missing"))
-        return report
-    for i, side in antipode_law_failures(h, h.antipode):
-        law, detail = _ANTIPODE_VIOLATIONS[side]
-        report.add(Violation(law, (i,), detail))
-    return report
+
+def _bialgebra_holds(h: HopfAlgebra) -> bool:
+    """True exactly when every law of verify_hopf before the antipode holds.
+
+    The per-element laws run first: the unit and counit laws,
+    Delta(1) = 1 (x) 1, eps(1) = 1, and eps(ab) = eps(a)eps(b) on every
+    pair.  This set is self-dual: in H* = (H, Delta^T, eps, m^T, 1) it is
+    the same set of identities with m and Delta swapped.  Then X is H or
+    H*, whichever needs fewer generators (H on a tie), and three laws of X
+    are decided on its generator rows only, each exact by the lemma in
+    algebra_generators given the laws before it:
+
+    - associativity of X on the triples (g, j, k), given the unit laws;
+    - Delta_X(g b_j) = Delta_X(g)Delta_X(b_j), given associativity, the
+      unit laws and Delta_X(1) = 1 (x) 1;
+    - coassociativity of X at g: (Delta (x) id)Delta and (id (x) Delta)Delta
+      are then unital algebra maps X -> X^(x)3, and they agree on a
+      subalgebra.
+
+    With X = H* the first is coassociativity of H and the last its
+    associativity, so all of H's laws hold.  False means some law fails.
+    """
+    alg, field, dim = h.algebra, h.field, h.dim
+    if next(unit_law_failures(alg), None) is not None:
+        return False
+    if not all(
+        counit_law(h.delta_basis(i), h.counit, leg, i, field, dim)
+        for i in range(dim)
+        for leg in (0, 1)
+    ):
+        return False
+    if not (_unit_is_grouplike(h) and h.counit_of(h.unit).is_one()):
+        return False
+    if not all(_counit_multiplies(h, i, j) for i in range(dim) for j in range(dim)):
+        return False
+    x, gens = h, algebra_generators(alg)
+    gens_d = algebra_generators(dual_algebra(h), len(gens) - 1)
+    if gens_d is not None:
+        # H* without its antipode: m and Delta swap roles
+        x = HopfAlgebra(dual_algebra(h), alg.mult.permuted((2, 0, 1)), h.unit)
+        gens = gens_d
+    deltas, rows = _delta_dicts(x), range(dim)
+    return (
+        all(_associates(x.algebra, g, j, k) for g in gens for j in rows for k in rows)
+        and all(_comult_multiplies(x.algebra, deltas, g, j) for g in gens for j in rows)
+        and all(
+            coassociative(x.delta_basis(g), x.delta_basis, x.delta_basis, field)
+            for g in gens
+        )
+    )
+
+
+def _unit_is_grouplike(h: HopfAlgebra) -> bool:
+    """Delta(1) == 1 (x) 1."""
+    return sparse_equal(h.delta_vec(h.unit), vec_outer(h.unit, h.unit))
+
+
+def _delta_dicts(h: HopfAlgebra) -> list:
+    """Delta(b_i) as a {(j, k): coeff} dict, for each i."""
+    return [{(j, k): c for j, k, c in h.delta_basis(i)} for i in range(h.dim)]
 
 
 def _comult_multiplies(alg: AssocAlgebra, deltas, i: int, j: int) -> bool:
@@ -225,32 +288,6 @@ def _counit_multiplies(h: HopfAlgebra, i: int, j: int) -> bool:
         if not h.counit[k].is_zero():
             acc = acc + c * h.counit[k]
     return acc == h.counit[i] * h.counit[j]
-
-
-def _multiplicative_on_generators(h: HopfAlgebra, deltas) -> bool:
-    """True when Delta(ab) = Delta(a)Delta(b) holds on all of H (exact).
-
-    For callers that have already checked that H is associative with unit,
-    coassociative with counit, Delta(1) = 1 (x) 1 and eps(ab) = eps(a)eps(b)
-    on every basis pair.  By the lemma in algebra_generators the rows
-    (g, j) with g a generator of H decide the law.  The law is self-dual:
-    in H* = (H, Delta^T, eps, m^T, 1) it is the same identity of structure
-    constants with m and Delta swapped, and H*'s preconditions are the
-    coalgebra laws of H and eps multiplicative.  So the rows of whichever
-    algebra needs fewer generators suffice.  False means a generator row
-    fails.
-    """
-    alg, gens = h.algebra, algebra_generators(h.algebra)
-    gens_d = algebra_generators(dual_algebra(h), len(gens) - 1)
-    if gens_d is not None:
-        # in H*, Delta*(f_k) has coefficient m[i][j][k] at f_i (x) f_j
-        deltas = [{} for _ in range(h.dim)]
-        for (i, j, k), c in h.algebra.mult.entries.items():
-            deltas[k][(i, j)] = c
-        alg, gens = dual_algebra(h), gens_d
-    return all(
-        _comult_multiplies(alg, deltas, g, j) for g in gens for j in range(h.dim)
-    )
 
 
 _ANTIPODE_VIOLATIONS = {

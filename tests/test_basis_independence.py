@@ -1,12 +1,17 @@
 """No answer depends on the basis: transport of structure as an oracle.
 
-Each input is moved to a random basis P = (permutation) (a few integer
-shears), so P and its inverse are integral, and only bases that move the
-unit off index 0 are kept.  In the new basis solve_antipode on the stripped
-structure returns the transported antipode P^-1 S P, verify_hopf passes, and
-|G(H)|, Tr(S^2) and (at dimension 12) the classify_4p label are those of
-the original.
+Each input is moved to a random basis P, either (permutation) (a few
+integer shears) or, at dimension <= 6, a dense (permutation) U L with U
+upper and L lower unitriangular; P and its inverse are integral, and only
+bases that move the unit off index 0 are kept.  In the new basis
+solve_antipode on the stripped structure returns the transported antipode
+P^-1 S P, verify_hopf passes, and |G(H)|, Tr(S^2) and (at dimension 12) the
+classify_4p label are those of the original.  A fixed dense basis of
+A(3,1), where almost every structure constant is nonzero, checks
+verify_hopf and solve_antipode at dimension 12.
 """
+
+import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -53,8 +58,8 @@ def unimodular_columns(draw, dim, field):
     """The columns of (permutation) (I + a few strictly upper integer
     entries): an integer matrix of determinant +-1 with an integer inverse.
 
-    A few shears keep the structure constants sparse; a dense basis change
-    makes verify_hopf's tensor-square products too slow for a unit test.
+    A few shears keep the structure constants sparse, so the invariants
+    stay cheap at dimension 12; dense_columns makes dense ones.
     """
     perm = draw(st.permutations(range(dim)))
     data = [[int(perm[i] == j) for j in range(dim)] for i in range(dim)]
@@ -67,11 +72,33 @@ def unimodular_columns(draw, dim, field):
     return Matrix(field, data).columns()
 
 
+def dense_columns(field, perm, pick):
+    """The columns of (permutation) U L, with U upper and L lower
+    unitriangular and each off-diagonal entry pick() in {-1, 0, 1}: an
+    integer matrix of determinant +-1 with an integer inverse, and in
+    general dense structure constants."""
+    dim = len(perm)
+
+    def triangle(upper):
+        return Matrix(field, [
+            [1 if i == j else pick() if (j > i) == upper else 0 for j in range(dim)]
+            for i in range(dim)
+        ])
+
+    swap = Matrix(field, [[int(perm[i] == j) for j in range(dim)] for i in range(dim)])
+    return (swap * triangle(True) * triangle(False)).columns()
+
+
 @st.composite
 def moved_inputs(draw):
     name = draw(st.sampled_from(sorted(INPUTS)))
     h, expected = original(name)
-    cols = draw(unimodular_columns(h.dim, h.field))
+    if h.dim <= 6 and draw(st.booleans()):
+        perm = draw(st.permutations(range(h.dim)))
+        entries = st.sampled_from((-1, 0, 1))
+        cols = dense_columns(h.field, perm, lambda: draw(entries))
+    else:
+        cols = draw(unimodular_columns(h.dim, h.field))
     moved = transport(h, cols)
     assume(tuple(moved.unit) != unit_vector(h.field, h.dim, 0))
     return name, moved, expected
@@ -85,3 +112,17 @@ def test_answers_do_not_depend_on_the_basis(case):
     assert solve_antipode(stripped) == h.antipode, name
     assert verify_hopf(h).ok, name
     assert invariants(h) == expected, name
+
+
+def test_dense_basis_of_a31():
+    """A(3,1) in a dense basis (almost every comultiplication constant is
+    nonzero) verifies, and its antipode solves to P^-1 S P."""
+    h = INPUTS["A(3,1)"]()
+    rng = random.Random(1)
+    perm = list(range(h.dim))
+    rng.shuffle(perm)
+    moved = transport(h, dense_columns(h.field, perm, lambda: rng.choice((-1, 0, 1))))
+    assert len(moved.comult.entries) > h.dim**3 // 2
+    assert verify_hopf(moved).ok
+    stripped = HopfAlgebra(moved.algebra, moved.comult, moved.counit)
+    assert solve_antipode(stripped) == moved.antipode

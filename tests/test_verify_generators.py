@@ -1,10 +1,11 @@
 """The generator shortcuts of the verifiers and invariants against full loops.
 
-verify_algebra decides associativity, and verify_hopf decides
-Delta(ab) = Delta(a)Delta(b), on the rows of algebra generators of H or H*
-and reruns the per-pair loop on any failure.  The reference model below is
-that per-pair loop, written out on its own: on every input, perturbed or
-not, both must give the same violations in the same order.
+verify_algebra decides associativity on the rows of algebra generators,
+and verify_hopf decides associativity, coassociativity and
+Delta(ab) = Delta(a)Delta(b) on the generator rows of H or H*; each reruns
+the full loops on any failure.  The reference model below is those loops,
+written out on their own: on every input, perturbed or not, both must give
+the same violations in the same order.
 
 skew_primitives, ideal_closure and characters work on generators too, and
 _is_character on the nonzero rows of the table; each has a full-loop
@@ -18,7 +19,7 @@ import random
 
 import pytest
 
-from hopfcheck import hopf
+from hopfcheck import algebra, hopf
 from hopfcheck.algebra import (
     AssocAlgebra,
     Report,
@@ -502,6 +503,57 @@ def test_dual_side_decides_dense_duals():
         AssocAlgebra.tensor_square_product = original
     assert report.ok
     assert len(calls) <= 2 * h.dim
+
+
+_ANTIPODE_LAWS = {"antipode-left", "antipode-right"}
+
+
+def _bialgebra_ok(ref):
+    """The reference finds no failing law before the antipode laws."""
+    return all(v.law in _ANTIPODE_LAWS for v in ref.violations)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_bialgebra_decision_matches_reference(name):
+    """_bialgebra_holds is exact: True on each input, False on each of its
+    perturbations, as the reference's report says."""
+    h = build(name)
+    assert _bialgebra_ok(ref_verify_hopf(h))
+    assert hopf._bialgebra_holds(h)
+    for label, bad in perturbations(h, name):
+        assert not _bialgebra_ok(ref_verify_hopf(bad)), label
+        assert not hopf._bialgebra_holds(bad), label
+
+
+@pytest.mark.parametrize("dualize", [True, False], ids=["A(5,1)*", "A(5,1)"])
+def test_laws_run_on_the_generators_of_one_side(dualize, monkeypatch):
+    """A passing A(5,1)* decides its laws on H* = A(5,1), and A(5,1) on
+    itself: each with 2 generators, so coassociativity runs at most twice
+    and associativity on at most 2 * dim^2 triples.  A(5,1)* needs 19
+    generators, so deciding its associativity on its own rows, or its
+    coassociativity per basis element, would break these bounds."""
+    h = a_tau_mu(5, 2, -1, 1)
+    if dualize:
+        h = dual(h)
+    gens = algebra_generators(dual_algebra(h) if dualize else h.algebra)
+    assert len(gens) == 2
+    calls = {"coassociative": 0, "_associates": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(hopf, "coassociative")
+    count(hopf, "_associates")
+    count(algebra, "_associates")
+    assert verify_hopf(h).ok
+    assert calls["coassociative"] <= len(gens)
+    assert calls["_associates"] <= len(gens) * h.dim**2
 
 
 # --- the sparse helpers behind the shortcut ----------------------------------------
