@@ -581,20 +581,30 @@ def _is_character(alg: AssocAlgebra, chi) -> bool:
 
     A pair with no table row has chi(b_i b_j) = 0, which fails exactly when
     chi(b_i) and chi(b_j) are both nonzero; so the table rows and the pairs
-    of nonzero entries of chi cover every pair.  On dual_algebra(h) this is
-    the group-like test Delta(g) = g (x) g, eps(g) = 1 of h.
+    of nonzero entries of chi cover every pair.  Each row sums only the
+    terms k where chi_k != 0, and is compared with zero when chi_i or chi_j
+    is.  On dual_algebra(h) this is the group-like test Delta(g) = g (x) g,
+    eps(g) = 1 of h.
     """
     one = alg.field.zero()
     for c, u in zip(chi, alg.unit):
         one = one + c * u
     if not one.is_one():
         return False
+    support = {k: c for k, c in enumerate(chi) if not c.is_zero()}
+    zero = alg.field.zero()
     table = alg.mult.by_ij()
     for (i, j), row in table.items():
-        acc = alg.field.zero()
+        acc = zero
         for k, m in row:
-            acc = acc + m * chi[k]
-        if acc != chi[i] * chi[j]:
+            c = support.get(k)
+            if c is not None:
+                acc = acc + m * c
+        ci = support.get(i)
+        cj = support.get(j)
+        if ci is None or cj is None:
+            if not acc.is_zero():
+                return False
+        elif acc != ci * cj:
             return False
-    support = [i for i, c in enumerate(chi) if not c.is_zero()]
     return all((i, j) in table for i in support for j in support)

@@ -272,9 +272,12 @@ class FieldElement:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if other.__class__ is FieldElement and other.field is self.field:
+            o = other  # make_field interns fields, so this is the common case
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         a, b = self.num, o.num
         if not b:
             return self
@@ -308,9 +311,12 @@ class FieldElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if other.__class__ is FieldElement and other.field is self.field:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         a, b = self.num, o.num
         if not b:
             return self
@@ -351,9 +357,12 @@ class FieldElement:
         return FieldElement(self.field, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if other.__class__ is FieldElement and other.field is self.field:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         a, b = self.num, o.num
         if not a or not b:
             return self.field._zero

@@ -17,8 +17,14 @@ from fractions import Fraction
 
 from hopfcheck.algebra import AssocAlgebra
 from hopfcheck.cyclotomic import CycloField, FieldElement, embed, is_prime, make_field
-from hopfcheck.hopf import HopfAlgebra, solve_antipode, tensor_hopf
-from hopfcheck.linalg import Matrix, Tensor3, unit_vector
+from hopfcheck.hopf import HopfAlgebra, antipode_law_failures, tensor_hopf
+from hopfcheck.linalg import (
+    Matrix,
+    Tensor3,
+    dense_vector,
+    sparse_sub_scaled,
+    unit_vector,
+)
 
 
 class NotPrimitiveRoot(ValueError):
@@ -70,7 +76,8 @@ def taft(q: int, tau, field: CycloField | None = None) -> HopfAlgebra:
     """Taft algebra T_q: g^q = 1, x^q = 0, gx = tau xg; dim q^2.
 
     Basis g^i x^j ordered lexicographically by (i, j); Delta(g) = g (x) g,
-    Delta(x) = x (x) g + 1 (x) x; the antipode is solved, not postulated.
+    Delta(x) = x (x) g + 1 (x) x; S(g) = g^{q-1} and S(x) = -x S(g) extend
+    anti-multiplicatively, and the result is certified by both antipode laws.
     """
     if q < 2:
         raise BadParams("Taft algebras need q >= 2")
@@ -93,15 +100,17 @@ def taft(q: int, tau, field: CycloField | None = None) -> HopfAlgebra:
     alg = AssocAlgebra(
         field, dim, Tensor3(field, (dim, dim, dim), mult), unit_vector(field, dim, 0)
     )
-    comult = _comult_from_generators(
+    one = field.one()
+    s_g = {idx(q - 1, 0): one}
+    comult, antipode = _from_generators(
         alg,
         dim,
         gens={
-            idx(1, 0): {(idx(1, 0), idx(1, 0)): field.one()},
-            idx(0, 1): {
-                (idx(0, 1), idx(1, 0)): field.one(),
-                (idx(0, 0), idx(0, 1)): field.one(),
-            },
+            idx(1, 0): ({(idx(1, 0), idx(1, 0)): one}, s_g),
+            idx(0, 1): (
+                {(idx(0, 1), idx(1, 0)): one, (idx(0, 0), idx(0, 1)): one},
+                _product(alg, {idx(0, 1): -one}, s_g),
+            ),
         },
         words=[
             [idx(1, 0)] * i + [idx(0, 1)] * j
@@ -111,9 +120,7 @@ def taft(q: int, tau, field: CycloField | None = None) -> HopfAlgebra:
         order=[idx(i, j) for i in range(q) for j in range(q)],
     )
     counit = [field.one() if j == 0 else field.zero() for i in range(q) for j in range(q)]
-    h = HopfAlgebra(alg, comult, counit)
-    h.antipode = solve_antipode(h)
-    return h
+    return _certified(HopfAlgebra(alg, comult, counit, antipode))
 
 
 def sweedler(field: CycloField | None = None) -> HopfAlgebra:
@@ -125,8 +132,10 @@ def a_tau_mu(p: int, q: int, tau, mu: int, field: CycloField | None = None) -> H
     """The pq^2-dimensional family: a^{pq} = 1, y^q = mu(1 - a^q), ay = tau ya.
 
     Basis a^i y^j, i < pq, j < q, ordered lexicographically.  Delta(a) =
-    a (x) a and Delta(y) = y (x) 1 + a (x) y extend multiplicatively; the
-    antipode is solved.  Default field Q(zeta_lcm(q, p q^2)).
+    a (x) a and Delta(y) = y (x) 1 + a (x) y extend multiplicatively;
+    S(a) = a^{pq-1} and S(y) = -S(a) y extend anti-multiplicatively, and the
+    result is certified by both antipode laws.  Default field
+    Q(zeta_lcm(q, p q^2)).
     """
     if mu not in (0, 1):
         raise BadParams("mu must be 0 or 1")
@@ -162,15 +171,17 @@ def a_tau_mu(p: int, q: int, tau, mu: int, field: CycloField | None = None) -> H
     alg = AssocAlgebra(
         field, dim, Tensor3(field, (dim, dim, dim), mult), unit_vector(field, dim, 0)
     )
-    comult = _comult_from_generators(
+    one = field.one()
+    s_a = {idx(n - 1, 0): one}
+    comult, antipode = _from_generators(
         alg,
         dim,
         gens={
-            idx(1, 0): {(idx(1, 0), idx(1, 0)): field.one()},
-            idx(0, 1): {
-                (idx(0, 1), idx(0, 0)): field.one(),
-                (idx(1, 0), idx(0, 1)): field.one(),
-            },
+            idx(1, 0): ({(idx(1, 0), idx(1, 0)): one}, s_a),
+            idx(0, 1): (
+                {(idx(0, 1), idx(0, 0)): one, (idx(1, 0), idx(0, 1)): one},
+                _product(alg, s_a, {idx(0, 1): -one}),
+            ),
         },
         words=[
             [idx(1, 0)] * i + [idx(0, 1)] * j
@@ -182,9 +193,7 @@ def a_tau_mu(p: int, q: int, tau, mu: int, field: CycloField | None = None) -> H
     counit = [
         field.one() if j == 0 else field.zero() for i in range(n) for j in range(q)
     ]
-    h = HopfAlgebra(alg, comult, counit)
-    h.antipode = solve_antipode(h)
-    return h
+    return _certified(HopfAlgebra(alg, comult, counit, antipode))
 
 
 def taft_tensor_group(
@@ -199,19 +208,52 @@ def taft_tensor_group(
     return tensor_hopf(taft(q, tau, field), group_algebra(p, field))
 
 
-def _comult_from_generators(alg, dim, gens, words, order):
-    """Comultiplication tensor from generator images, extended along words.
+def _from_generators(alg, dim, gens, words, order):
+    """Comultiplication tensor and antipode matrix from generator images.
 
+    gens[g] is (Delta(g), S(g)) as sparse {(j, k): coeff} and {t: coeff}.
     words[t] is a product of generator indices realizing basis element
-    order[t] exactly (coefficient 1 in the normal form).
+    order[t] exactly (coefficient 1 in the normal form); Delta extends along
+    it multiplicatively and S anti-multiplicatively, S(w_1..w_m) =
+    S(w_m)..S(w_1).
     """
     field = alg.field
-    one_delta = {(0, 0): field.one()}
+    one = field.one()
+    # (Delta, S) of each prefix walked so far; a word extends its longest one
+    known = {(): ({(0, 0): one}, {0: one})}
     entries = {}
+    columns = [None] * dim
     for word, target in zip(words, order):
-        acc = one_delta
-        for g in word:
-            acc = alg.tensor_square_product(acc, gens[g])
-        for (j, k), c in acc.items():
+        word = tuple(word)
+        cut = len(word)
+        while word[:cut] not in known:
+            cut -= 1
+        delta, s = known[word[:cut]]
+        for t in range(cut, len(word)):
+            g_delta, g_s = gens[word[t]]
+            delta = alg.tensor_square_product(delta, g_delta)
+            s = _product(alg, g_s, s)
+            known[word[: t + 1]] = delta, s
+        for (j, k), c in delta.items():
             entries[(target, j, k)] = c
-    return Tensor3(field, (dim, dim, dim), entries)
+        columns[target] = s
+    antipode = Matrix.from_columns(
+        field, [dense_vector(field, dim, col) for col in columns]
+    )
+    return Tensor3(field, (dim, dim, dim), entries), antipode
+
+
+def _product(alg, a: dict, b: dict) -> dict:
+    """ab for sparse {index: coeff} vectors, without zeros."""
+    out: dict = {}
+    for i, c in a.items():
+        sparse_sub_scaled(out, -c, alg.basis_times(i, b))
+    return out
+
+
+def _certified(h: HopfAlgebra) -> HopfAlgebra:
+    """h, once its antipode passes both convolution laws on every basis
+    element; the antipode is unique, so a map passing them is the antipode."""
+    for i, side in antipode_law_failures(h, h.antipode):
+        raise ArithmeticError("%s antipode law fails on basis %d" % (side, i))
+    return h

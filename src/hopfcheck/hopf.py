@@ -832,7 +832,12 @@ def skew_primitives(h: HopfAlgebra, g, hvec, _checked: bool = False) -> list[tup
     the rows (j, k) times eps_j eps_k.  The reduced kernel then contains the
     full one, and it is returned only when each of its basis vectors
     satisfies the full equation, because the lemma needs H* associative and
-    nothing here checks that.  Otherwise the full system is solved.
+    nothing here checks that.  Otherwise the full system is solved.  The
+    check is skipped when the reduced kernel gives an empty answer modulo
+    g - h: the full kernel lies in it, so the full answer is empty too.
+    For group-like g and h that is every reduced kernel of dimension 1
+    (g != h) or 0 (g = h), since g - h solves the full system; any larger
+    one is still checked.
     """
     g = tuple(h.field.promote(c) for c in g)
     hv = tuple(h.field.promote(c) for c in hvec)
@@ -842,8 +847,8 @@ def skew_primitives(h: HopfAlgebra, g, hvec, _checked: bool = False) -> list[tup
                 raise NotGroupLike("skew primitive endpoints must be group-like")
     field = h.field
     dim = h.dim
+    trivial = vec_sub(g, hv)
     gens = algebra_generators(dual_algebra(h))
-    space = None
     if (
         gens is not None
         and h.counit_of(g).is_one()
@@ -853,16 +858,20 @@ def skew_primitives(h: HopfAlgebra, g, hvec, _checked: bool = False) -> list[tup
         rows = _skew_rows(h, g, hv, gens)
         rows.append(sparse_vector(h.counit))
         space = sparse_kernel(field, dim, rows)
-        if not all(_is_skew_primitive(h, x, g, hv) for x in space):
-            space = None
-    if space is None:
-        space = sparse_kernel(field, dim, _skew_rows(h, g, hv, range(dim)))
-    trivial = vec_sub(g, hv)
+        answer = _modulo_line(field, space, trivial)
+        if not answer or all(_is_skew_primitive(h, x, g, hv) for x in space):
+            return answer
+    space = sparse_kernel(field, dim, _skew_rows(h, g, hv, range(dim)))
+    return _modulo_line(field, space, trivial)
+
+
+def _modulo_line(field, space, trivial) -> list:
+    """A reduced basis of span(space) modulo span{trivial}."""
     if vec_is_zero(trivial):
         return space
-    # g - h leads at column p, so p is a pivot of span(space, g - h); the
+    # trivial leads at column p, so p is a pivot of span(space, trivial); the
     # other rows of its echelon, zero at p, are the reduced basis of the
-    # projection of space along g - h onto x_p = 0
+    # projection of space along trivial onto x_p = 0
     p = next(t for t, c in enumerate(trivial) if not c.is_zero())
     return [v for v in row_space_basis(field, [trivial] + space) if v[p].is_zero()]
 

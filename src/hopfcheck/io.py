@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from hopfcheck.algebra import AssocAlgebra
 from hopfcheck.cyclotomic import FieldElement, make_field, rational_from_str
@@ -50,23 +51,19 @@ def manifest_for(obj) -> Manifest:
 # --- encoding -----------------------------------------------------------------
 
 
-def _enc_element(el: FieldElement) -> list:
-    return el.to_strings()
-
-
 def _enc_vector(vec) -> list:
-    return [_enc_element(c) for c in vec]
+    return list(vec)
 
 
 def _enc_matrix(m: Matrix) -> list:
-    return [[_enc_element(c) for c in row] for row in m.data]
+    return [list(row) for row in m.data]
 
 
 def _enc_tensor(t: Tensor3) -> dict:
     return {
         "dims": list(t.dims),
         "entries": [
-            [i, j, k, _enc_element(c)] for (i, j, k), c in t.sorted_entries()
+            [i, j, k, c] for (i, j, k), c in t.sorted_entries()
         ],
     }
 
@@ -119,7 +116,61 @@ def serialize(manifest: Manifest) -> bytes:
         "object_kind": manifest.object_kind,
         "payload": payload,
     }
-    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    out: list = []
+    _write(doc, 0, out, {})
+    out.append("\n")
+    return "".join(out).encode("utf-8")
+
+
+def _write(obj, level: int, out: list, memo: dict) -> None:
+    """Append obj as json.dumps(obj, sort_keys=True, indent=1) writes it at
+    nesting depth level, a FieldElement as its list of rational strings.
+
+    The text of an element depends only on the element and the depth, so
+    memo keeps it per (element, depth) for the manifest being written; a
+    manifest has one field, so num and den identify the element.  Any
+    other type raises TypeError.
+    """
+    cls = obj.__class__
+    if cls is FieldElement:
+        key = (obj.num, obj.den, level)
+        text = memo.get(key)
+        if text is None:
+            sep = ",\n" + " " * (level + 1)
+            text = memo[key] = '[%s"%s"\n%s]' % (
+                sep[1:], ('"' + sep + '"').join(obj.to_strings()), " " * level
+            )
+        out.append(text)
+    elif cls is list:
+        if not obj:
+            out.append("[]")
+            return
+        sep = ",\n" + " " * (level + 1)
+        out.append("[")
+        lead = sep[1:]
+        for item in obj:
+            out.append(lead)
+            lead = sep
+            _write(item, level + 1, out, memo)
+        out.append("\n" + " " * level + "]")
+    elif cls is int:
+        out.append(int.__repr__(obj))
+    elif cls is str:
+        out.append(encode_basestring_ascii(obj))
+    elif cls is dict:
+        if not obj:
+            out.append("{}")
+            return
+        sep = ",\n" + " " * (level + 1)
+        out.append("{")
+        lead = sep[1:]
+        for key in sorted(obj):
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            lead = sep
+            _write(obj[key], level + 1, out, memo)
+        out.append("\n" + " " * level + "}")
+    else:
+        raise TypeError("cannot write %r in a manifest" % cls)
 
 
 # --- decoding -----------------------------------------------------------------

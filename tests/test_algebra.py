@@ -7,6 +7,7 @@ from hopfcheck.cyclotomic import UniPoly, make_field
 from hopfcheck.algebra import (
     AssocAlgebra,
     _apply_poly,
+    _is_character,
     center,
     characters,
     ideal_closure,
@@ -206,3 +207,79 @@ class TestApplyPoly:
                         expected = expected + m.power(k).scale(c)
                     got = _apply_poly(m, UniPoly(f, coeffs))
                     assert got == expected
+
+
+def full_walk_is_character(alg, chi):
+    """Every table row summed over every k, then the pairs of nonzero
+    entries of chi with no row."""
+    one = alg.field.zero()
+    for c, u in zip(chi, alg.unit):
+        one = one + c * u
+    if not one.is_one():
+        return False
+    table = alg.mult.by_ij()
+    for (i, j), row in table.items():
+        acc = alg.field.zero()
+        for k, m in row:
+            acc = acc + m * chi[k]
+        if acc != chi[i] * chi[j]:
+            return False
+    support = [i for i, c in enumerate(chi) if not c.is_zero()]
+    return all((i, j) in table for i in support for j in support)
+
+
+class TestIsCharacterSupportWalk:
+    """The support walk decides the same equations as the full walk."""
+
+    ALGEBRAS = {
+        "k[Z3]/Q12": lambda: group_algebra_assoc(3, make_field(12)),
+        "k[Z4]/Q4": lambda: group_algebra_assoc(4, make_field(4)),
+        "sweedler": sweedler_assoc,
+        "sweedler, x^2 = 1": lambda: sweedler_assoc(break_x_square=True),
+        "M2": matrix_algebra_2x2,
+        "dual numbers": dual_numbers,
+    }
+
+    @staticmethod
+    def _perturbed(alg, rng):
+        """alg with one table constant changed, added or removed."""
+        entries = dict(alg.mult.entries)
+        key = rng.choice(sorted(entries))
+        if rng.random() < 0.3:
+            del entries[key]
+        elif rng.random() < 0.5:
+            entries[key] = entries[key] + 1
+        else:
+            i, j, _ = key
+            entries[(i, j, rng.randrange(alg.dim))] = alg.field.from_rational(
+                rng.choice((1, -1, 2))
+            )
+        return AssocAlgebra(
+            alg.field, alg.dim, Tensor3(alg.field, alg.mult.dims, entries), alg.unit
+        )
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_matches_full_walk(self, name):
+        alg = self.ALGEBRAS[name]()
+        field, dim = alg.field, alg.dim
+        rng = random.Random(name)
+        values = [field.zero(), field.one(), field.from_rational(-1)]
+        values += [field.zeta(k) for k in range(1, field.order)]
+        try:
+            chars = characters(alg).characters
+        except ArithmeticError:  # the search refuses a non-associative table
+            chars = []
+        candidates = list(chars) + [alg.unit]
+        for _ in range(40):
+            candidates.append(tuple(rng.choice(values) for _ in range(dim)))
+        for chi in chars:
+            t = rng.randrange(dim)
+            candidates.append(chi[:t] + (chi[t] + 1,) + chi[t + 1:])
+        tables = [alg] + [self._perturbed(alg, rng) for _ in range(8)]
+        agreed = 0
+        for table in tables:
+            for chi in candidates:
+                expected = full_walk_is_character(table, chi)
+                assert _is_character(table, chi) == expected, (name, chi)
+                agreed += expected
+        assert agreed >= len(chars)  # each character passes on its own table

@@ -10,7 +10,14 @@ from hopfcheck.families import (
     taft,
     taft_tensor_group,
 )
-from hopfcheck.hopf import group_likes, structure_equal, trace_s2, verify_hopf
+from hopfcheck.hopf import (
+    HopfAlgebra,
+    group_likes,
+    solve_antipode,
+    structure_equal,
+    trace_s2,
+    verify_hopf,
+)
 from hopfcheck.linalg import unit_vector
 
 
@@ -94,3 +101,28 @@ class TestGroupLikes:
 
     def test_taft_trace_zero(self):
         assert trace_s2(taft(3, make_field(3).zeta())).is_zero()
+
+
+
+FAMILY_BUILDERS = {
+    "A(tau,0)": lambda p: a_tau_mu(p, 2, -1, 0),
+    "A(tau,1)": lambda p: a_tau_mu(p, 2, -1, 1),
+    "T2 x k[Zp]": lambda p: taft_tensor_group(2, -1, p),
+    "k[Z4p]": lambda p: group_algebra(4 * p),
+}
+
+
+def _assert_antipode_is_solved_one(h):
+    stripped = HopfAlgebra(h.algebra, h.comult, h.counit)
+    assert h.antipode == solve_antipode(stripped)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_antipode_from_generator_images_equals_solved(name, p):
+    _assert_antipode_is_solved_one(FAMILY_BUILDERS[name](p))
+
+
+def test_taft_antipode_from_generator_images_equals_solved():
+    _assert_antipode_is_solved_one(taft(3, make_field(3).zeta()))
+    _assert_antipode_is_solved_one(sweedler())

@@ -470,6 +470,23 @@ class TestSkewPrimitives:
         with pytest.raises(NotGroupLike):
             skew_primitives(h, unit_vector(Q, 4, 1), h.unit)
 
+    def test_certificate_runs_only_on_a_nonempty_answer(self, monkeypatch):
+        checked = []
+        real = hopf._is_skew_primitive
+
+        def counted(h, x, *rest):
+            checked.append(x)
+            return real(h, x, *rest)
+
+        monkeypatch.setattr(hopf, "_is_skew_primitive", counted)
+        h = a_tau_mu(3, 2, -1, 1)
+        likes = group_likes(h).elements
+        for g in likes:
+            for k in likes:
+                del checked[:]
+                basis = skew_primitives(h, g, k, _checked=True)
+                assert bool(checked) == bool(basis), (g, k)
+
 
 class TestCoradicalAndPointed:
     def test_group_algebra_everything(self):

@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import hopfcheck
 from hopfcheck import cli
+from hopfcheck.algebra import AssocAlgebra
 from hopfcheck.cyclotomic import make_field
-from hopfcheck.families import a_tau_mu, group_algebra, sweedler
+from hopfcheck.families import a_tau_mu, group_algebra, sweedler, taft_tensor_group
 from hopfcheck.hopf import (
     AntipodeOrderOverflow,
     DegenerateIntegral,
@@ -18,9 +20,11 @@ from hopfcheck.hopf import (
     dual,
     structure_equal,
 )
+from hopfcheck.linalg import Matrix, Tensor3
 from hopfcheck.io import (
     ParseError,
     SchemaVersionMismatch,
+    _write,
     manifest_for,
     parse,
     serialize,
@@ -85,6 +89,121 @@ class TestRoundTrip:
     def test_determinism(self):
         h = group_algebra(4)
         assert serialize(manifest_for(h)) == serialize(manifest_for(h))
+
+
+def ref_doc(m):
+    """The manifest document with each field element as its list of
+    rational strings, the form the stdlib encoder writes."""
+
+    def vector(vec):
+        return [el.to_strings() for el in vec]
+
+    def matrix(mat):
+        return [vector(row) for row in mat.data]
+
+    def tensor(t):
+        return {
+            "dims": list(t.dims),
+            "entries": [[i, j, k, c.to_strings()] for (i, j, k), c in t.sorted_entries()],
+        }
+
+    def structure(h):
+        return {
+            "mult": tensor(h.algebra.mult),
+            "unit": vector(h.unit),
+            "comult": tensor(h.comult),
+            "counit": vector(h.counit),
+        }
+
+    def hopf(h):
+        out = {"field": h.field.order, "dim": h.dim, **structure(h)}
+        if h.antipode is not None:
+            out["antipode"] = matrix(h.antipode)
+        return out
+
+    def yd(v):
+        return {
+            "base": hopf(v.base),
+            "dim": v.dim,
+            "action": [matrix(a) for a in v.action],
+            "coaction": tensor(v.coaction),
+        }
+
+    obj = m.payload
+    if m.object_kind == "hopf":
+        payload = hopf(obj)
+    elif m.object_kind == "yd":
+        payload = yd(obj)
+    else:
+        payload = {**yd(obj.yd), **structure(obj), "antipode": matrix(obj.antipode)}
+    return {
+        "schema_version": m.schema_version,
+        "object_kind": m.object_kind,
+        "payload": payload,
+    }
+
+
+def _odd_elements(field):
+    """Elements with negative and non-unit denominators, rational and not."""
+    z = field.zeta() if field.degree > 1 else field.one()
+    return [
+        field.from_rational(Fraction(-3, 4)),
+        field.from_rational(Fraction(5, 6)) * z - field.from_rational(Fraction(1, 9)),
+        field.from_rational(-7) * z * z + field.from_rational(Fraction(-2, 35)),
+    ]
+
+
+def _odd_hopf(field):
+    """Sweedler's tensors over field with odd constants in unit, counit and
+    antipode: no Hopf algebra, but the writer needs none."""
+    h = sweedler(field)
+    odd = _odd_elements(field)
+    anti = Matrix(field, [[odd[(i + j) % 3] for j in range(4)] for i in range(4)])
+    return HopfAlgebra(
+        AssocAlgebra(field, 4, h.algebra.mult, [odd[0], odd[1], 0, odd[2]]),
+        h.comult,
+        [odd[2], 0, odd[1], 1],
+        anti,
+    )
+
+
+def _empty_tensor_hopf():
+    field = make_field(1)
+    empty = Tensor3(field, (1, 1, 1), {})
+    return HopfAlgebra(AssocAlgebra(field, 1, empty, [1]), empty, [1])
+
+
+def _no_antipode(h):
+    return HopfAlgebra(h.algebra, h.comult, h.counit)
+
+
+WRITER_CASES = {
+    "hopf": lambda: a_tau_mu(3, 2, -1, 1),
+    "hopf-no-antipode": lambda: _no_antipode(a_tau_mu(3, 2, -1, 1)),
+    "hopf-dual": lambda: dual(taft_tensor_group(2, -1, 3)),
+    "yd": lambda: trivial_yd(sweedler(make_field(12)), 3),
+    "braided": lambda: ordinary_to_braided(
+        group_algebra(3, make_field(12)), sweedler(make_field(12))
+    ),
+    "empty-tensor": _empty_tensor_hopf,
+    "odd-Q": lambda: _odd_hopf(make_field(1)),
+    "odd-Q12": lambda: _odd_hopf(make_field(12)),
+}
+
+
+class TestWriter:
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_bytes_equal_stdlib_encoder(self, case):
+        m = manifest_for(WRITER_CASES[case]())
+        expected = json.dumps(ref_doc(m), sort_keys=True, indent=1) + "\n"
+        data = serialize(m)
+        assert data == expected.encode()
+        assert serialize(manifest_for(parse(data).payload)) == data
+
+    @pytest.mark.parametrize("leaf", [1.5, True, None, (1,), Fraction(1, 2)])
+    def test_other_types_raise(self, leaf):
+        with pytest.raises(TypeError):
+            _write({"x": [leaf]}, 0, [], {})
 
 
 class TestParseErrors:
