@@ -340,26 +340,35 @@ def antipode_law_failures(h, s: Matrix):
     """(i, side) for each basis index i where a convolution law of s fails.
 
     side "left" means m(S (x) id)Delta(b_i) != eps(b_i) 1 and "right" means
-    m(id (x) S)Delta(b_i) != eps(b_i) 1; left comes before right.  h is a
-    HopfAlgebra or a BraidedHopf.  A generator, so the first failure costs
-    only the basis elements before it.
+    m(id (x) S)Delta(b_i) != eps(b_i) 1; left comes before right.  They are
+    summed as sum_k (sum_j c_jk S(b_j)) b_k and sum_j b_j (sum_k c_jk S(b_k)),
+    one product per leg of Delta(b_i).  h is a HopfAlgebra or a BraidedHopf.
+    A generator, so the first failure costs only the basis elements before it.
     """
-    field = h.field
-    dim = h.dim
     cols = [sparse_vector(col) for col in s.columns()]
-    for i in range(dim):
-        left = list(zero_vector(field, dim))
-        right = list(zero_vector(field, dim))
+    for i in range(h.dim):
+        legs: dict = {"left": {}, "right": {}}
         for j, k, c in h.delta_basis(i):
-            for t, x in h.algebra.basis_times(k, cols[j], right=True).items():
-                left[t] = left[t] + c * x
-            for t, x in h.algebra.basis_times(j, cols[k]).items():
-                right[t] = right[t] + c * x
-        target = vec_scale(h.counit[i], h.unit)
-        if tuple(left) != target:
-            yield i, "left"
-        if tuple(right) != target:
-            yield i, "right"
+            for side, leg, col in (("left", k, cols[j]), ("right", j, cols[k])):
+                acc = legs[side].setdefault(leg, {})
+                for t, x in col.items():
+                    acc[t] = acc[t] + c * x if t in acc else c * x
+        for side, sums in legs.items():
+            rest = list(vec_scale(h.counit[i], h.unit))
+            for b, v in sums.items():
+                for t, x in h.algebra.basis_times(b, v, right=side == "left").items():
+                    rest[t] = rest[t] - x
+            if not vec_is_zero(rest):
+                yield i, side
+
+
+def certified_antipode(h, s: Matrix) -> Matrix:
+    """s, once it passes both convolution laws on every basis element of h;
+    the antipode is unique, so a map passing them is the antipode.  Raises
+    NoAntipode naming the first failure otherwise."""
+    for i, side in antipode_law_failures(h, s):
+        raise NoAntipode("%s antipode law fails on basis %d" % (side, i))
+    return s
 
 
 def integral_line(blocks, field, dim, message) -> tuple:
@@ -430,25 +439,18 @@ def _integral_pair(h: HopfAlgebra) -> tuple:
 def solve_antipode(h: HopfAlgebra) -> Matrix:
     """The antipode S of h, certified by both convolution laws.
 
-    A block-triangular sweep solves m(S (x) id)Delta = u.eps one column at a
-    time, each step one dim x dim solve with a unique solution.  When the
-    comultiplication slices are not triangular, _solve_antipode_dense takes
-    S as the inverse of Radford's formula for S^-1.  Either result must pass
-    m(S (x) id)Delta(b_i) = eps(b_i) 1 = m(id (x) S)Delta(b_i) on every
-    basis element, so whatever is returned is a two-sided convolution
-    inverse of the identity.
+    _solve_antipode_dense takes S as the inverse of Radford's formula for
+    S^-1, and the result must pass m(S (x) id)Delta(b_i) = eps(b_i) 1 =
+    m(id (x) S)Delta(b_i) on every basis element (certified_antipode), so
+    whatever is returned is a two-sided convolution inverse of the identity.
 
     Raises NoAntipode only if h is not a Hopf algebra.  Proof: let h be one,
-    with antipode S.  S satisfies every equation of the sweep, and each
-    column the sweep fixes is the unique solution given the columns before
-    it, so by induction it equals S there; no equation is inconsistent or
-    unsolvable, and a finished sweep returns S.  Otherwise the fallback
-    runs.  By Larson-Sweedler (Amer. J. Math. 91, 1969) the left integrals
-    of h (x Lambda = eps(x) Lambda) form a line, and so do the right
-    integrals of h* (lam(x_1) x_2 = lam(x) 1).  By Radford (Amer. J. Math.
-    98, 1976) S is bijective and lam(Lambda) != 0, so right_dual_integral
-    scales lam to lam(Lambda) = 1.  Since Delta is multiplicative and
-    x_2 Lambda = eps(x_2) Lambda,
+    with antipode S.  By Larson-Sweedler (Amer. J. Math. 91, 1969) the left
+    integrals of h (x Lambda = eps(x) Lambda) form a line, and so do the
+    right integrals of h* (lam(x_1) x_2 = lam(x) 1).  By Radford (Amer. J.
+    Math. 98, 1976) S is bijective and lam(Lambda) != 0, so
+    right_dual_integral scales lam to lam(Lambda) = 1.  Since Delta is
+    multiplicative and x_2 Lambda = eps(x_2) Lambda,
         S(x) Lambda_1 (x) Lambda_2 = S(x_1) x_2 Lambda_1 (x) x_3 Lambda_2
                                    = Lambda_1 (x) x Lambda_2.
     Put S^-1(x) for x and apply lam (x) id:
@@ -456,64 +458,7 @@ def solve_antipode(h: HopfAlgebra) -> Matrix:
              = S^-1(x) lam(Lambda) 1 = S^-1(x).
     So T is invertible, its inverse is S, and S passes the certificate.
     """
-    field = h.field
-    dim = h.dim
-    # equation per basis i:  sum_{(j,k,c) in Delta(b_i)}  c * R_{b_k} S(b_j) = eps_i 1
-    equations = []
-    for i in range(dim):
-        terms: dict = {}
-        for j, k, c in h.delta_basis(i):
-            terms.setdefault(j, []).append((k, c))
-        equations.append(terms)
-    table = h.algebra.mult.by_ij()
-    solved: dict = {}
-    pending = list(range(dim))
-    progress = True
-    while pending and progress:
-        progress = False
-        still = []
-        for i in pending:
-            terms = equations[i]
-            unknown = [j for j in terms if j not in solved]
-            if len(unknown) > 1:
-                still.append(i)
-                continue
-            rhs = list(vec_scale(h.counit[i], h.unit))
-            for j, klist in terms.items():
-                if j in solved:
-                    s_j = sparse_vector(solved[j])
-                    for k, c in klist:
-                        for t, x in h.algebra.basis_times(k, s_j, right=True).items():
-                            rhs[t] = rhs[t] - c * x
-            if not unknown:
-                if not vec_is_zero(tuple(rhs)):
-                    raise NoAntipode("inconsistent antipode equation")
-                progress = True
-                continue
-            j0 = unknown[0]
-            acc = [[field.zero()] * dim for _ in range(dim)]
-            for k, c in terms[j0]:  # c R_{b_k}: column col is b_col b_k
-                for col in range(dim):
-                    for r, m in table.get((col, k), ()):
-                        acc[r][col] = acc[r][col] + c * m
-            mat = Matrix(field, acc)
-            sol = mat.solve(tuple(rhs))
-            if sol is None:
-                raise NoAntipode("antipode equation unsolvable at basis %d" % i)
-            particular, kernel = sol
-            if kernel:
-                still.append(i)
-                continue
-            solved[j0] = particular
-            progress = True
-        pending = still
-    if pending or len(solved) < dim:
-        s = _solve_antipode_dense(h)
-    else:
-        s = Matrix.from_columns(field, [solved[j] for j in range(dim)])
-    for i, side in antipode_law_failures(h, s):
-        raise NoAntipode("%s antipode law fails on basis %d" % (side, i))
-    return s
+    return certified_antipode(h, _solve_antipode_dense(h))
 
 
 def _solve_antipode_dense(h: HopfAlgebra) -> Matrix:

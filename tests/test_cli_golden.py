@@ -154,7 +154,7 @@ antipode-right: ok
 """),
     "hopf-unsolvable": (
         lambda: without_antipode(hopf_variant(comult={(1, 0, 0): 1})), 1,
-        "antipode: unsolvable (right antipode law fails on basis 1)\n"),
+        "antipode: unsolvable (left antipode law fails on basis 1)\n"),
     "hopf-counit": (
         lambda: hopf_variant(counit=(1, 1, 1, 0)), 1, """\
 associativity: ok

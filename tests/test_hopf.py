@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -180,7 +181,7 @@ def idempotent_monoid():
 
 def spread(h):
     """h in the basis b_{i+1} + (b_0 + ... + b_{n-1}): the unit is off every
-    basis vector and no comultiplication slice of these inputs is triangular."""
+    basis vector."""
     field, dim = h.field, h.dim
     cols = [
         tuple(field.from_rational(1 + (r == (i + 1) % dim)) for r in range(dim))
@@ -238,8 +239,8 @@ class TestSolveAntipode:
 
 
 @pytest.fixture
-def fallback_calls(monkeypatch):
-    """The dimension of each input that reaches hopf._solve_antipode_dense."""
+def integral_solves(monkeypatch):
+    """The dimension of each input solved by hopf._solve_antipode_dense."""
     calls = []
     original = hopf._solve_antipode_dense
 
@@ -264,7 +265,7 @@ RIGHT_ZERO = [[0, 1, 2], [1, 1, 2], [2, 1, 2]]  # a b = b for a, b != 1
 
 
 class TestAntipodeFromIntegrals:
-    """The fallback inverts T(x) = lam(x Lambda_1) Lambda_2 (Radford)."""
+    """solve_antipode inverts T(x) = lam(x Lambda_1) Lambda_2 (Radford)."""
 
     @pytest.mark.parametrize(
         "make",
@@ -272,15 +273,15 @@ class TestAntipodeFromIntegrals:
          lambda: group_algebra(6)),
         ids=("sweedler", "A(3,0)", "A(3,1)", "k[Z6]"),
     )
-    def test_moved_input_gets_the_transported_antipode(self, fallback_calls, make):
+    def test_moved_input_gets_the_transported_antipode(self, integral_solves, make):
         h = spread(make())
         assert solve_antipode(without_antipode(h)) == h.antipode
-        assert fallback_calls == [h.dim]
+        assert integral_solves == [h.dim]
 
-    def test_a51_dual_gets_its_antipode(self, fallback_calls):
+    def test_a51_dual_gets_its_antipode(self, integral_solves):
         h = dual(a_tau_mu(5, 2, -1, 1))
         assert solve_antipode(without_antipode(h)) == h.antipode
-        assert fallback_calls == [20]
+        assert integral_solves == [20]
 
     @pytest.mark.parametrize(
         "make, message",
@@ -297,11 +298,61 @@ class TestAntipodeFromIntegrals:
         ids=("left-zero", "right-zero", "left-zero*", "right-zero*", "idempotent",
              "certificate"),
     )
-    def test_each_failure_is_no_antipode(self, fallback_calls, make, message):
+    def test_each_failure_is_no_antipode(self, integral_solves, make, message):
         h = spread(make())
         with pytest.raises(NoAntipode, match="^%s$" % message):
             solve_antipode(h)
-        assert fallback_calls == [h.dim]
+        assert integral_solves == [h.dim]
+
+
+def monoid_tables(n):
+    """Every associative table on b_0, ..., b_{n-1} with identity b_0."""
+    for values in itertools.product(range(n), repeat=(n - 1) ** 2):
+        rest = iter(values)
+        table = [[i + j if i * j == 0 else next(rest) for j in range(n)]
+                 for i in range(n)]
+        if all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a, b, c in itertools.product(range(n), repeat=3)):
+            yield table
+
+
+MONOID_TABLES = [table for n in (2, 3) for table in monoid_tables(n)]
+
+
+def is_group(table):
+    """A finite monoid is a group when every element has a right inverse."""
+    return all(0 in row for row in table)
+
+
+class TestMonoidAntipodes:
+    """k[M] for every monoid M of order 2 or 3: an antipode exactly when M is
+    a group, and the same reason for none in the monoid's basis and spread."""
+
+    def test_thirteen_tables_two_groups(self):
+        assert len(MONOID_TABLES) == 13
+        assert sum(map(is_group, MONOID_TABLES)) == 2
+
+    @pytest.mark.parametrize(
+        "table", MONOID_TABLES,
+        ids=lambda t: "".join(str(x) for row in t for x in row),
+    )
+    def test_antipode_iff_group(self, table):
+        h = monoid_algebra(table)
+        n = h.dim
+        if is_group(table):
+            inversion = Matrix.from_columns(
+                Q, [unit_vector(Q, n, row.index(0)) for row in table]
+            )
+            assert solve_antipode(h) == inversion
+            moved = spread(HopfAlgebra(h.algebra, h.comult, h.counit, inversion))
+            assert solve_antipode(without_antipode(moved)) == moved.antipode
+            return
+        messages = []
+        for x in (h, spread(h)):
+            with pytest.raises(NoAntipode) as info:
+                solve_antipode(x)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestDual:
