@@ -93,12 +93,11 @@ class AssocAlgebra:
         """Product of two coordinate vectors."""
         out = [self.field.zero()] * self.dim
         table = self.mult.by_ij()
+        b_nz = [(j, bj) for j, bj in enumerate(b) if not bj.is_zero()]
         for i, ai in enumerate(a):
             if ai.is_zero():
                 continue
-            for j, bj in enumerate(b):
-                if bj.is_zero():
-                    continue
+            for j, bj in b_nz:
                 c = ai * bj
                 for k, m in table.get((i, j), ()):
                     out[k] = out[k] + c * m

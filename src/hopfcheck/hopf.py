@@ -34,6 +34,7 @@ from hopfcheck.linalg import (
     Matrix,
     Tensor3,
     common_kernel,
+    dense_vector,
     row_space_basis,
     sparse_equal,
     sparse_kernel,
@@ -115,7 +116,7 @@ class HopfAlgebra:
         return self.comult.contract_first(vec)
 
     def sweedler_triples(self, i: int):
-        """(Delta (x) id)Delta(b_i) as a tuple of (j, k, l, coeff)."""
+        """(id (x) Delta)Delta(b_i) as (j, k, l, coeff): the second leg expanded."""
         out = []
         for j, t, c in self.delta_basis(i):
             for k, l, c2 in self.delta_basis(t):
@@ -159,7 +160,8 @@ def verify_hopf(h: HopfAlgebra) -> Report:
     coassociativity on the generator rows of H or of H*, whichever has fewer
     generators.  Only when a law fails does _bialgebra_violations check each
     one on every basis element, pair and triple, so a failing report is the
-    full loops' report.  The antipode laws run on every basis element.
+    full loops' report.  The antipode laws run on every basis element,
+    unless certified_antipode has already passed h's antipode on h.
     """
     report = Report(checks=list(_CHECK_ORDER))
     if not _bialgebra_holds(h):
@@ -169,6 +171,8 @@ def verify_hopf(h: HopfAlgebra) -> Report:
     if h.antipode is None:
         report.add(Violation("antipode-left", (), "antipode missing"))
         report.add(Violation("antipode-right", (), "antipode missing"))
+        return report
+    if h._cache.get("certified_antipode") is h.antipode:
         return report
     for i, side in antipode_law_failures(h, h.antipode):
         law, detail = _ANTIPODE_VIOLATIONS[side]
@@ -342,9 +346,12 @@ def antipode_law_failures(h, s: Matrix):
     side "left" means m(S (x) id)Delta(b_i) != eps(b_i) 1 and "right" means
     m(id (x) S)Delta(b_i) != eps(b_i) 1; left comes before right.  They are
     summed as sum_k (sum_j c_jk S(b_j)) b_k and sum_j b_j (sum_k c_jk S(b_k)),
-    one product per leg of Delta(b_i).  h is a HopfAlgebra or a BraidedHopf.
-    A generator, so the first failure costs only the basis elements before it.
+    one product per leg of Delta(b_i); an entry t of S(b_j) with no table
+    row (t, k) on the left or (j, t) on the right is zero there and skipped.
+    h is a HopfAlgebra or a BraidedHopf.  A generator, so the first failure
+    costs only the basis elements before it.
     """
+    table = h.algebra.mult.by_ij()
     cols = [sparse_vector(col) for col in s.columns()]
     for i in range(h.dim):
         legs: dict = {"left": {}, "right": {}}
@@ -352,7 +359,8 @@ def antipode_law_failures(h, s: Matrix):
             for side, leg, col in (("left", k, cols[j]), ("right", j, cols[k])):
                 acc = legs[side].setdefault(leg, {})
                 for t, x in col.items():
-                    acc[t] = acc[t] + c * x if t in acc else c * x
+                    if ((t, leg) if side == "left" else (leg, t)) in table:
+                        acc[t] = acc[t] + c * x if t in acc else c * x
         for side, sums in legs.items():
             rest = list(vec_scale(h.counit[i], h.unit))
             for b, v in sums.items():
@@ -365,9 +373,11 @@ def antipode_law_failures(h, s: Matrix):
 def certified_antipode(h, s: Matrix) -> Matrix:
     """s, once it passes both convolution laws on every basis element of h;
     the antipode is unique, so a map passing them is the antipode.  Raises
-    NoAntipode naming the first failure otherwise."""
+    NoAntipode naming the first failure otherwise.  h remembers s, so
+    verify_hopf does not check the laws again while s is h's antipode."""
     for i, side in antipode_law_failures(h, s):
         raise NoAntipode("%s antipode law fails on basis %d" % (side, i))
+    h._cache["certified_antipode"] = s
     return s
 
 
@@ -388,12 +398,15 @@ def right_dual_integral(h, integral, message) -> tuple:
     Scaled so lam(integral) = 1 when that pairing is nonzero.  h is a
     HopfAlgebra or a BraidedHopf; message is passed to integral_line.
     """
+    zero, unit = h.field.zero(), sparse_vector(h.unit)
 
     def block(i):
         rows = h.delta_basis(i)
 
         def apply(lam):
-            out = list(vec_scale(-lam[i], h.unit))
+            out = [zero] * h.dim
+            for t, u in unit.items():
+                out[t] = -lam[i] * u
             for j, k, c in rows:
                 if not lam[j].is_zero():
                     out[k] = out[k] + c * lam[j]
@@ -412,15 +425,22 @@ def _integral_pair(h: HopfAlgebra) -> tuple:
     """(Lambda, lam): Lambda spans the left integrals of h (x Lambda =
     eps(x) Lambda) and lam the right integrals of h*, with lam(Lambda) = 1
     when that pairing is nonzero.  Raises DegenerateIntegral when either
-    space is not a line."""
+    space is not a line.  The pair does not involve the antipode; it is
+    cached on h once found."""
+    cached = h._cache.get("integral_pair")
+    if cached is not None:
+        return cached
     zero = h.field.zero()
 
     def left_block(i):
         eps = h.counit[i]
 
         def apply(v):
-            w = h.algebra.basis_times(i, sparse_vector(v))
-            return tuple(w.get(t, zero) - eps * x for t, x in enumerate(v))
+            nonzero = sparse_vector(v)
+            w = h.algebra.basis_times(i, nonzero)
+            for t, x in nonzero.items():
+                w[t] = w.get(t, zero) - eps * x
+            return dense_vector(h.field, h.dim, w)
 
         return apply
 
@@ -433,6 +453,7 @@ def _integral_pair(h: HopfAlgebra) -> tuple:
     lam = right_dual_integral(
         h, big_lambda, "right dual integral space has dimension %d"
     )
+    h._cache["integral_pair"] = (big_lambda, lam)
     return big_lambda, lam
 
 
@@ -621,22 +642,37 @@ def integrals(h: HopfAlgebra) -> IntegralData:
 
 
 def check_radford_s4(h: HopfAlgebra, data: IntegralData) -> bool:
-    """S^4 = a (alpha -> h <- alpha^{-1}) a^{-1}, entry-exactly on the basis."""
+    """S^4 = a (alpha -> h <- alpha^{-1}) a^{-1}, entry-exactly on the basis.
+
+    The middle term sums alpha^{-1}(x_1) x_2 alpha(x_3) over (id (x)
+    Delta)Delta(b_i) by two one-leg hits: alpha -> b_t = alpha(b_l) b_k over
+    Delta(b_t) = b_k (x) b_l, once per t, then alpha^{-1}(b_j) (alpha -> b_t)
+    over Delta(b_i) = b_j (x) b_t: the same finite sum, no coassociativity.
+    """
     if h.antipode is None:
         raise NoAntipode("antipode required")
     field = h.field
     dim = h.dim
+    zero = field.zero()
     s4 = h.antipode.power(4)
     alpha = data.distinguished_alpha
     alpha_inv = tuple(vec_dot(alpha, h.antipode.column(j), field) for j in range(dim))
     a = data.distinguished_a
     a_inv = h.antipode.apply(a)
+    hits = []  # hits[t] = alpha -> b_t
+    for t in range(dim):
+        hit: dict = {}
+        for k, l, c in h.delta_basis(t):
+            if not alpha[l].is_zero():
+                hit[k] = hit.get(k, zero) + c * alpha[l]
+        hits.append(hit)
     for i in range(dim):
-        w = list(zero_vector(field, dim))
-        for j, k, l, c in h.sweedler_triples(i):
-            f = alpha_inv[j] * alpha[l]
-            if not f.is_zero():
-                w[k] = w[k] + c * f
+        w = [zero] * dim
+        for j, t, c in h.delta_basis(i):
+            if not alpha_inv[j].is_zero():
+                f = c * alpha_inv[j]
+                for k, x in hits[t].items():
+                    w[k] = w[k] + f * x
         conj = h.algebra.multiply(a, h.algebra.multiply(tuple(w), a_inv))
         if conj != s4.column(i):
             return False

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcheck.cyclotomic import UniPoly, make_field
 from hopfcheck.algebra import (
@@ -15,6 +17,8 @@ from hopfcheck.algebra import (
     radical,
     verify_algebra,
 )
+from hopfcheck.families import a_tau_mu
+from hopfcheck.hopf import dual_algebra
 from hopfcheck.linalg import Matrix, Tensor3, unit_vector
 
 Q = make_field(1)
@@ -283,3 +287,64 @@ class TestIsCharacterSupportWalk:
                 assert _is_character(table, chi) == expected, (name, chi)
                 agreed += expected
         assert agreed >= len(chars)  # each character passes on its own table
+
+
+def double_loop_multiply(alg, a, b):
+    """AssocAlgebra.multiply as a dense double loop: every b_j is tested for
+    each nonzero a_i."""
+    out = [alg.field.zero()] * alg.dim
+    table = alg.mult.by_ij()
+    for i, ai in enumerate(a):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(b):
+            if bj.is_zero():
+                continue
+            for k, m in table.get((i, j), ()):
+                out[k] = out[k] + ai * bj * m
+    return tuple(out)
+
+
+MULTIPLY_ALGEBRAS = {
+    "sweedler": sweedler_assoc,
+    "k[Z3]/Q12": lambda: group_algebra_assoc(3, make_field(12)),
+    "M2": matrix_algebra_2x2,
+    "A(3,1)": lambda: a_tau_mu(3, 2, -1, 1).algebra,
+    "A(3,1)*": lambda: dual_algebra(a_tau_mu(3, 2, -1, 1)),
+}
+_MULTIPLY_CACHE: dict = {}
+
+
+@st.composite
+def multiply_operands(draw):
+    """An algebra and two vectors, each zero, sparse (at most 3 nonzero
+    entries) or dense (every entry nonzero)."""
+    name = draw(st.sampled_from(sorted(MULTIPLY_ALGEBRAS)))
+    if name not in _MULTIPLY_CACHE:
+        _MULTIPLY_CACHE[name] = MULTIPLY_ALGEBRAS[name]()
+    alg = _MULTIPLY_CACHE[name]
+    field, dim = alg.field, alg.dim
+    values = st.sampled_from(
+        [field.from_rational(Fraction(n, d)) for n in (-2, -1, 1, 3) for d in (1, 2)]
+        + [field.zeta(k) for k in range(1, field.order)]
+    )
+
+    def vector():
+        kind = draw(st.sampled_from(("zero", "sparse", "dense")))
+        out = [field.zero()] * dim
+        if kind == "sparse":
+            entries = st.dictionaries(st.integers(0, dim - 1), values, max_size=3)
+            for t, x in draw(entries).items():
+                out[t] = x
+        elif kind == "dense":
+            out = [draw(values) for _ in range(dim)]
+        return tuple(out)
+
+    return name, alg, vector(), vector()
+
+
+@settings(max_examples=80, deadline=None)
+@given(multiply_operands())
+def test_multiply_matches_double_loop(case):
+    name, alg, a, b = case
+    assert alg.multiply(a, b) == double_loop_multiply(alg, a, b), name

@@ -114,15 +114,20 @@ def test_answers_do_not_depend_on_the_basis(case):
     assert invariants(h) == expected, name
 
 
-def test_dense_basis_of_a31():
-    """A(3,1) in a dense basis (almost every comultiplication constant is
-    nonzero) verifies, and its antipode solves to P^-1 S P."""
+def dense_a31():
+    """A(3,1) moved by a fixed dense P (random.Random(1))."""
     h = INPUTS["A(3,1)"]()
     rng = random.Random(1)
     perm = list(range(h.dim))
     rng.shuffle(perm)
-    moved = transport(h, dense_columns(h.field, perm, lambda: rng.choice((-1, 0, 1))))
-    assert len(moved.comult.entries) > h.dim**3 // 2
+    return transport(h, dense_columns(h.field, perm, lambda: rng.choice((-1, 0, 1))))
+
+
+def test_dense_basis_of_a31():
+    """A(3,1) in a dense basis (almost every comultiplication constant is
+    nonzero) verifies, and its antipode solves to P^-1 S P."""
+    moved = dense_a31()
+    assert len(moved.comult.entries) > moved.dim**3 // 2
     assert verify_hopf(moved).ok
     stripped = HopfAlgebra(moved.algebra, moved.comult, moved.counit)
     assert solve_antipode(stripped) == moved.antipode

@@ -18,6 +18,7 @@ from hopfcheck.hopf import (
     LABEL_A1,
     LABEL_A1_DUAL,
     LABEL_TAFT_TENSOR,
+    DegenerateIntegral,
     Fingerprint,
     HopfAlgebra,
     _is_group_like,
@@ -47,10 +48,12 @@ from hopfcheck.linalg import (
     Matrix,
     Tensor3,
     unit_vector,
+    vec_dot,
     vec_is_zero,
     vec_scale,
     vec_sub,
 )
+from test_basis_independence import dense_a31
 from test_verify_generators import transport, transpose
 
 Q = make_field(1)
@@ -439,6 +442,119 @@ class TestRadford:
         h = a_tau_mu(3, 2, -1, 1)
         assert check_radford_s4(h, integrals(h))
         assert h.antipode.power(4).is_identity()
+
+
+def radford_s4_oracle(h, data):
+    """check_radford_s4 by the loop it replaced: alpha^{-1}(b_j) alpha(b_l) b_k
+    summed over the triples (j, k, l) of sweedler_triples(i)."""
+    field, dim = h.field, h.dim
+    s4 = h.antipode.power(4)
+    alpha = data.distinguished_alpha
+    alpha_inv = tuple(vec_dot(alpha, h.antipode.column(j), field) for j in range(dim))
+    a = data.distinguished_a
+    a_inv = h.antipode.apply(a)
+    for i in range(dim):
+        w = [field.zero()] * dim
+        for j, k, l, c in h.sweedler_triples(i):
+            f = alpha_inv[j] * alpha[l]
+            if not f.is_zero():
+                w[k] = w[k] + c * f
+        conj = h.algebra.multiply(a, h.algebra.multiply(tuple(w), a_inv))
+        if conj != s4.column(i):
+            return False
+    return True
+
+
+RADFORD_FAMILIES = {"sweedler": sweedler}
+for _p in (3, 5):
+    RADFORD_FAMILIES.update({
+        "k[Z%d]" % _p: lambda p=_p: group_algebra(p),
+        "T%d" % _p: lambda p=_p: taft(p, make_field(p).zeta()),
+        "A(%d,0)" % _p: lambda p=_p: a_tau_mu(p, 2, -1, 0),
+        "A(%d,1)" % _p: lambda p=_p: a_tau_mu(p, 2, -1, 1),
+        "T2xk[Z%d]" % _p: lambda p=_p: taft_tensor_group(2, -1, p),
+    })
+RADFORD_INPUTS = dict(RADFORD_FAMILIES)
+RADFORD_INPUTS.update({
+    name + "*": lambda make=make: dual(make()) for name, make in RADFORD_FAMILIES.items()
+})
+RADFORD_INPUTS["dense A(3,1)"] = dense_a31
+
+
+class TestRadfordAgainstTripleLoop:
+    """check_radford_s4 gives the Delta^2-triple loop's verdict on the true
+    integral data and with a or alpha replaced by another group-like, on
+    every family and its dual at p in {3, 5} and on a dense A(3,1)."""
+
+    @pytest.mark.parametrize("name", sorted(RADFORD_INPUTS))
+    def test_same_verdict(self, name):
+        h = RADFORD_INPUTS[name]()
+        data = integrals(h)
+        assert check_radford_s4(h, data) and radford_s4_oracle(h, data)
+        perturbed = [
+            dataclasses.replace(data, distinguished_a=g)
+            for g in group_likes(h).elements
+            if g != data.distinguished_a
+        ] + [
+            dataclasses.replace(data, distinguished_alpha=chi)
+            for chi in group_likes(dual(h)).elements
+            if chi != data.distinguished_alpha
+        ]
+        verdicts = []
+        for other in perturbed:
+            verdicts.append(check_radford_s4(h, other))
+            assert verdicts[-1] == radford_s4_oracle(h, other)
+        # in k[Zn], commutative and cocommutative, every replacement passes;
+        # every other input has one that fails
+        assert all(verdicts) == name.startswith("k[Z")
+
+
+class TestComputeOnce:
+    def test_solve_integrals_radford_share_one_integral_pair(self, monkeypatch):
+        calls = []
+        original = hopf.common_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hopf, "common_kernel", counting)
+        h = without_antipode(a_tau_mu(5, 2, -1, 1))
+        h.antipode = solve_antipode(h)
+        data = integrals(h)
+        assert check_radford_s4(h, data)
+        assert calls == [20, 20]  # Lambda and lam, once each
+        pair = h._cache["integral_pair"]
+        assert pair == (data.left_integral, data.right_dual_integral)
+        assert pair == hopf._integral_pair(without_antipode(a_tau_mu(5, 2, -1, 1)))
+
+    def test_verify_does_not_repeat_the_antipode_certificate(self, monkeypatch):
+        h = without_antipode(a_tau_mu(3, 2, -1, 1))
+        calls = []
+        original = hopf.antipode_law_failures
+
+        def counting(h, s):
+            calls.append(h.dim)
+            return original(h, s)
+
+        monkeypatch.setattr(hopf, "antipode_law_failures", counting)
+        h.antipode = solve_antipode(h)
+        assert verify_hopf(h).ok
+        assert calls == [12]
+        # another matrix in the antipode's place is checked again
+        h.antipode = h.antipode.scale(-1)
+        report = verify_hopf(h)
+        assert calls == [12, 12]
+        assert [v.law for v in report.violations][:1] == ["antipode-left"]
+
+    def test_degenerate_integral_is_not_cached(self):
+        h = monoid_algebra(LEFT_ZERO)
+        for _ in range(2):
+            with pytest.raises(
+                DegenerateIntegral, match="^left integral space has dimension 0$"
+            ):
+                integrals(h)
+        assert "integral_pair" not in h._cache
 
 
 class TestSemisimplicity:

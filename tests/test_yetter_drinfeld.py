@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfcheck import yetter_drinfeld
 from hopfcheck.cyclotomic import make_field
 from hopfcheck.families import group_algebra, sweedler, taft_tensor_group
 from hopfcheck.hopf import (
@@ -14,7 +15,9 @@ from hopfcheck.hopf import (
 )
 from hopfcheck.linalg import Matrix, Tensor3, unit_vector, vec_scale
 from hopfcheck.yetter_drinfeld import (
+    BaseMismatch,
     BraidedHopf,
+    VerificationFailure,
     YDModule,
     bosonize,
     braided_integrals,
@@ -253,6 +256,60 @@ class TestDualBiproduct:
         r = ordinary_to_braided(sweedler(), base)
         assert dual_braided(r).antipode != r.antipode
         assert check_dual_biproduct(r, base)
+
+
+class TestDualBiproductBuildsOnce:
+    def test_two_biproducts(self, monkeypatch):
+        """R x B is built once, checked, and its dual gives R*; then R* x B*."""
+        calls = []
+        original = yetter_drinfeld.bosonize
+
+        def counting(r, base, check=True):
+            calls.append((r.dim, base.dim))
+            return original(r, base, check)
+
+        monkeypatch.setattr(yetter_drinfeld, "bosonize", counting)
+        f = make_field(12)
+        base = sweedler(f)
+        r = ordinary_to_braided(group_algebra(3, f), base)
+        assert check_dual_biproduct(r, base)
+        assert calls == [(3, 4), (3, 4)]
+
+    def test_one_hopf_verification(self, monkeypatch):
+        """(R x B)* equals R* x B*, so only R x B runs verify_hopf."""
+        calls = []
+        original = yetter_drinfeld.verify_hopf
+
+        def counting(h):
+            calls.append(h.dim)
+            return original(h)
+
+        monkeypatch.setattr(yetter_drinfeld, "verify_hopf", counting)
+        f = make_field(20)
+        base = sweedler(f)
+        r = ordinary_to_braided(group_algebra(5, f), base)
+        assert check_dual_biproduct(r, base)
+        assert calls == [20]
+
+    def test_differing_dual_biproduct_is_verified(self, monkeypatch):
+        """An R* x B* that differs from (R x B)* still runs verify_hopf."""
+        original = yetter_drinfeld._dual_braided
+
+        def wrong_antipode(r, hdual, check):
+            rstar = original(r, hdual, check)
+            rstar.antipode = rstar.antipode.scale(-1)
+            return rstar
+
+        monkeypatch.setattr(yetter_drinfeld, "_dual_braided", wrong_antipode)
+        r = nilpotent_line_over_z2()
+        with pytest.raises(VerificationFailure, match="^biproduct fails Hopf axioms"):
+            check_dual_biproduct(r, r.base)
+
+    def test_mismatched_base_raises(self):
+        f = make_field(12)
+        r = ordinary_to_braided(group_algebra(3, f), sweedler(f))
+        with pytest.raises(BaseMismatch):
+            check_dual_biproduct(r, group_algebra(4, f))
 
 
 class TestBraidedIntegrals:
