@@ -152,9 +152,6 @@ class AssocAlgebra:
     def left_mult_matrix(self, a) -> Matrix:
         return self.mult.contract("left-mult", a)
 
-    def right_mult_matrix(self, a) -> Matrix:
-        return self.mult.contract("right-mult", a)
-
     def basis_left_trace(self, t: int) -> FieldElement:
         """Trace of left multiplication by basis element t."""
         if self._left_traces is None:

@@ -421,6 +421,22 @@ def right_dual_integral(h, integral, message) -> tuple:
     return lam
 
 
+def _integral_block(h, i: int, right: bool = False):
+    """v -> b_i v - eps(b_i) v, or v b_i - eps(b_i) v when right, on dense
+    vectors: one block of integral_line.  h is a HopfAlgebra or a
+    BraidedHopf."""
+    eps, zero = h.counit[i], h.field.zero()
+
+    def apply(v):
+        nonzero = sparse_vector(v)
+        w = h.algebra.basis_times(i, nonzero, right=right)
+        for t, x in nonzero.items():
+            w[t] = w.get(t, zero) - eps * x
+        return dense_vector(h.field, h.dim, w)
+
+    return apply
+
+
 def _integral_pair(h: HopfAlgebra) -> tuple:
     """(Lambda, lam): Lambda spans the left integrals of h (x Lambda =
     eps(x) Lambda) and lam the right integrals of h*, with lam(Lambda) = 1
@@ -430,22 +446,8 @@ def _integral_pair(h: HopfAlgebra) -> tuple:
     cached = h._cache.get("integral_pair")
     if cached is not None:
         return cached
-    zero = h.field.zero()
-
-    def left_block(i):
-        eps = h.counit[i]
-
-        def apply(v):
-            nonzero = sparse_vector(v)
-            w = h.algebra.basis_times(i, nonzero)
-            for t, x in nonzero.items():
-                w[t] = w.get(t, zero) - eps * x
-            return dense_vector(h.field, h.dim, w)
-
-        return apply
-
     big_lambda = integral_line(
-        [left_block(i) for i in range(h.dim)],
+        [_integral_block(h, i) for i in range(h.dim)],
         h.field,
         h.dim,
         "left integral space has dimension %d",

@@ -23,6 +23,7 @@ from hopfcheck.cyclotomic import FieldMismatch
 from hopfcheck.hopf import (
     DegenerateIntegral,
     HopfAlgebra,
+    _integral_block,
     antipode_law_failures,
     coassociative,
     counit_law,
@@ -36,13 +37,11 @@ from hopfcheck.linalg import (
     Tensor3,
     dense_vector,
     sparse_equal,
+    sparse_sub_scaled,
     sparse_vector,
-    unit_vector,
-    vec_combination,
     vec_dot,
     vec_outer,
     vec_scale,
-    vec_sub,
     zero_vector,
 )
 
@@ -74,18 +73,6 @@ class YDModule:
     @property
     def field(self):
         return self.base.field
-
-    def act(self, b_vec, v) -> tuple:
-        """(sum_i b_i action_i) applied to v."""
-        out = list(zero_vector(self.field, self.dim))
-        for i, c in enumerate(b_vec):
-            if c.is_zero():
-                continue
-            img = self.action[i].apply(v)
-            for t, x in enumerate(img):
-                if not x.is_zero():
-                    out[t] = out[t] + c * x
-        return tuple(out)
 
     def coact_basis(self, i: int):
         """rho(v_i) as a sparse tuple of (base index, module index, coeff)."""
@@ -308,20 +295,21 @@ def module_algebra_failures(yd: YDModule, alg: AssocAlgebra):
     with b . (rs) != (b1 . r)(b2 . s).  A generator, like
     hopf.antipode_law_failures."""
     base = yd.base
-    field = yd.field
-    dim = yd.dim
+    acts = _action_columns(yd)
     for bi in range(base.dim):
         if yd.action[bi].apply(alg.unit) != vec_scale(base.counit[bi], alg.unit):
             yield (bi,)
         deltas = base.delta_basis(bi)
-        for i in range(dim):
-            for j in range(dim):
-                terms = [
-                    alg.multiply(yd.action[b1].column(i), yd.action[b2].column(j))
-                    for b1, b2, _ in deltas
-                ]
-                rhs = vec_combination([c for _, _, c in deltas], terms, field, dim)
-                if yd.action[bi].apply(_basis_product_vec(alg, i, j)) != rhs:
+        for i in range(yd.dim):
+            for j in range(yd.dim):
+                # b . (r_i r_j) - sum c (b1 . r_i)(b2 . r_j), without zeros
+                diff: dict = {}
+                for k, c in alg.basis_product(i, j):
+                    sparse_sub_scaled(diff, -c, acts[bi][k])
+                for b1, b2, c in deltas:
+                    for t, x in acts[b1][i].items():
+                        sparse_sub_scaled(diff, c * x, alg.basis_times(t, acts[b2][j]))
+                if diff:
                     yield (bi, i, j)
 
 
@@ -616,23 +604,33 @@ def bosonize(r: BraidedHopf, base: HopfAlgebra, check: bool = True) -> HopfAlgeb
     return h
 
 
-def dual_braided(r: BraidedHopf, check: bool = True) -> BraidedHopf:
-    """R* as a braided Hopf algebra over B*.
+def dual_braided(r: BraidedHopf) -> BraidedHopf:
+    """R* as a braided Hopf algebra over B*, checked by verify_braided_hopf.
 
     R*'s multiplication, unit, comultiplication, counit and antipode are the
     transposes of R's comultiplication, counit, multiplication, unit and S_R,
-    with the index permutations of hopf.dual.  Only the B*-action and the
-    B*-coaction are extracted from (R x B)*, through the embedding
-    f -> f (x) eps_B and evaluation of the B-leg at 1_B.  The result is
-    re-run through verify_braided_hopf.
+    with the index permutations of hopf.dual.  Its B*-action and B*-coaction
+    are R's coaction and action transposed:
+        (b_j* . r_i*)(r_k) = b_j*((r_k)_{-1}) r_i*((r_k)_0),
+        rho(f) = sum_j b_j* (x) f(b_j . -).
 
-    These are the structure maps that R* inherits inside (R x B)*.  In the
-    biproduct, (r 1_B)(s 1_B) = rs 1_B, because 1_B acts trivially, and
-    Delta(r 1_B) = r_1 (r_2)_{-1} (x) (r_2)_0 1_B, because Delta(1_B) =
-    1_B (x) 1_B.  Evaluated on these elements:
+    These are the structure maps that R* inherits inside (R x B)*, through
+    f -> f (x) eps_B and evaluation of the B-leg at 1_B.  The map
+    pi: R x B -> B, r b -> eps(r) b, is a Hopf map, so beta -> eps_R (x) beta
+    embeds B* in (R x B)* as a Hopf algebra, and Delta* and S* act on it as
+    they do in B*.  The adjoint action beta_1 (f (x) eps_B) S*(beta_2),
+    evaluated at r 1_B, is beta(r_{-1}) f(r_0), by eps(v_{-1}) v_0 = v and
+    S_B(1) = 1.  And Delta*(f (x) eps_B), evaluated at (1_R b) (x) (r 1_B),
+    is (f (x) eps_B)((b_1 . r) b_2) = f(b . r).  Neither formula depends on
+    where the unit sits in either basis.
+
+    The algebra and coalgebra of R* are those of (R x B)* on the same
+    elements.  In the biproduct, (r 1_B)(s 1_B) = rs 1_B, because 1_B acts
+    trivially, and Delta(r 1_B) = r_1 (r_2)_{-1} (x) (r_2)_0 1_B, because
+    Delta(1_B) = 1_B (x) 1_B.  Evaluated on these elements:
         (f eps_B)(g eps_B) at r 1_B = f(r_1) eps_B((r_2)_{-1}) g((r_2)_0)
                                     = f(r_1) g(r_2),
-    by eps(v_{-1}) v_0 = v, which is Delta_R transposed.  Likewise
+    which is Delta_R transposed.  Likewise
         Delta*(f eps_B) at (r 1_B, s 1_B) = f(rs),
     which is m_R transposed.  The unit eps_R (x) eps_B evaluates to eps_R,
     and f (x) eps_B at 1_R 1_B is f(1_R).  The convolution laws of S_R then
@@ -641,61 +639,22 @@ def dual_braided(r: BraidedHopf, check: bool = True) -> BraidedHopf:
     which is eps*(f) 1* at r, and the same on the right.  So S_R^T is the
     antipode of R*, unique as the convolution inverse of the identity.
     """
-    return _dual_braided(r, dual(bosonize(r, r.base, check=False)), check)
-
-
-def _dual_braided(r: BraidedHopf, hdual: HopfAlgebra, check: bool) -> BraidedHopf:
-    """dual_braided with hdual = (R x B)* already built."""
-    base = r.base
-    bdual = dual(base)
     field = r.field
-    rd, bd = r.dim, base.dim
-    zero = field.zero()
-
-    def flat(u, w):  # u (x) w on the R-major basis of (R x B)*
-        return tuple(x * y for x in u for y in w)
-
-    def proj_r(v):  # evaluate the B-leg at 1_B
-        return tuple(
-            vec_dot(v[i * bd:(i + 1) * bd], base.unit, field) for i in range(rd)
-        )
-
-    rstar_units = [flat(unit_vector(field, rd, i), base.counit) for i in range(rd)]
-    bstar_units = [flat(r.counit, unit_vector(field, bd, j)) for j in range(bd)]
-
-    # B*-action on R*: beta . f = Pi_R( beta1 f S*(beta2) ), summed as
-    # sum_x (b_x f) w_x with w_x = sum_y c_xy S*(b_y) over Delta*(beta)
-    alg = hdual.algebra
-    s_cols = [sparse_vector(col) for col in hdual.antipode.columns()]
-    action = []
-    for beta in bstar_units:
-        legs: dict = {}
-        for (x, y), c in hdual.delta_vec(beta).items():
-            w = legs.setdefault(x, {})
-            for t, st in s_cols[y].items():
-                w[t] = w.get(t, zero) + c * st
-        cols = []
-        for f in map(sparse_vector, rstar_units):
-            acc: dict = {}
-            for x, w in legs.items():
-                left = alg.basis_times(x, f)
-                for t, wt in w.items():
-                    for u, v in alg.basis_times(t, left, right=True).items():
-                        acc[u] = acc.get(u, zero) + wt * v
-            cols.append(proj_r(dense_vector(field, rd * bd, acc)))
-        action.append(Matrix.from_columns(field, cols))
-
-    # B*-coaction on R*: Delta*(f (x) eps_B), the left factor's R-leg evaluated
-    # at 1_R and the right factor's B-leg at 1_B
-    coaction_entries: dict = {}
-    for i, f in enumerate(rstar_units):
-        for (x, y), c in hdual.delta_vec(f).items():
-            key = (i, x % bd, y // bd)
-            c = c * r.unit[x // bd] * base.unit[y % bd]
-            coaction_entries[key] = coaction_entries.get(key, zero) + c
-
+    rd, bd = r.dim, r.base.dim
+    action = [[[field.zero()] * rd for _ in range(rd)] for _ in range(bd)]
+    for (k, j, i), c in r.yd.coaction.entries.items():
+        action[j][k][i] = c
+    coaction = {
+        (i, j, k): c
+        for j, m in enumerate(r.yd.action)
+        for i, row in enumerate(m.data)
+        for k, c in enumerate(row)
+    }
     yd_star = YDModule(
-        bdual, rd, action, Tensor3(field, (rd, bd, rd), coaction_entries)
+        dual(r.base),
+        rd,
+        [Matrix(field, rows) for rows in action],
+        Tensor3(field, (rd, bd, rd), coaction),
     )
     rstar = BraidedHopf(
         yd_star,
@@ -705,12 +664,11 @@ def _dual_braided(r: BraidedHopf, hdual: HopfAlgebra, check: bool) -> BraidedHop
         r.unit,
         r.antipode.transpose(),
     )
-    if check:
-        report = verify_braided_hopf(rstar)
-        if not report.ok:
-            raise VerificationFailure(
-                "dual braided object fails axioms:\n" + "\n".join(report.lines())
-            )
+    report = verify_braided_hopf(rstar)
+    if not report.ok:
+        raise VerificationFailure(
+            "dual braided object fails axioms:\n" + "\n".join(report.lines())
+        )
     return rstar
 
 
@@ -718,14 +676,15 @@ def check_dual_biproduct(r: BraidedHopf, base: HopfAlgebra) -> bool:
     """(R x B)* == R* x B* under (r_i (x) b_j)* <-> r_i* (x) b_j*, tensor-exactly.
 
     R x B passes verify_hopf, and so does its dual: each law of H* is a law
-    of H transposed.  So R* x B* is checked only when it differs from
-    (R x B)*, and the answer or VerificationFailure is that of bosonizing
-    R* x B* with its check.
+    of H transposed.  R* comes from R alone (dual_braided), not from
+    (R x B)*.  So R* x B* is checked only when it differs from (R x B)*,
+    and the answer or VerificationFailure is that of bosonizing R* x B*
+    with its check.
     """
     from hopfcheck.hopf import structure_equal
 
     lhs = dual(bosonize(r, base))
-    rstar = _dual_braided(r, lhs, check=True)
+    rstar = dual_braided(r)
     if structure_equal(lhs, bosonize(rstar, dual(base), check=False)):
         return True
     bosonize(rstar, dual(base))  # raises VerificationFailure if it fails
@@ -747,18 +706,8 @@ def braided_integrals(r: BraidedHopf) -> BraidedIntegrals:
     """
     field = r.field
     dim = r.dim
-
-    def right_block(i):
-        e = unit_vector(field, dim, i)
-        eps = r.counit[i]
-
-        def apply(v):
-            return vec_sub(r.algebra.multiply(v, e), vec_scale(eps, v))
-
-        return apply
-
     big = integral_line(
-        [right_block(i) for i in range(dim)],
+        [_integral_block(r, i, right=True) for i in range(dim)],
         field,
         dim,
         "right integral space of R has dimension %d",

@@ -445,7 +445,7 @@ def ref_center(alg):
     rows = []
     for i in range(alg.dim):
         e = unit_vector(alg.field, alg.dim, i)
-        diff = alg.left_mult_matrix(e) - alg.right_mult_matrix(e)
+        diff = alg.left_mult_matrix(e) - alg.mult.contract("right-mult", e)
         rows.extend(diff.data)
     return ref_kernel(Matrix(alg.field, rows))
 

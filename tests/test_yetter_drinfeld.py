@@ -8,12 +8,21 @@ from hopfcheck.cyclotomic import make_field
 from hopfcheck.families import group_algebra, sweedler, taft_tensor_group
 from hopfcheck.hopf import (
     coradical,
+    dual,
     fingerprint,
     group_likes,
     structure_equal,
     verify_hopf,
 )
-from hopfcheck.linalg import Matrix, Tensor3, unit_vector, vec_scale
+from hopfcheck.linalg import (
+    Matrix,
+    Tensor3,
+    dense_vector,
+    sparse_vector,
+    unit_vector,
+    vec_dot,
+    vec_scale,
+)
 from hopfcheck.yetter_drinfeld import (
     BaseMismatch,
     BraidedHopf,
@@ -72,6 +81,158 @@ def nilpotent_line_over_z2(field=None):
     counit = (f.one(), f.zero())
     antipode = Matrix(f, [[f.one(), f.zero()], [f.zero(), f.from_rational(-1)]])
     return BraidedHopf(yd, mult, (f.one(), f.zero()), comult, counit, antipode)
+
+
+def nichols_line(n):
+    """R = k[x]/(x^n) over k[Z_n] with g . x = zeta_n x and rho(x) = g (x) x:
+    Delta(x^m) = sum_k binom_zeta(m, k) x^k (x) x^(m-k) and
+    S(x^m) = (-1)^m zeta^(m(m-1)/2) x^m."""
+    f = make_field(n)
+    base = group_algebra(n, f)
+    z = f.zeta()
+    zero = f.zero()
+
+    def diagonal(entries):
+        return Matrix(
+            f, [[entries[m] if m == k else zero for k in range(n)] for m in range(n)]
+        )
+
+    action = [diagonal([z ** (a * m) for m in range(n)]) for a in range(n)]
+    coaction = Tensor3(f, (n, n, n), {(m, m, m): 1 for m in range(n)})
+    mult = {(a, b, a + b): 1 for a in range(n) for b in range(n) if a + b < n}
+    # zeta-binomials by Pascal's rule [m, k] = [m-1, k-1] + zeta^k [m-1, k]
+    binom = [[f.one()]]
+    for m in range(1, n):
+        prev = binom[-1] + [zero]
+        binom.append(
+            [f.one()] + [prev[k - 1] + z ** k * prev[k] for k in range(1, m + 1)]
+        )
+    comult = {(m, k, m - k): binom[m][k] for m in range(n) for k in range(m + 1)}
+    antipode = diagonal(
+        [f.from_rational((-1) ** m) * z ** (m * (m - 1) // 2) for m in range(n)]
+    )
+    unit = unit_vector(f, n, 0)
+    return BraidedHopf(
+        YDModule(base, n, action, coaction),
+        Tensor3(f, (n, n, n), mult),
+        unit,
+        Tensor3(f, (n, n, n), comult),
+        unit,
+        antipode,
+    )
+
+
+def h4_line(coaction_index):
+    """R = k[u]/(u^2) over H4 with g . u = -u, x . u = 0 and
+    rho(u) = b (x) u for the base index coaction_index; u is primitive and
+    S(u) = -u.  A Yetter-Drinfeld module for b = g, not for b = 1."""
+    base = h4()
+    f = base.field
+    one, zero, minus = f.one(), f.zero(), f.from_rational(-1)
+    action = [Matrix(f, [[zero, zero], [zero, zero]]) for _ in range(base.dim)]
+    action[ONE] = Matrix.identity(f, 2)
+    action[G] = Matrix(f, [[one, zero], [zero, minus]])
+    coaction = Tensor3(f, (2, base.dim, 2), {(0, ONE, 0): 1, (1, coaction_index, 1): 1})
+    mult = Tensor3(f, (2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
+    comult = Tensor3(f, (2, 2, 2), {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1})
+    antipode = Matrix(f, [[one, zero], [zero, minus]])
+    yd = YDModule(base, 2, action, coaction)
+    return BraidedHopf(yd, mult, (one, zero), comult, (one, zero), antipode)
+
+
+def extracted_dual_braided(r):
+    """R* read off (R x B)*: the oracle for dual_braided.
+
+    The five structure fields are R's transposed.  B* embeds in (R x B)* as
+    beta -> eps_R (x) beta and R* as f -> f (x) eps_B.  The B*-action is the
+    adjoint action beta_1 f S*(beta_2) and the B*-coaction is Delta*(f),
+    each evaluated back on R x B: the R-leg at 1_R, the B-leg at 1_B.
+    """
+    base = r.base
+    hdual = dual(bosonize(r, base, check=False))
+    field = r.field
+    rd, bd = r.dim, base.dim
+    zero = field.zero()
+
+    def flat(u, w):  # u (x) w on the R-major basis of (R x B)*
+        return tuple(x * y for x in u for y in w)
+
+    def proj_r(v):  # evaluate the B-leg at 1_B
+        return tuple(
+            vec_dot(v[i * bd:(i + 1) * bd], base.unit, field) for i in range(rd)
+        )
+
+    rstar_units = [flat(unit_vector(field, rd, i), base.counit) for i in range(rd)]
+    bstar_units = [flat(r.counit, unit_vector(field, bd, j)) for j in range(bd)]
+
+    # beta . f = sum_x (b_x f) w_x with w_x = sum_y c_xy S*(b_y) over Delta*(beta)
+    alg = hdual.algebra
+    s_cols = [sparse_vector(col) for col in hdual.antipode.columns()]
+    action = []
+    for beta in bstar_units:
+        legs: dict = {}
+        for (x, y), c in hdual.delta_vec(beta).items():
+            w = legs.setdefault(x, {})
+            for t, st in s_cols[y].items():
+                w[t] = w.get(t, zero) + c * st
+        cols = []
+        for f in map(sparse_vector, rstar_units):
+            acc: dict = {}
+            for x, w in legs.items():
+                left = alg.basis_times(x, f)
+                for t, wt in w.items():
+                    for u, v in alg.basis_times(t, left, right=True).items():
+                        acc[u] = acc.get(u, zero) + wt * v
+            cols.append(proj_r(dense_vector(field, rd * bd, acc)))
+        action.append(Matrix.from_columns(field, cols))
+
+    coaction_entries: dict = {}
+    for i, f in enumerate(rstar_units):
+        for (x, y), c in hdual.delta_vec(f).items():
+            key = (i, x % bd, y // bd)
+            c = c * r.unit[x // bd] * base.unit[y % bd]
+            coaction_entries[key] = coaction_entries.get(key, zero) + c
+
+    yd_star = YDModule(
+        dual(base), rd, action, Tensor3(field, (rd, bd, rd), coaction_entries)
+    )
+    return BraidedHopf(
+        yd_star,
+        r.comult.permuted((1, 2, 0)),
+        r.counit,
+        r.mult.permuted((2, 0, 1)),
+        r.unit,
+        r.antipode.transpose(),
+    )
+
+
+def braided_fields(r):
+    """Everything a BraidedHopf holds besides its base."""
+    return (
+        r.yd.action,
+        r.yd.coaction,
+        r.mult,
+        r.unit,
+        r.comult,
+        r.counit,
+        r.antipode,
+    )
+
+
+F12, F20 = make_field(12), make_field(20)
+
+# the valid braided Hopf algebras that dual_braided is checked on
+VALID = {
+    "trivial-line": lambda: ordinary_to_braided(group_algebra(1, Q), sweedler()),
+    "Z3-over-H4": lambda: ordinary_to_braided(group_algebra(3, F12), sweedler(F12)),
+    "Z5-over-H4": lambda: ordinary_to_braided(group_algebra(5, F20), sweedler(F20)),
+    "nilpotent-line-over-Z2": nilpotent_line_over_z2,
+    "sweedler-over-k": lambda: ordinary_to_braided(sweedler(), group_algebra(1, Q)),
+    "nichols-3": lambda: nichols_line(3),
+    "nichols-4": lambda: nichols_line(4),
+    "nichols-5": lambda: nichols_line(5),
+    "H4-line": lambda: h4_line(G),
+}
 
 
 class TestVerifyYD:
@@ -258,6 +419,47 @@ class TestDualBiproduct:
         assert check_dual_biproduct(r, base)
 
 
+class TestDualBraided:
+    @pytest.mark.parametrize("name", sorted(VALID))
+    def test_equals_extraction_from_dual_biproduct(self, name):
+        r = VALID[name]()
+        rstar = dual_braided(r)
+        oracle = extracted_dual_braided(r)
+        assert rstar.base is oracle.base
+        assert braided_fields(rstar) == braided_fields(oracle)
+
+    @pytest.mark.parametrize("name", sorted(VALID))
+    def test_double_dual_is_identity(self, name):
+        r = VALID[name]()
+        twice = dual_braided(dual_braided(r))
+        assert twice.base is r.base
+        assert braided_fields(twice) == braided_fields(r)
+
+    @pytest.mark.parametrize("name", ["nichols-3", "nichols-4", "nichols-5", "H4-line"])
+    def test_dual_biproduct_holds(self, name):
+        r = VALID[name]()
+        assert verify_braided_hopf(r).ok
+        assert check_dual_biproduct(r, r.base)
+
+    def test_h4_line_with_trivial_coaction_fails(self):
+        r = h4_line(ONE)
+        assert not verify_braided_hopf(r).ok
+        with pytest.raises(VerificationFailure):
+            check_dual_biproduct(r, r.base)
+
+    def test_builds_no_biproduct(self, monkeypatch):
+        calls = []
+        original = yetter_drinfeld.bosonize
+
+        def counting(r, base, check=True):
+            calls.append((r.dim, base.dim))
+            return original(r, base, check)
+
+        monkeypatch.setattr(yetter_drinfeld, "bosonize", counting)
+        dual_braided(VALID["Z3-over-H4"]())
+        assert calls == []
+
+
 class TestDualBiproductBuildsOnce:
     def test_two_biproducts(self, monkeypatch):
         """R x B is built once, checked, and its dual gives R*; then R* x B*."""
@@ -293,14 +495,14 @@ class TestDualBiproductBuildsOnce:
 
     def test_differing_dual_biproduct_is_verified(self, monkeypatch):
         """An R* x B* that differs from (R x B)* still runs verify_hopf."""
-        original = yetter_drinfeld._dual_braided
+        original = yetter_drinfeld.dual_braided
 
-        def wrong_antipode(r, hdual, check):
-            rstar = original(r, hdual, check)
+        def wrong_antipode(r):
+            rstar = original(r)
             rstar.antipode = rstar.antipode.scale(-1)
             return rstar
 
-        monkeypatch.setattr(yetter_drinfeld, "_dual_braided", wrong_antipode)
+        monkeypatch.setattr(yetter_drinfeld, "dual_braided", wrong_antipode)
         r = nilpotent_line_over_z2()
         with pytest.raises(VerificationFailure, match="^biproduct fails Hopf axioms"):
             check_dual_biproduct(r, r.base)
@@ -352,8 +554,8 @@ class TestModuleAlgebraIdempotents:
         for j in range(3):
             e = tuple(third * z3 ** ((-j * k) % 3) for k in range(3))
             assert r.algebra.multiply(e, e) == e
-            assert r.yd.act(unit_vector(f, 4, G), e) == e
-            assert all(c.is_zero() for c in r.yd.act(unit_vector(f, 4, X), e))
+            assert r.yd.action[G].apply(e) == e
+            assert all(c.is_zero() for c in r.yd.action[X].apply(e))
 
     def test_biproduct_central_idempotent_relations(self):
         # decompose central idempotents E = r1 e0 + r2 e1 + r3 xe0 + r4 xe1
@@ -400,8 +602,8 @@ class TestModuleAlgebraIdempotents:
                     comps[name][i] = sol[t]
             r1, r2 = tuple(comps["e0"]), tuple(comps["e1"])
             r3, r4 = tuple(comps["xe0"]), tuple(comps["xe1"])
-            g_act = lambda v: r.yd.act(unit_vector(f, 4, G), v)
-            x_act = lambda v: r.yd.act(unit_vector(f, 4, X), v)
+            g_act = lambda v: r.yd.action[G].apply(v)
+            x_act = lambda v: r.yd.action[X].apply(v)
             assert g_act(r1) == r1 and g_act(r2) == r2
             assert g_act(r3) == vec_scale(f.from_rational(-1), r3)
             assert g_act(r4) == vec_scale(f.from_rational(-1), r4)
