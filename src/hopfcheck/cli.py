@@ -28,9 +28,9 @@ from hopfcheck.hopf import (
     NotGroupLike,
     antipode_order,
     classify_4p,
-    coradical,
     dual,
     group_likes,
+    is_pointed,
     is_semisimple_lr,
     skew_profile,
     solve_antipode,
@@ -174,9 +174,8 @@ def _invariant_lines(h) -> list:
         "trace_s2: %r" % trace_s2(h),
         "antipode_order: %d" % antipode_order(h),
         "semisimple: %s" % ("yes" if is_semisimple_lr(h) else "no"),
-        "pointed: %s" % ("yes" if len(coradical(h)) == len(likes) else "no"),
-        "dual_pointed: %s"
-        % ("yes" if len(coradical(hdual)) == len(dual_likes) else "no"),
+        "pointed: %s" % ("yes" if is_pointed(h) else "no"),
+        "dual_pointed: %s" % ("yes" if is_pointed(hdual) else "no"),
     ]
     profile = sorted(skew_profile(h, likes).items())
     return lines + [

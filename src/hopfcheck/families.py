@@ -5,9 +5,11 @@ Taft (x) group-algebra tensor family.
 
 Conventions, fixed once: Taft relation g x = tau x g (tau = -1 recovers
 g x = -x g), and a y = tau y a so that y a^i = tau^{-i} a^i y.  Normal-form
-bases are ordered lexicographically (g^i x^j and a^i y^j).  Default working
-field for a family of dimension d with parameter in mu_q is Q(zeta_lcm(q, d))
-so group-like searches over the constructed object are complete.
+bases are ordered lexicographically (g^i x^j and a^i y^j).  T_q and
+A(tau, mu) come from one presentation; T_q is its case n = q, mu = 0.
+Default working field for a family of dimension d with parameter in mu_q is
+Q(zeta_lcm(q, d)) so group-like searches over the constructed object are
+complete.
 """
 
 from __future__ import annotations
@@ -82,47 +84,7 @@ def taft(q: int, tau, field: CycloField | None = None) -> HopfAlgebra:
     if q < 2:
         raise BadParams("Taft algebras need q >= 2")
     field, tau = _resolve_tau(q, tau, field)
-    dim = q * q
-
-    def idx(i, j):
-        return i * q + j
-
-    # x^j g^k = tau^{-jk} g^k x^j, so (g^i x^j)(g^k x^l) = tau^{-jk} g^{i+k} x^{j+l}
-    tau_pow = [tau ** t for t in range(q)]
-    mult = {}
-    for i in range(q):
-        for j in range(q):
-            for k in range(q):
-                for l in range(q):
-                    if j + l < q:
-                        c = tau_pow[(-j * k) % q]
-                        mult[(idx(i, j), idx(k, l), idx((i + k) % q, j + l))] = c
-    alg = AssocAlgebra(
-        field, dim, Tensor3(field, (dim, dim, dim), mult), unit_vector(field, dim, 0)
-    )
-    one = field.one()
-    s_g = {idx(q - 1, 0): one}
-    comult, antipode = _from_generators(
-        alg,
-        dim,
-        gens={
-            idx(1, 0): ({(idx(1, 0), idx(1, 0)): one}, s_g),
-            idx(0, 1): (
-                {(idx(0, 1), idx(1, 0)): one, (idx(0, 0), idx(0, 1)): one},
-                _product(alg, {idx(0, 1): -one}, s_g),
-            ),
-        },
-        words=[
-            [idx(1, 0)] * i + [idx(0, 1)] * j
-            for i in range(q)
-            for j in range(q)
-        ],
-        order=[idx(i, j) for i in range(q) for j in range(q)],
-    )
-    counit = [field.one() if j == 0 else field.zero() for i in range(q) for j in range(q)]
-    h = HopfAlgebra(alg, comult, counit)
-    h.antipode = certified_antipode(h, antipode)
-    return h
+    return _presentation(q, q, tau, 0, field, c_left=False)
 
 
 def sweedler(field: CycloField | None = None) -> HopfAlgebra:
@@ -146,13 +108,23 @@ def a_tau_mu(p: int, q: int, tau, mu: int, field: CycloField | None = None) -> H
     if field is None:
         field = make_field(math.lcm(q, p * q * q))
     field, tau = _resolve_tau(q, tau, field)
-    n = p * q
-    dim = p * q * q
+    return _presentation(p * q, q, tau, mu, field, c_left=True)
+
+
+def _presentation(n, q, tau, mu, field, c_left) -> HopfAlgebra:
+    """c^n = 1, z^q = mu(1 - c^q), cz = tau zc on the basis c^i z^j, i < n,
+    j < q, ordered lexicographically, with Delta(c) = c (x) c and S(c) =
+    c^(n-1).  Delta(z) = z (x) 1 + c (x) z and S(z) = -S(c) z when c_left,
+    else Delta(z) = z (x) c + 1 (x) z and S(z) = -z S(c).  Delta extends
+    multiplicatively and S anti-multiplicatively along the words c^i z^j,
+    and the result is certified by both antipode laws.
+    """
+    dim = n * q
 
     def idx(i, j):
         return i * q + j
 
-    # y^j a^k = tau^{-jk} a^k y^j and y^q = mu (1 - a^q)
+    # z^j c^k = tau^{-jk} c^k z^j and z^q = mu (1 - c^q)
     tau_pow = [tau ** t for t in range(q)]
     mult = {}
     for i in range(n):
@@ -164,7 +136,7 @@ def a_tau_mu(p: int, q: int, tau, mu: int, field: CycloField | None = None) -> H
                         key = (idx(i, j), idx(k, l), idx((i + k) % n, j + l))
                         mult[key] = mult.get(key, field.zero()) + c
                     elif mu == 1:
-                        # y^{j+l} = y^{j+l-q} (1 - a^q); y^q is central
+                        # z^{j+l} = z^{j+l-q} (1 - c^q); z^q is central
                         r = j + l - q
                         k1 = (idx(i, j), idx(k, l), idx((i + k) % n, r))
                         k2 = (idx(i, j), idx(k, l), idx((i + k + q) % n, r))
@@ -174,27 +146,22 @@ def a_tau_mu(p: int, q: int, tau, mu: int, field: CycloField | None = None) -> H
         field, dim, Tensor3(field, (dim, dim, dim), mult), unit_vector(field, dim, 0)
     )
     one = field.one()
-    s_a = {idx(n - 1, 0): one}
+    c_gen, z_gen = idx(1, 0), idx(0, 1)
+    s_c, minus_z = {idx(n - 1, 0): one}, {z_gen: -one}
+    if c_left:
+        delta_z = {(z_gen, 0): one, (c_gen, z_gen): one}
+        s_z = _product(alg, s_c, minus_z)
+    else:
+        delta_z = {(z_gen, c_gen): one, (0, z_gen): one}
+        s_z = _product(alg, minus_z, s_c)
     comult, antipode = _from_generators(
         alg,
         dim,
-        gens={
-            idx(1, 0): ({(idx(1, 0), idx(1, 0)): one}, s_a),
-            idx(0, 1): (
-                {(idx(0, 1), idx(0, 0)): one, (idx(1, 0), idx(0, 1)): one},
-                _product(alg, s_a, {idx(0, 1): -one}),
-            ),
-        },
-        words=[
-            [idx(1, 0)] * i + [idx(0, 1)] * j
-            for i in range(n)
-            for j in range(q)
-        ],
+        gens={c_gen: ({(c_gen, c_gen): one}, s_c), z_gen: (delta_z, s_z)},
+        words=[[c_gen] * i + [z_gen] * j for i in range(n) for j in range(q)],
         order=[idx(i, j) for i in range(n) for j in range(q)],
     )
-    counit = [
-        field.one() if j == 0 else field.zero() for i in range(n) for j in range(q)
-    ]
+    counit = [one if j == 0 else field.zero() for i in range(n) for j in range(q)]
     h = HopfAlgebra(alg, comult, counit)
     h.antipode = certified_antipode(h, antipode)
     return h

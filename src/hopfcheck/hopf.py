@@ -33,8 +33,6 @@ from hopfcheck.cyclotomic import (
 from hopfcheck.linalg import (
     Matrix,
     Tensor3,
-    common_kernel,
-    dense_vector,
     row_space_basis,
     sparse_equal,
     sparse_kernel,
@@ -381,82 +379,60 @@ def certified_antipode(h, s: Matrix) -> Matrix:
     return s
 
 
-def integral_line(blocks, field, dim, message) -> tuple:
-    """The vector spanning the common kernel of blocks, which must be a line.
+def integral_line(mult: Tensor3, eps, right: bool, message: str) -> tuple:
+    """The x with b_a x = eps_a x for every basis a, or x b_a = eps_a x when
+    right: the left (right) integral of the algebra with product tensor mult
+    and counit eps, by one stacked kernel.
 
-    Raises DegenerateIntegral(message % dimension) otherwise.
+    Row (a, k) is the b_k coefficient of b_a x - eps_a x: m[a][j][k] (or
+    m[j][a][k] when right) at x_j, less eps_a at x_k, read off the table
+    entries.  The kernel vector of a line has its last nonzero coordinate 1.
+    Raises DegenerateIntegral(message % dimension) unless the kernel is a
+    line.  mult is that of H, of H* (comult permuted, counit the unit) or of
+    a braided Hopf algebra.
     """
-    space = common_kernel(blocks, dim, field)
+    field, dim = mult.field, mult.dims[2]
+    zero = field.zero()
+    rows: dict = {}
+    for (i, j, k), c in mult.entries.items():
+        a, x = (j, i) if right else (i, j)
+        rows.setdefault((a, k), {})[x] = c
+    for a, e in enumerate(eps):
+        if not e.is_zero():
+            for k in range(dim):
+                row = rows.setdefault((a, k), {})
+                row[k] = row.get(k, zero) - e
+    space = sparse_kernel(field, dim, list(rows.values()))
     if len(space) != 1:
         raise DegenerateIntegral(message % len(space))
     return space[0]
 
 
-def right_dual_integral(h, integral, message) -> tuple:
-    """lam in the dual with (lam (x) id)Delta(b) = lam(b) 1 for every b.
-
-    Scaled so lam(integral) = 1 when that pairing is nonzero.  h is a
-    HopfAlgebra or a BraidedHopf; message is passed to integral_line.
-    """
-    zero, unit = h.field.zero(), sparse_vector(h.unit)
-
-    def block(i):
-        rows = h.delta_basis(i)
-
-        def apply(lam):
-            out = [zero] * h.dim
-            for t, u in unit.items():
-                out[t] = -lam[i] * u
-            for j, k, c in rows:
-                if not lam[j].is_zero():
-                    out[k] = out[k] + c * lam[j]
-            return tuple(out)
-
-        return apply
-
-    lam = integral_line([block(i) for i in range(h.dim)], h.field, h.dim, message)
-    pairing = vec_dot(lam, integral, h.field)
-    if not pairing.is_zero():
-        lam = vec_scale(pairing.inverse(), lam)
-    return lam
-
-
-def _integral_block(h, i: int, right: bool = False):
-    """v -> b_i v - eps(b_i) v, or v b_i - eps(b_i) v when right, on dense
-    vectors: one block of integral_line.  h is a HopfAlgebra or a
-    BraidedHopf."""
-    eps, zero = h.counit[i], h.field.zero()
-
-    def apply(v):
-        nonzero = sparse_vector(v)
-        w = h.algebra.basis_times(i, nonzero, right=right)
-        for t, x in nonzero.items():
-            w[t] = w.get(t, zero) - eps * x
-        return dense_vector(h.field, h.dim, w)
-
-    return apply
+def paired_to_one(lam, integral, field) -> tuple:
+    """lam scaled so lam(integral) = 1, or lam itself when the pairing is 0."""
+    pairing = vec_dot(lam, integral, field)
+    return lam if pairing.is_zero() else vec_scale(pairing.inverse(), lam)
 
 
 def _integral_pair(h: HopfAlgebra) -> tuple:
     """(Lambda, lam): Lambda spans the left integrals of h (x Lambda =
-    eps(x) Lambda) and lam the right integrals of h*, with lam(Lambda) = 1
-    when that pairing is nonzero.  Raises DegenerateIntegral when either
+    eps(x) Lambda) and lam the right integrals of h* (lam(x_1) x_2 =
+    lam(x) 1, that is lam f = f(1) lam in the algebra h*), with lam(Lambda)
+    = 1 when that pairing is nonzero.  Raises DegenerateIntegral when either
     space is not a line.  The pair does not involve the antipode; it is
     cached on h once found."""
     cached = h._cache.get("integral_pair")
     if cached is not None:
         return cached
     big_lambda = integral_line(
-        [_integral_block(h, i) for i in range(h.dim)],
-        h.field,
-        h.dim,
-        "left integral space has dimension %d",
+        h.algebra.mult, h.counit, False, "left integral space has dimension %d"
     )
-    lam = right_dual_integral(
-        h, big_lambda, "right dual integral space has dimension %d"
+    lam = integral_line(
+        dual_algebra(h).mult, h.unit, True, "right dual integral space has dimension %d"
     )
-    h._cache["integral_pair"] = (big_lambda, lam)
-    return big_lambda, lam
+    pair = (big_lambda, paired_to_one(lam, big_lambda, h.field))
+    h._cache["integral_pair"] = pair
+    return pair
 
 
 def solve_antipode(h: HopfAlgebra) -> Matrix:
@@ -471,9 +447,9 @@ def solve_antipode(h: HopfAlgebra) -> Matrix:
     with antipode S.  By Larson-Sweedler (Amer. J. Math. 91, 1969) the left
     integrals of h (x Lambda = eps(x) Lambda) form a line, and so do the
     right integrals of h* (lam(x_1) x_2 = lam(x) 1).  By Radford (Amer. J.
-    Math. 98, 1976) S is bijective and lam(Lambda) != 0, so
-    right_dual_integral scales lam to lam(Lambda) = 1.  Since Delta is
-    multiplicative and x_2 Lambda = eps(x_2) Lambda,
+    Math. 98, 1976) S is bijective and lam(Lambda) != 0, so paired_to_one
+    scales lam to lam(Lambda) = 1.  Since Delta is multiplicative and
+    x_2 Lambda = eps(x_2) Lambda,
         S(x) Lambda_1 (x) Lambda_2 = S(x_1) x_2 Lambda_1 (x) x_3 Lambda_2
                                    = Lambda_1 (x) x Lambda_2.
     Put S^-1(x) for x and apply lam (x) id:
@@ -999,8 +975,8 @@ def fingerprint(h: HopfAlgebra) -> Fingerprint:
         dual_group_order=len(dual_likes.elements),
         trace_s2_key=_trace_key(trace_s2(h)),
         antipode_order=antipode_order(h),
-        pointed=len(coradical(h)) == len(likes.elements),
-        dual_pointed=len(coradical(hdual)) == len(dual_likes.elements),
+        pointed=is_pointed(h),
+        dual_pointed=is_pointed(hdual),
         skew_profile=tuple(sorted(skew_profile(h, likes).items())),
         dual_skew_profile=tuple(sorted(skew_profile(hdual, dual_likes).items())),
     )

@@ -419,31 +419,6 @@ class EchelonBasis:
         ]
 
 
-def common_kernel(blocks, dim: int, field: CycloField) -> list[tuple]:
-    """Intersection of kernels of an iterable of constraint callables.
-
-    Each block is a callable mapping a length-`dim` vector to a constraint
-    vector.  Constraints are imposed incrementally so the working space
-    shrinks as fast as possible: the rows of a block, in the coordinates of
-    the current basis, go to sparse_kernel.
-    """
-    basis = [unit_vector(field, dim, i) for i in range(dim)]
-    for block in blocks:
-        if not basis:
-            return []
-        rows: dict = {}
-        for j, v in enumerate(basis):
-            for t, x in enumerate(block(v)):
-                if not x.is_zero():
-                    rows.setdefault(t, {})[j] = x
-        if rows:
-            basis = [
-                vec_combination(combo, basis, field, dim)
-                for combo in sparse_kernel(field, len(basis), list(rows.values()))
-            ]
-    return basis
-
-
 class Tensor3:
     """Sparse 3-index tensor of structure constants over one field."""
 

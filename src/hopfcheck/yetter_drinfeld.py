@@ -23,13 +23,13 @@ from hopfcheck.cyclotomic import FieldMismatch
 from hopfcheck.hopf import (
     DegenerateIntegral,
     HopfAlgebra,
-    _integral_block,
     antipode_law_failures,
     coassociative,
     counit_law,
     dual,
     integral_line,
-    right_dual_integral,
+    paired_to_one,
+    structure_equal,
     verify_hopf,
 )
 from hopfcheck.linalg import (
@@ -97,7 +97,7 @@ def trivial_yd(base: HopfAlgebra, dim: int) -> YDModule:
 
 def tensor_yd(v: YDModule, w: YDModule) -> YDModule:
     """V (x) W with b.(x (x) y) = b1.x (x) b2.y and diagonal coaction."""
-    if not _same_base(v.base, w.base):
+    if not structure_equal(v.base, w.base):
         raise BaseMismatch("tensor of YD modules needs a common base")
     base = v.base
     field = v.field
@@ -217,7 +217,7 @@ def _combine_action(v: YDModule, b_vec) -> Matrix:
 
 def braiding(v: YDModule, w: YDModule) -> Matrix:
     """c(v (x) w) = (v_{-1} . w) (x) v_0, a matrix on V (x) W -> W (x) V."""
-    if v.base is not w.base and not _same_base(v.base, w.base):
+    if v.base is not w.base and not structure_equal(v.base, w.base):
         raise BaseMismatch("braiding requires a common base")
     field = v.field
     rows = v.dim * w.dim
@@ -233,12 +233,6 @@ def braiding(v: YDModule, w: YDModule) -> Matrix:
                             data[t * v.dim + k][col] + c * x
                         )
     return Matrix(field, data)
-
-
-def _same_base(b1: HopfAlgebra, b2: HopfAlgebra) -> bool:
-    from hopfcheck.hopf import structure_equal
-
-    return structure_equal(b1, b2)
 
 
 class BraidedHopf:
@@ -507,7 +501,7 @@ def bosonize(r: BraidedHopf, base: HopfAlgebra, check: bool = True) -> HopfAlgeb
     coaction it collapses to (S_B(b)_1 . S_R(r)) (x) S_B(b)_2, but without
     r_{-1} the antipode law fails whenever the coaction is nontrivial.
     """
-    if not _same_base(r.base, base):
+    if not structure_equal(r.base, base):
         raise BaseMismatch("braided object lives over a different base")
     yd = r.yd
     field = r.field
@@ -681,8 +675,6 @@ def check_dual_biproduct(r: BraidedHopf, base: HopfAlgebra) -> bool:
     and the answer or VerificationFailure is that of bosonizing R* x B*
     with its check.
     """
-    from hopfcheck.hopf import structure_equal
-
     lhs = dual(bosonize(r, base))
     rstar = dual_braided(r)
     if structure_equal(lhs, bosonize(rstar, dual(base), check=False)):
@@ -701,18 +693,24 @@ class BraidedIntegrals:
 def braided_integrals(r: BraidedHopf) -> BraidedIntegrals:
     """Right integrals of R and R*, and the group-like chi of B* they induce.
 
-    When the underlying algebra of R is semisimple, asserts chi = eps_B and
-    the trivial-coaction/antipode-fixedness identities of the integral.
+    Lambda_R is the right integral of R's algebra and lambda_R that of R*'s,
+    whose product is R's coproduct transposed and whose counit is R's unit;
+    lambda_R(Lambda_R) = 1 when that pairing is nonzero.  When the
+    underlying algebra of R is semisimple, asserts chi = eps_B and the
+    trivial-coaction/antipode-fixedness identities of the integral.
     """
     field = r.field
     dim = r.dim
     big = integral_line(
-        [_integral_block(r, i, right=True) for i in range(dim)],
-        field,
-        dim,
-        "right integral space of R has dimension %d",
+        r.mult, r.counit, True, "right integral space of R has dimension %d"
     )
-    lam = right_dual_integral(r, big, "right integral space of R* has dimension %d")
+    lam = integral_line(
+        r.comult.permuted((1, 2, 0)),
+        r.unit,
+        True,
+        "right integral space of R* has dimension %d",
+    )
+    lam = paired_to_one(lam, big, field)
 
     # chi(b) from b . Lambda = chi(b) Lambda
     pivot = next(i for i, c in enumerate(big) if not c.is_zero())

@@ -512,13 +512,13 @@ class TestRadfordAgainstTripleLoop:
 class TestComputeOnce:
     def test_solve_integrals_radford_share_one_integral_pair(self, monkeypatch):
         calls = []
-        original = hopf.common_kernel
+        original = hopf.integral_line
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[0].dims[2])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(hopf, "common_kernel", counting)
+        monkeypatch.setattr(hopf, "integral_line", counting)
         h = without_antipode(a_tau_mu(5, 2, -1, 1))
         h.antipode = solve_antipode(h)
         data = integrals(h)

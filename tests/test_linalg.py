@@ -8,7 +8,6 @@ from hopfcheck.linalg import (
     Matrix,
     ShapeMismatch,
     Tensor3,
-    common_kernel,
     unit_vector,
     vec_dot,
     vec_is_zero,
@@ -214,20 +213,6 @@ class TestTensorContract:
     def test_no_stored_zeros(self):
         t = Tensor3(Q, (2, 2, 2), {(0, 0, 0): 0, (1, 1, 0): 2})
         assert list(t.entries) == [(1, 1, 0)]
-
-
-class TestCommonKernel:
-    def test_intersection(self):
-        m1 = mat([[1, 0, 0]])
-        m2 = mat([[0, 1, 1]])
-        basis = common_kernel([m1.apply, m2.apply], 3, Q)
-        assert len(basis) == 1
-        v = basis[0]
-        assert v[0].is_zero() and v[1] + v[2] == Q.zero()
-
-    def test_empty_intersection(self):
-        blocks = [Matrix.identity(Q, 2).apply]
-        assert common_kernel(blocks, 2, Q) == []
 
 
 class TestVecDot:

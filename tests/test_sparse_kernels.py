@@ -6,9 +6,10 @@ are the dense loops of the earlier code, kept here verbatim in behaviour: on
 random sparse matrices over Q and Q(zeta_12) (zero rows and columns,
 rank-deficient products, the identity, single entries) both must return
 equal results.  Exact arithmetic has one form per value, so equal means
-entry for entry.  Matrix.solve, Matrix.inverse, row_space_basis,
-common_kernel and algebra.center are compared with dense models built on
-ref_rref in the same way.
+entry for entry.  Matrix.solve, Matrix.inverse, row_space_basis and
+algebra.center are compared with dense models built on ref_rref in the
+same way; ref_common_kernel, the incremental route the integrals once took,
+is the oracle of test_integrals.
 
 A last test counts FieldElement.is_zero calls in a cold classify_4p of
 A(3,1) and fails above a fixed ceiling, so a dense loop cannot creep back.
@@ -36,7 +37,6 @@ from hopfcheck.linalg import (
     EchelonBasis,
     Matrix,
     Tensor3,
-    common_kernel,
     dense_vector,
     row_space_basis,
     sparse_kernel,
@@ -489,18 +489,6 @@ def test_inverse_matches_reference(m):
 def test_row_space_basis_matches_reference(m):
     vectors = [tuple(row) for row in m.data]
     assert row_space_basis(m.field, vectors) == ref_row_space_basis(m.field, vectors)
-
-
-@SETTINGS
-@given(st.lists(matrices(max_dim=5), min_size=1, max_size=3))
-def test_common_kernel_matches_reference(ms):
-    """Blocks of one field and width; blocks of another width are dropped."""
-    field, dim = ms[0].field, ms[0].cols
-    blocks = [m for m in ms if m.field == field and m.cols == dim]
-    got = common_kernel([m.apply for m in blocks], dim, field)
-    assert got == ref_common_kernel(blocks, dim, field)
-    for m in blocks:
-        assert all(x.is_zero() for v in got for x in m.apply(v))
 
 
 @settings(max_examples=60, deadline=None)
