@@ -166,44 +166,39 @@ class AssocAlgebra:
 def verify_algebra(alg: AssocAlgebra) -> Report:
     """Two-sided unit law, then associativity on every basis triple.
 
-    Once the unit laws hold, associativity is first checked on the triples
-    (g, j, k) with g in algebra_generators(alg), which decides it exactly
-    (see there); any failure reruns every triple, so the violations are
-    those of the full loop.
+    algebra_failures runs first on the rows of algebra_generators(alg),
+    which decides the laws exactly (see there); only when it yields a
+    violation does it run on every row, so the violations are those of the
+    full loop.
     """
     report = Report(checks=["unit", "associativity"])
-    dim = alg.dim
-    for i, detail in unit_law_failures(alg):
-        report.add(Violation("unit", (i,), detail))
-    gens = algebra_generators(alg) if report.ok else None
-    if gens is not None and all(
-        _associates(alg, g, j, k)
-        for g in gens
-        for j in range(dim)
-        for k in range(dim)
-    ):
-        return report
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                if not _associates(alg, i, j, k):
-                    report.add(
-                        Violation("associativity", (i, j, k), "(ab)c != a(bc)")
-                    )
+    gens = algebra_generators(alg)
+    if gens is None or next(algebra_failures(alg, gens), None) is not None:
+        report.violations.extend(algebra_failures(alg, range(alg.dim)))
     return report
 
 
-def unit_law_failures(alg: AssocAlgebra):
-    """(i, detail) for each basis index i where 1 b_i = b_i, then b_i 1 = b_i,
-    fails.  A generator, so the first failure costs only the indices before
-    it."""
+def algebra_failures(alg: AssocAlgebra, rows):
+    """Each Violation of the unit laws on every basis element, then of
+    associativity on the triples (i, j, k) with i in rows, in that order.
+
+    On the rows of algebra_generators(alg) it yields nothing exactly when
+    both laws hold on every triple (see there).  A generator, so the first
+    failure costs only the checks before it.
+    """
     unit = sparse_vector(alg.unit)
     for i in range(alg.dim):
         e = {i: alg.field.one()}
         if alg.basis_times(i, unit, right=True) != e:
-            yield i, "1*b != b"
+            yield Violation("unit", (i,), "1*b != b")
         if alg.basis_times(i, unit) != e:
-            yield i, "b*1 != b"
+            yield Violation("unit", (i,), "b*1 != b")
+    every = range(alg.dim)
+    for i in rows:
+        for j in every:
+            for k in every:
+                if not _associates(alg, i, j, k):
+                    yield Violation("associativity", (i, j, k), "(ab)c != a(bc)")
 
 
 def _associates(alg: AssocAlgebra, i: int, j: int, k: int) -> bool:

@@ -16,12 +16,10 @@ from hopfcheck.algebra import (
     AssocAlgebra,
     Report,
     Violation,
-    _associates,
+    algebra_failures,
     algebra_generators,
     characters,
     radical,
-    unit_law_failures,
-    verify_algebra,
 )
 from hopfcheck.cyclotomic import (
     CycloField,
@@ -152,18 +150,16 @@ _CHECK_ORDER = [
 def verify_hopf(h: HopfAlgebra) -> Report:
     """Every Hopf axiom of h, decided exactly; the report lists each violation.
 
-    _bialgebra_holds decides the laws before the antipode at once: the
-    per-element laws and eps(ab) = eps(a)eps(b) on every basis element or
-    pair, then associativity, Delta(ab) = Delta(a)Delta(b) and
-    coassociativity on the generator rows of H or of H*, whichever has fewer
-    generators.  Only when a law fails does _bialgebra_violations check each
-    one on every basis element, pair and triple, so a failing report is the
-    full loops' report.  The antipode laws run on every basis element,
-    unless certified_antipode has already passed h's antipode on h.
+    _bialgebra_holds decides the laws before the antipode by running
+    bialgebra_failures on the generator rows of H or of H*, whichever has
+    fewer generators.  Only when a law fails does bialgebra_failures run on
+    every row of h, so a failing report is the full loops' report.  The
+    antipode laws run on every basis element, unless certified_antipode
+    has already passed h's antipode on h.
     """
     report = Report(checks=list(_CHECK_ORDER))
     if not _bialgebra_holds(h):
-        _bialgebra_violations(h, report)
+        report.violations.extend(bialgebra_failures(h, range(h.dim)))
 
     # antipode laws
     if h.antipode is None:
@@ -178,99 +174,71 @@ def verify_hopf(h: HopfAlgebra) -> Report:
     return report
 
 
-def _bialgebra_violations(h: HopfAlgebra, report: Report):
-    """Add each violation of the laws before the antipode to report, from
-    the full per-element, per-pair and per-triple loops."""
-    for v in verify_algebra(h.algebra).violations:
-        report.add(v)
-    dim = h.dim
-    field = h.field
+def bialgebra_failures(h: HopfAlgebra, rows):
+    """Each Violation of the laws of verify_hopf before the antipode, in
+    report order: algebra_failures(h.algebra, rows); coassociativity at b_i
+    for i in rows and both counit laws at every b_i; Delta(1) = 1 (x) 1 and
+    eps(1) = 1; then Delta(b_i b_j) = Delta(b_i)Delta(b_j) for i in rows and
+    eps(b_i b_j) = eps(b_i)eps(b_j) on every pair.
 
-    # coassociativity and counit laws
+    On the rows of algebra_generators(h.algebra) it yields nothing exactly
+    when every law holds on every basis element, pair and triple.  The laws
+    run on every row are the premises, and the three laws run on the
+    generators g only are each exact by the lemma in algebra_generators
+    given the laws before them:
+
+    - associativity on the triples (g, j, k), given the unit laws;
+    - Delta(g b_j) = Delta(g)Delta(b_j), given associativity, the unit laws
+      and Delta(1) = 1 (x) 1;
+    - coassociativity at g: (Delta (x) id)Delta and (id (x) Delta)Delta
+      are then unital algebra maps H -> H^(x)3, and they agree on a
+      subalgebra.
+
+    The list is self-dual: in H* = (H, Delta^T, eps, m^T, 1) it is the same
+    set of identities with m and Delta swapped (the unit and counit laws,
+    Delta(1) = 1 (x) 1 and eps(ab) = eps(a)eps(b), associativity and
+    coassociativity trade places).  So it decides H's laws on the generator
+    rows of H* as well.
+    """
+    field, dim = h.field, h.dim
+    yield from algebra_failures(h.algebra, rows)
     for i in range(dim):
-        rows = h.delta_basis(i)
-        if not coassociative(rows, h.delta_basis, h.delta_basis, field):
-            report.add(Violation("coassociativity", (i,), "(D(x)id)D != (id(x)D)D"))
-        if not counit_law(rows, h.counit, 0, i, field, dim):
-            report.add(Violation("counit", (i,), "(eps(x)id)D != id"))
-        if not counit_law(rows, h.counit, 1, i, field, dim):
-            report.add(Violation("counit", (i,), "(id(x)eps)D != id"))
-
-    # bialgebra compatibility
-    if not _unit_is_grouplike(h):
-        report.add(Violation("comult-algebra-map", ("unit",), "D(1) != 1(x)1"))
+        delta = h.delta_basis(i)
+        if i in rows and not coassociative(delta, h.delta_basis, h.delta_basis, field):
+            yield Violation("coassociativity", (i,), "(D(x)id)D != (id(x)D)D")
+        if not counit_law(delta, h.counit, 0, i, field, dim):
+            yield Violation("counit", (i,), "(eps(x)id)D != id")
+        if not counit_law(delta, h.counit, 1, i, field, dim):
+            yield Violation("counit", (i,), "(id(x)eps)D != id")
+    if not sparse_equal(h.delta_vec(h.unit), vec_outer(h.unit, h.unit)):
+        yield Violation("comult-algebra-map", ("unit",), "D(1) != 1(x)1")
     if not h.counit_of(h.unit).is_one():
-        report.add(Violation("counit-algebra-map", ("unit",), "eps(1) != 1"))
-    deltas = _delta_dicts(h)
+        yield Violation("counit-algebra-map", ("unit",), "eps(1) != 1")
+    deltas = [{(j, k): c for j, k, c in h.delta_basis(i)} for i in range(dim)]
     for i in range(dim):
+        row = i in rows
         for j in range(dim):
-            if not _comult_multiplies(h.algebra, deltas, i, j):
-                report.add(Violation("comult-algebra-map", (i, j), "D(ab) != D(a)D(b)"))
+            if row and not _comult_multiplies(h.algebra, deltas, i, j):
+                yield Violation("comult-algebra-map", (i, j), "D(ab) != D(a)D(b)")
             if not _counit_multiplies(h, i, j):
-                report.add(
-                    Violation("counit-algebra-map", (i, j), "eps(ab) != eps(a)eps(b)")
-                )
+                yield Violation("counit-algebra-map", (i, j), "eps(ab) != eps(a)eps(b)")
 
 
 def _bialgebra_holds(h: HopfAlgebra) -> bool:
     """True exactly when every law of verify_hopf before the antipode holds.
 
-    The per-element laws run first: the unit and counit laws,
-    Delta(1) = 1 (x) 1, eps(1) = 1, and eps(ab) = eps(a)eps(b) on every
-    pair.  This set is self-dual: in H* = (H, Delta^T, eps, m^T, 1) it is
-    the same set of identities with m and Delta swapped.  Then X is H or
-    H*, whichever needs fewer generators (H on a tie), and three laws of X
-    are decided on its generator rows only, each exact by the lemma in
-    algebra_generators given the laws before it:
-
-    - associativity of X on the triples (g, j, k), given the unit laws;
-    - Delta_X(g b_j) = Delta_X(g)Delta_X(b_j), given associativity, the
-      unit laws and Delta_X(1) = 1 (x) 1;
-    - coassociativity of X at g: (Delta (x) id)Delta and (id (x) Delta)Delta
-      are then unital algebra maps X -> X^(x)3, and they agree on a
-      subalgebra.
-
-    With X = H* the first is coassociativity of H and the last its
-    associativity, so all of H's laws hold.  False means some law fails.
+    bialgebra_failures decides them on the generator rows of X, which is H
+    or H*, whichever needs fewer generators (H on a tie).  The generators
+    of H are None only when a unit law fails, which H's run on no rows
+    then finds.
     """
-    alg, field, dim = h.algebra, h.field, h.dim
-    if next(unit_law_failures(alg), None) is not None:
-        return False
-    if not all(
-        counit_law(h.delta_basis(i), h.counit, leg, i, field, dim)
-        for i in range(dim)
-        for leg in (0, 1)
-    ):
-        return False
-    if not (_unit_is_grouplike(h) and h.counit_of(h.unit).is_one()):
-        return False
-    if not all(_counit_multiplies(h, i, j) for i in range(dim) for j in range(dim)):
-        return False
-    x, gens = h, algebra_generators(alg)
+    x, gens = h, algebra_generators(h.algebra) or []
     gens_d = algebra_generators(dual_algebra(h), len(gens) - 1)
     if gens_d is not None:
         # H* without its antipode: m and Delta swap roles
-        x = HopfAlgebra(dual_algebra(h), alg.mult.permuted((2, 0, 1)), h.unit)
+        x = HopfAlgebra(dual_algebra(h), h.algebra.mult.permuted((2, 0, 1)), h.unit)
         gens = gens_d
-    deltas, rows = _delta_dicts(x), range(dim)
-    return (
-        all(_associates(x.algebra, g, j, k) for g in gens for j in rows for k in rows)
-        and all(_comult_multiplies(x.algebra, deltas, g, j) for g in gens for j in rows)
-        and all(
-            coassociative(x.delta_basis(g), x.delta_basis, x.delta_basis, field)
-            for g in gens
-        )
-    )
-
-
-def _unit_is_grouplike(h: HopfAlgebra) -> bool:
-    """Delta(1) == 1 (x) 1."""
-    return sparse_equal(h.delta_vec(h.unit), vec_outer(h.unit, h.unit))
-
-
-def _delta_dicts(h: HopfAlgebra) -> list:
-    """Delta(b_i) as a {(j, k): coeff} dict, for each i."""
-    return [{(j, k): c for j, k, c in h.delta_basis(i)} for i in range(h.dim)]
+    return next(bialgebra_failures(x, gens), None) is None
 
 
 def _comult_multiplies(alg: AssocAlgebra, deltas, i: int, j: int) -> bool:

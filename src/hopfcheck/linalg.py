@@ -504,10 +504,9 @@ class Tensor3:
     def contract(self, mode: str, v) -> Matrix:
         """Contract one slot against a vector, yielding an operator matrix.
 
-        left-mult:    x -> v * x        (v in slot 1 of a product tensor)
-        right-mult:   x -> x * v        (v in slot 2)
-        comult-left:  x -> (f (x) id) Delta(x) with functional f = v
-        comult-right: x -> (id (x) f) Delta(x) with functional f = v
+        left-mult:  x -> v * x    (v in slot 1 of a product tensor)
+        right-mult: x -> x * v    (v in slot 2); on a comultiplication
+                    tensor, x -> (f (x) id) Delta(x) with functional f = v
         """
         d1, d2, d3 = self.dims
         zero = self.field.zero()
@@ -520,20 +519,12 @@ class Tensor3:
                 if i in nz:
                     rows[k][j] = rows[k][j] + nz[i] * c
             return Matrix._wrap(self.field, rows)
-        if mode in ("right-mult", "comult-left"):
+        if mode == "right-mult":
             if len(v) != d2:
                 raise ShapeMismatch("vector length != dims[1]")
             rows = [[zero] * d1 for _ in range(d3)]
             for (i, j, k), c in self.entries.items():
                 if j in nz:
                     rows[k][i] = rows[k][i] + nz[j] * c
-            return Matrix._wrap(self.field, rows)
-        if mode == "comult-right":
-            if len(v) != d3:
-                raise ShapeMismatch("vector length != dims[2]")
-            rows = [[zero] * d1 for _ in range(d2)]
-            for (i, j, k), c in self.entries.items():
-                if k in nz:
-                    rows[j][i] = rows[j][i] + nz[k] * c
             return Matrix._wrap(self.field, rows)
         raise ValueError("unknown contraction mode %r" % mode)

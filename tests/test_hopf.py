@@ -78,7 +78,7 @@ def group_likes_bruteforce(h: HopfAlgebra) -> list[tuple]:
     found = {}
     for j0 in range(dim):
         f = unit_vector(field, dim, j0)
-        a_mat = h.comult.contract("comult-left", f)
+        a_mat = h.comult.contract("right-mult", f)
         minpoly = minimal_polynomial(a_mat)
         for gamma in set(roots_in_field(minpoly)):
             if gamma.is_zero():
