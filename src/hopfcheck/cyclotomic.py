@@ -20,7 +20,6 @@ from functools import lru_cache
 Rational = Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class FieldMismatch(ValueError):
@@ -49,29 +48,32 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials, used for x^n - 1 over Phi products
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= den[-1]
-        q[i] = c
+def _int_trial_div(a: list[int], b: list[int]):
+    """a / b for integer polynomials, or None when the division is not exact."""
+    if not b or len(b) > len(a):
+        return None
+    a = list(a)
+    qout = [0] * (len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1]
+        if c % b[-1] != 0:
+            return None
+        c //= b[-1]
+        qout[i] = c
         if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return q
+            for j, d in enumerate(b):
+                a[i + j] -= c * d
+    if any(a[: len(b) - 1]):
+        return None
+    return qout
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, constant first.
 
-    Computed from x^n - 1 = prod over d dividing n of Phi_d.
+    Computed from x^n - 1 = prod over d dividing n of Phi_d, so every
+    division is exact.
     """
     if n == 1:
         return (-1, 1)
@@ -80,7 +82,7 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     num[n] = 1
     for d in range(1, n):
         if n % d == 0:
-            num = _int_poly_div(num, list(cyclotomic_coeffs(d)))
+            num = _int_trial_div(num, list(cyclotomic_coeffs(d)))
     return tuple(num)
 
 
@@ -104,7 +106,6 @@ class CycloField:
     def __init__(self, order: int):
         self.order = order
         phi = cyclotomic_coeffs(order)
-        self.modulus = tuple(Fraction(c) for c in phi)
         self.degree = len(phi) - 1
         # x^degree = sum of b * x^k mod Phi_n over the (k, b) pairs here;
         # Phi_n is monic, so higher powers fold through this in integers
@@ -175,12 +176,22 @@ def embed(value: FieldElement, target: CycloField) -> FieldElement:
         return value
     if target.order % src.order != 0:
         raise FieldMismatch("%r does not embed in %r" % (src, target))
+    return _spread(value, target, target.order // src.order)
+
+
+def _spread(value: FieldElement, target: CycloField, step: int) -> FieldElement:
+    """Image of `value` under zeta_n -> zeta_m^step, folded into target Q(zeta_m).
+
+    A ring map when zeta_m^step is a primitive n-th root of unity: the
+    embedding for step = m/n, and the Galois automorphism sigma_step of
+    Q(zeta_n) for target = value.field and step coprime to n.
+    """
     if not value.num:
         return target.zero()
-    step = target.order // src.order
-    num = [0] * ((len(value.num) - 1) * step + 1)
+    m = target.order
+    num = [0] * m
     for i, c in enumerate(value.num):
-        num[i * step] = c
+        num[i * step % m] += c
     return _canon(target, _fold(target, num), value.den)
 
 
@@ -508,27 +519,13 @@ class FieldElement:
         return out + ["0/1"] * (self.field.degree - len(self.num))
 
 
-# --- dense polynomial helpers over Fraction lists (internal) ------------------
+# --- dense integer polynomial helpers (internal) -------------------------------
 
 
 def _poly_trim(p: list) -> list:
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    a = list(a)
-    db = len(b) - 1
-    inv = 1 / b[-1]
-    q = [_ZERO] * max(len(a) - db, 0)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db] * inv
-        if c:
-            q[i] = c
-            for j in range(db + 1):
-                a[i + j] -= c * b[j]
-    return q, _poly_trim(a[:db])
 
 
 def _int_ext_inverse(a: list[int], mod) -> tuple[list[int], int]:
@@ -688,7 +685,7 @@ class UniPoly:
     def gcd(self, other: "UniPoly") -> "UniPoly":
         a, b = self, other
         while not b.is_zero():
-            a, b = b, a % b
+            a, b = b, (a % b).monic()
         return a.monic() if not a.is_zero() else a
 
     def derivative(self) -> "UniPoly":
@@ -753,14 +750,9 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
 
 
 def _int_primitive(coeffs: list[Fraction]) -> list[int]:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    g = g or 1
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*ints) or 1
     return [c // g for c in ints]
 
 
@@ -772,9 +764,11 @@ def _zp_normalize(p: int, a: list[int]) -> list[int]:
 
 
 def _zp_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b mod p, for b's leading coefficient a
+    unit mod p: any nonzero one for a prime p, 1 for a monic b mod p^k."""
     a = list(a)
     db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
+    inv = pow(b[-1], -1, p)
     q = [0] * max(len(a) - db, 0)
     for i in range(len(a) - db - 1, -1, -1):
         c = a[i + db] * inv % p
@@ -900,25 +894,12 @@ def _zp_bezout(p, g, h):
 def _hensel_step(p, k, f, g, h, s, t):
     """Quadratic Hensel step: factors of f mod p^k become factors mod p^(2k)."""
     q2 = p ** (2 * k)
-
-    def divmod_monic(a, b):
-        a = list(a)
-        db = len(b) - 1
-        qq = [0] * max(len(a) - db, 0)
-        for i in range(len(a) - db - 1, -1, -1):
-            c = a[i + db] % q2
-            if c:
-                qq[i] = c
-                for j in range(db + 1):
-                    a[i + j] = (a[i + j] - c * b[j]) % q2
-        return _poly_trim(qq), _poly_trim(a[:db])
-
     e = _zp_sub(q2, f, _zp_mul(q2, g, h))
-    qpoly, rpoly = divmod_monic(_zp_mul(q2, s, e), h)
+    qpoly, rpoly = _zp_divmod(q2, _zp_mul(q2, s, e), h)
     g1 = _zp_add(q2, g, _zp_add(q2, _zp_mul(q2, t, e), _zp_mul(q2, qpoly, g)))
     h1 = _zp_add(q2, h, rpoly)
     b = _zp_sub(q2, _zp_add(q2, _zp_mul(q2, s, g1), _zp_mul(q2, t, h1)), [1])
-    cpoly, dpoly = divmod_monic(_zp_mul(q2, s, b), h1)
+    cpoly, dpoly = _zp_divmod(q2, _zp_mul(q2, s, b), h1)
     s1 = _zp_sub(q2, s, dpoly)
     t1 = _zp_sub(q2, _zp_sub(q2, t, _zp_mul(q2, t, b)), _zp_mul(q2, cpoly, g1))
     return g1, h1, s1, t1
@@ -947,25 +928,6 @@ def _hensel_lift_tree(p, k, f, factors):
     return _hensel_lift_tree(p, k, G, factors[:mid]) + _hensel_lift_tree(
         p, k, H, factors[mid:]
     )
-
-
-def _int_trial_div(a: list[int], b: list[int]):
-    if not b or len(b) > len(a):
-        return None
-    a = list(a)
-    qout = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1]
-        if c % b[-1] != 0:
-            return None
-        c //= b[-1]
-        qout[i] = c
-        if c:
-            for j, d in enumerate(b):
-                a[i + j] -= c * d
-    if any(a[: len(b) - 1]):
-        return None
-    return qout
 
 
 def _next_prime(p: int) -> int:
@@ -1033,10 +995,8 @@ def _factor_squarefree_q(poly: UniPoly) -> list[UniPoly]:
                 for idx in combo:
                     cand = _zp_mul(q, cand, lifted[idx])
                 cand = [symmetric(c) for c in cand]
-                g0 = 0
-                for c in cand:
-                    g0 = math.gcd(g0, abs(c))
-                cand = [c // (g0 or 1) for c in cand]
+                g0 = math.gcd(*cand) or 1
+                cand = [c // g0 for c in cand]
                 quot = _int_trial_div(current, cand)
                 if quot is not None:
                     out.append(UniPoly.from_ints(field, cand).monic())
@@ -1059,7 +1019,7 @@ def _roots_of_unity_split(poly: UniPoly):
 
     Returns monic linear factors, or None when the shortcut does not apply.
     This covers the minimal polynomials showing up in group-like/character
-    computations without going through a resultant.
+    computations without going through a norm.
     """
     field = poly.field
     m = field.root_of_unity_order()
@@ -1076,67 +1036,23 @@ def _roots_of_unity_split(poly: UniPoly):
     return [UniPoly(field, [-r, field.one()]) for r in found]
 
 
-def _rational_resultant(a: list[Fraction], b: list[Fraction]) -> Fraction:
-    a = _poly_trim([Fraction(c) for c in a])
-    b = _poly_trim([Fraction(c) for c in b])
-    res = Fraction(1)
-    while True:
-        if not b:
-            return _ZERO if len(a) - 1 > 0 else res
-        if len(b) == 1:
-            return res * b[0] ** (len(a) - 1)
-        _, r = _poly_divmod(a, b)
-        r = _poly_trim(r)
-        da, db, dr = len(a) - 1, len(b) - 1, len(r) - 1
-        res *= Fraction(-1) ** (da * db) * b[-1] ** (da - dr)
-        a, b = b, r
-
-
-def _lagrange_interpolate(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
-    n = len(xs)
-    coeffs = [_ZERO] * n
-    for i in range(n):
-        num = [_ONE]
-        denom = _ONE
-        for j in range(n):
-            if j == i:
-                continue
-            num = [
-                (num[k - 1] if k > 0 else _ZERO)
-                - xs[j] * (num[k] if k < len(num) else _ZERO)
-                for k in range(len(num) + 1)
-            ]
-            denom *= xs[i] - xs[j]
-        scale = ys[i] / denom
-        for k, c in enumerate(num):
-            coeffs[k] += scale * c
-    return coeffs
-
-
-def _norm_resultant(poly: UniPoly, shift: int) -> UniPoly:
-    """Norm of poly(x - shift*zeta) down to Q, by evaluation and interpolation."""
+def _norm(poly: UniPoly, shift: int) -> UniPoly:
+    """Norm of poly(x - shift*zeta) down to Q: the product of its conjugates
+    under every sigma_k (zeta -> zeta^k, k coprime to n), which is the
+    resultant over y of Phi_n(y) and poly(x - shift*y), Phi_n being monic."""
     field = poly.field
-    rationals = make_field(1)
-    zeta = field.zeta()
-    shifted = poly.shift(field.from_rational(-shift) * zeta) if shift else poly
-    coeff_polys = [list(c.coeffs) for c in shifted.coeffs]
-    mod = list(field.modulus)
-    deg_out = poly.degree * field.degree
-    xs, ys = [], []
-    t = 0
-    while len(xs) < deg_out + 1:
-        fy = [_ZERO] * field.degree
-        tp = _ONE
-        for cp in coeff_polys:
-            for i, c in enumerate(cp):
-                if c:
-                    fy[i] += c * tp
-            tp *= t
-        ys.append(_rational_resultant(mod, list(fy)))
-        xs.append(Fraction(t))
-        t = -t if t > 0 else -t + 1
-    coeffs = _lagrange_interpolate(xs, ys)
-    return UniPoly(rationals, [rationals.from_rational(c) for c in coeffs])
+    n = field.order
+    shifted = poly.shift(field.zeta() * -shift) if shift else poly
+    norm = shifted
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            norm *= UniPoly(field, [_spread(c, field, k) for c in shifted.coeffs])
+    return _recast(norm, make_field(1))
+
+
+def _recast(poly: UniPoly, field: CycloField) -> UniPoly:
+    """A polynomial with rational coefficients, over `field`."""
+    return UniPoly(field, [field.from_rational(c.rational) for c in poly.coeffs])
 
 
 def _factor_squarefree_cyclo(poly: UniPoly) -> list[UniPoly]:
@@ -1160,14 +1076,8 @@ def _factor_squarefree_cyclo(poly: UniPoly) -> list[UniPoly]:
             out.sort(key=_poly_sort_key)
             return out
     if all(c.is_rational() for c in poly.coeffs):
-        rationals = make_field(1)
-        over_q = UniPoly(
-            rationals, [rationals.from_rational(c.rational) for c in poly.coeffs]
-        )
-        for qfac in _factor_squarefree_q(over_q):
-            lifted = UniPoly(
-                field, [field.from_rational(c.rational) for c in qfac.coeffs]
-            )
+        for qfac in _factor_squarefree_q(_recast(poly, make_field(1))):
+            lifted = _recast(qfac, field)
             if lifted.degree <= 1:
                 out.append(lifted)
             else:
@@ -1180,24 +1090,22 @@ def _factor_squarefree_cyclo(poly: UniPoly) -> list[UniPoly]:
 
 
 def _trager_squarefree(poly: UniPoly) -> list[UniPoly]:
-    """Roots-of-unity shortcut, then the norm/resultant method proper."""
+    """Roots-of-unity shortcut, then Trager's norm method proper."""
     field = poly.field
     fast = _roots_of_unity_split(poly)
     if fast is not None:
         return fast
-    zeta = field.zeta()
     for shift in itertools.count(0):
-        norm = _norm_resultant(poly, shift)
+        norm = _norm(poly, shift)
         if norm.gcd(norm.derivative()).degree == 0:
             break
     norm_factors = _factor_squarefree_q(norm.monic())
     if len(norm_factors) == 1:
         return [poly.monic()]
     out = []
-    delta = field.from_rational(shift) * zeta
+    delta = field.zeta() * shift
     for nf in norm_factors:
-        lifted = UniPoly(field, [field.from_rational(c.rational) for c in nf.coeffs])
-        g = poly.gcd(lifted.shift(delta))
+        g = poly.gcd(_recast(nf, field).shift(delta))
         if g.degree > 0:
             out.append(g.monic())
     out.sort(key=_poly_sort_key)

@@ -859,18 +859,21 @@ def is_pointed(h: HopfAlgebra) -> bool:
     return len(coradical(h)) == len(group_likes(h).elements)
 
 
-def antipode_order(h: HopfAlgebra, cap: int = 32) -> int:
-    """Least k <= cap with S^k = id."""
+_ANTIPODE_ORDER_CAP = 32
+
+
+def antipode_order(h: HopfAlgebra) -> int:
+    """Least k <= _ANTIPODE_ORDER_CAP with S^k = id."""
     order = _antipode_cached(h, "antipode_order")
     if order is None:
         power = h.antipode
-        for k in range(1, cap + 1):
+        for k in range(1, _ANTIPODE_ORDER_CAP + 1):
             if power.is_identity():
                 order = h._cache["antipode_order"] = k
                 break
             power = power * h.antipode
-    if order is None or order > cap:
-        raise AntipodeOrderOverflow("antipode order exceeds %d" % cap)
+    if order is None:
+        raise AntipodeOrderOverflow("antipode order exceeds %d" % _ANTIPODE_ORDER_CAP)
     return order
 
 

@@ -155,9 +155,9 @@ class Matrix:
         )
 
     @classmethod
-    def from_columns(cls, field, columns, rows=None):
+    def from_columns(cls, field, columns):
         if not columns:
-            return cls(field, [[] for _ in range(rows or 0)])
+            return cls(field, [])
         n = len(columns[0])
         return cls(field, [[col[i] for col in columns] for i in range(n)])
 

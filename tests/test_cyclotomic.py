@@ -36,11 +36,11 @@ class TestCyclotomicPolynomials:
 
     def test_phi_6_by_division(self):
         # divide x^6 - 1 by Phi_1 * Phi_2 * Phi_3 independently
-        from hopfcheck.cyclotomic import _int_poly_div
+        from hopfcheck.cyclotomic import _int_trial_div
 
         num = [-1, 0, 0, 0, 0, 0, 1]
         for d in (1, 2, 3):
-            num = _int_poly_div(num, list(cyclotomic_coeffs(d)))
+            num = _int_trial_div(num, list(cyclotomic_coeffs(d)))
         assert tuple(num) == (1, -1, 1)
         assert cyclotomic_coeffs(6) == (1, -1, 1)
 
@@ -111,6 +111,30 @@ class TestFieldArithmetic:
             Fraction(2, 7)
         )
 
+    @pytest.mark.parametrize("k", (5, 7, 11))
+    def test_spread_is_a_galois_automorphism_of_q_zeta12(self, k):
+        from hopfcheck.cyclotomic import _spread
+
+        f = make_field(12)
+        rng = random.Random(k)
+
+        def rand_el():
+            return f.element([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                              for _ in range(f.degree)])
+
+        def sigma(j, x):
+            return _spread(x, f, j)
+
+        assert sigma(k, f.zeta()) == f.zeta(k)
+        assert sigma(k, f.zero()) == f.zero() and sigma(k, f.one()) == f.one()
+        for _ in range(20):
+            a, b = rand_el(), rand_el()
+            assert sigma(k, a + b) == sigma(k, a) + sigma(k, b)
+            assert sigma(k, a * b) == sigma(k, a) * sigma(k, b)
+            for l in (5, 7, 11):
+                assert sigma(k, sigma(l, a)) == sigma(k * l % 12, a)
+            assert sigma(k, sigma(k, a)) == a  # every unit mod 12 squares to 1
+
     def test_rational_strings(self):
         assert rational_to_str(Fraction(0)) == "0/1"
         assert rational_to_str(Fraction(-3, 6)) == "-1/2"
@@ -147,6 +171,19 @@ class TestFactorization:
         p, m = factors[0]
         assert m == 2 and p == poly(f, -2, 1)
         assert roots_in_field(poly(f, 4, -4, 1)) == [f.from_rational(2)] * 2
+
+    def test_three_factors_over_q_zeta20_by_the_norm(self):
+        f = make_field(20)
+        z = f.zeta
+        factors = [
+            UniPoly(f, [2 * z(9), 0, -1, 1]),
+            UniPoly(f, [z(18), -z(19), 1]),
+            UniPoly(f, [-2 * z(5), -z(15), 1]),
+        ]
+        product = factors[0] * factors[1] * factors[2]
+        got = factor_unipoly(product)
+        assert len(got) == 3 and all(m == 1 for _, m in got)
+        assert {p for p, _ in got} == set(factors)
 
     def test_memoized_factors_come_in_a_fresh_list(self):
         f = make_field(3)

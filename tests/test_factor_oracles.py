@@ -6,17 +6,25 @@ basis coefficients carry over unchanged.  Inputs are random products of
 monic factors of degree 1 to 3 with small coefficients, some repeated.
 """
 
+import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 
-from hopfcheck.cyclotomic import UniPoly, factor_unipoly, make_field, roots_in_field
+from hopfcheck.cyclotomic import (
+    UniPoly,
+    _norm,
+    factor_unipoly,
+    make_field,
+    roots_in_field,
+)
 
 ORDERS = (1, 3, 4, 5, 8)
-X, T = sympy.symbols("x t")
+X, T, Y = sympy.symbols("x t y")
 
 
 def sympy_field(n):
@@ -90,3 +98,24 @@ def test_roots_match_sympy(poly):
     expected.sort(key=lambda r: r.coeffs)
     assert roots_in_field(poly) == expected
     assert all(poly.evaluate(r).is_zero() for r in expected)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 8, 12))
+@pytest.mark.parametrize("shift", (0, 1, 2))
+def test_norm_is_the_resultant_with_phi_n(n, shift):
+    """_norm(f, s) = Res_y(Phi_n(y), f(x - s*y, y)), with f's coefficients
+    written as polynomials in y = zeta_n; f need not be monic."""
+    field = make_field(n)
+    rng = random.Random(100 * n + shift)
+    coeffs = [
+        field.element([rng.randint(-2, 2) for _ in range(field.degree)])
+        for _ in range(3)
+    ]
+    f = UniPoly(field, coeffs + [field.zeta(rng.randrange(n)) * 2])
+    in_y = [sum(sympy.Rational(q.numerator, q.denominator) * Y**i
+                for i, q in enumerate(c.coeffs)) for c in f.coeffs]
+    f_xy = sum(c * (X - shift * Y) ** i for i, c in enumerate(in_y))
+    expected = sympy.resultant(sympy.cyclotomic_poly(n, Y), sympy.expand(f_xy), Y)
+    got = [sympy.Rational(c.rational.numerator, c.rational.denominator)
+           for c in reversed(_norm(f, shift).coeffs)]
+    assert sympy.Poly(expected, X).all_coeffs() == got

@@ -18,6 +18,7 @@ from hopfcheck.hopf import (
     LABEL_A1,
     LABEL_A1_DUAL,
     LABEL_TAFT_TENSOR,
+    AntipodeOrderOverflow,
     DegenerateIntegral,
     Fingerprint,
     HopfAlgebra,
@@ -195,6 +196,16 @@ def spread(h):
 
 def without_antipode(h):
     return HopfAlgebra(h.algebra, h.comult, h.counit)
+
+
+def cyclic_antipode_z33():
+    """k[Z_33] over Q with its antipode replaced by the 33-cycle permutation
+    b_j -> b_(j+1): not a Hopf algebra, and S has order 33."""
+    field = make_field(1)
+    h = group_algebra(33, field)
+    columns = [unit_vector(field, 33, (j + 1) % 33) for j in range(33)]
+    cycle = Matrix.from_columns(field, columns)
+    return HopfAlgebra(h.algebra, h.comult, h.counit, cycle)
 
 
 class TestVerifyHopf:
@@ -694,6 +705,10 @@ class TestFingerprint:
     def test_antipode_order_cap(self):
         assert antipode_order(group_algebra(3)) == 2
         assert antipode_order(taft(3, make_field(3).zeta())) == 6
+
+    def test_antipode_order_beyond_the_cap_raises(self):
+        with pytest.raises(AntipodeOrderOverflow, match="^antipode order exceeds 32$"):
+            antipode_order(cyclic_antipode_z33())
 
     def test_double_dual_fingerprint(self):
         h = a_tau_mu(3, 2, -1, 1)

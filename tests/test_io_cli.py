@@ -30,7 +30,7 @@ from hopfcheck.io import (
     serialize,
 )
 from hopfcheck.yetter_drinfeld import ordinary_to_braided, trivial_yd
-from test_hopf import idempotent_monoid
+from test_hopf import cyclic_antipode_z33, idempotent_monoid
 
 
 # the directory holding the imported package, so the CLI subprocess runs the
@@ -462,6 +462,14 @@ class TestCliErrors:
         r = run_cli(*argv)
         assert (r.returncode, r.stdout, r.stderr) == (
             1, "", "verification failure: lam(x Lambda_1) Lambda_2 is singular\n"
+        )
+
+    def test_antipode_order_beyond_the_cap_is_one_error_line(self, tmp_path):
+        path = tmp_path / "z33.json"
+        path.write_bytes(serialize(manifest_for(cyclic_antipode_z33())))
+        r = run_cli("invariants", str(path))
+        assert (r.returncode, r.stdout, r.stderr) == (
+            1, "", "error: antipode order exceeds 32\n"
         )
 
     @pytest.mark.parametrize(

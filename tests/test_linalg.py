@@ -153,6 +153,11 @@ class TestConstruction:
         with pytest.raises(ShapeMismatch):
             Matrix(Q, [[1, 2], [3]])
 
+    def test_from_columns(self):
+        assert Matrix.from_columns(Q, [(1, 2), (3, 4)]) == mat([[1, 3], [2, 4]])
+        empty = Matrix.from_columns(Q, [])
+        assert (empty.rows, empty.cols, empty.data) == (0, 0, [])
+
     @staticmethod
     def _fixed_q12():
         f = make_field(12)
