@@ -15,12 +15,12 @@ from hopfcheck.linalg import (
     Matrix,
     Tensor3,
     dense_vector,
-    sparse_equal,
     sparse_kernel,
     sparse_sub_scaled,
     sparse_vector,
     unit_vector,
     vec_combination,
+    vec_is_zero,
 )
 
 
@@ -114,40 +114,51 @@ class AssocAlgebra:
                 out[k] = out.get(k, zero) + c * m
         return {k: x for k, x in out.items() if not x.is_zero()}
 
-    def tensor_square_product(self, a: dict, b: dict) -> dict:
-        """Product in A (x) A of two sparse {(j, k): coeff} elements.
+    def tensor_square_product(self, a: dict, bs: list) -> list:
+        """The products a b in A (x) A, one for each b in bs, of sparse
+        {(j, k): coeff} elements.
 
         Grouped by the second leg, a = sum_k1 A_k1 (x) b_k1 and
         b = sum_k2 B_k2 (x) b_k2, so ab = sum (A_k1 B_k2) (x) (b_k1 b_k2).
-        Each A_k1 b_j2 is formed once, A_k1 B_k2 is combined from them, and
-        b_k1 b_k2 is one table row: a dense pair costs dim^4, not dim^6.
+        Each A_k1 b_j2 is formed once for all of bs, A_k1 B_k2 is combined
+        from them, and b_k1 b_k2 is one table row: a dense pair costs dim^4,
+        not dim^6.
         """
         zero = self.field.zero()
         table = self.mult.by_ij()
-        a_legs: dict = {}
-        b_legs: dict = {}
-        for legs, x in ((a_legs, a), (b_legs, b)):
+
+        def legs(x) -> dict:  # {k: the first legs {j: coeff} at b_k}
+            out: dict = {}
             for (j, k), c in x.items():
-                legs.setdefault(k, {})[j] = c
-        firsts = {j2 for j2, _ in b}
-        out: dict = {}
-        for k1, left in a_legs.items():
-            left_b = {j2: self.basis_times(j2, left, right=True) for j2 in firsts}
-            for k2, right in b_legs.items():
-                row = table.get((k1, k2))
-                if row is None:
-                    continue
-                first: dict = {}
-                for j2, c2 in right.items():
-                    for j, x in left_b[j2].items():
-                        first[j] = first.get(j, zero) + c2 * x
-                for j, x in first.items():
-                    if x.is_zero():
+                out.setdefault(k, {})[j] = c
+            return out
+
+        a_legs = legs(a)
+        firsts = {j2 for b in bs for j2, _ in b}
+        left_b = {
+            k1: {j2: self.basis_times(j2, left, right=True) for j2 in firsts}
+            for k1, left in a_legs.items()
+        }
+        outs = []
+        for b_legs in map(legs, bs):
+            out: dict = {}
+            for k1, products in left_b.items():
+                for k2, right in b_legs.items():
+                    row = table.get((k1, k2))
+                    if row is None:
                         continue
-                    for k, m in row:
-                        key = (j, k)
-                        out[key] = out.get(key, zero) + x * m
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                    first: dict = {}
+                    for j2, c2 in right.items():
+                        for j, x in products[j2].items():
+                            first[j] = first.get(j, zero) + c2 * x
+                    for j, x in first.items():
+                        if x.is_zero():
+                            continue
+                        for k, m in row:
+                            key = (j, k)
+                            out[key] = out.get(key, zero) + x * m
+            outs.append({k: v for k, v in out.items() if not v.is_zero()})
+        return outs
 
     def left_mult_matrix(self, a) -> Matrix:
         return self.mult.contract("left-mult", a)
@@ -202,18 +213,17 @@ def algebra_failures(alg: AssocAlgebra, rows):
 
 
 def _associates(alg: AssocAlgebra, i: int, j: int, k: int) -> bool:
-    """(b_i b_j) b_k == b_i (b_j b_k)."""
+    """(b_i b_j) b_k == b_i (b_j b_k): their difference vanishes."""
     table = alg.mult.by_ij()
     zero = alg.field.zero()
-    left: dict = {}
+    diff: dict = {}
     for t, c in table.get((i, j), ()):
         for s, m in table.get((t, k), ()):
-            left[s] = left.get(s, zero) + c * m
-    right: dict = {}
+            diff[s] = diff.get(s, zero) + c * m
     for t, c in table.get((j, k), ()):
         for s, m in table.get((i, t), ()):
-            right[s] = right.get(s, zero) + c * m
-    return sparse_equal(left, right)
+            diff[s] = diff.get(s, zero) - c * m
+    return vec_is_zero(diff.values())
 
 
 def algebra_generators(alg: AssocAlgebra, limit: int | None = None):
@@ -501,7 +511,9 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
                 w = quotient.basis_times(gen, v)
                 p = min(v)
                 eigenvalue = w.get(p, field.zero()) / v[p]
-                if not sparse_equal(w, {t: eigenvalue * y for t, y in v.items()}):
+                if not eigenvalue.is_zero():
+                    sparse_sub_scaled(w, eigenvalue, v)
+                if w:
                     raise ArithmeticError("block is not invariant")
                 new_blocks.append((block, {**eigs, gen: eigenvalue}))
                 continue
@@ -515,8 +527,9 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
                     # characters of the base field; record and drop it
                     unresolved.append(fac)
                     continue
+                # fac = x - eigenvalue is monic, so fac(M) = M - eigenvalue I
                 eigenvalue = -fac.coeffs[0]
-                sub = _apply_poly(restricted, fac)
+                sub = _plus_scalar(restricted, fac.coeffs[0])
                 piece = [
                     vec_combination(combo, block, field, qdim)
                     for combo in sub.kernel()
@@ -546,15 +559,6 @@ def _restrict(m: Matrix, block, field) -> Matrix:
     if pivots[:k] != list(range(k)) or any(p >= k for p in pivots):
         raise ArithmeticError("block is not invariant")
     return Matrix(field, [[red.data[r][k + i] for i in range(k)] for r in range(k)])
-
-
-def _apply_poly(m: Matrix, poly: UniPoly) -> Matrix:
-    """p(M) for p of degree >= 1, by Horner from c_d M: d - 1 dense products."""
-    *rest, lead = poly.coeffs
-    acc = m if lead.is_one() else m.scale(lead)
-    for c in reversed(rest[1:]):
-        acc = _plus_scalar(acc, c) * m
-    return _plus_scalar(acc, rest[0])
 
 
 def _plus_scalar(m: Matrix, c) -> Matrix:

@@ -202,7 +202,7 @@ def _from_generators(alg, dim, gens, words, order):
         delta, s = known[word[:cut]]
         for t in range(cut, len(word)):
             g_delta, g_s = gens[word[t]]
-            delta = alg.tensor_square_product(delta, g_delta)
+            (delta,) = alg.tensor_square_product(delta, [g_delta])
             s = _product(alg, g_s, s)
             known[word[: t + 1]] = delta, s
         for (j, k), c in delta.items():

@@ -31,9 +31,11 @@ from hopfcheck.cyclotomic import (
 from hopfcheck.linalg import (
     Matrix,
     Tensor3,
+    kron,
+    kron_vector,
     row_space_basis,
-    sparse_equal,
     sparse_kernel,
+    sparse_sub_scaled,
     sparse_vector,
     unit_vector,
     vec_dot,
@@ -210,15 +212,16 @@ def bialgebra_failures(h: HopfAlgebra, rows):
             yield Violation("counit", (i,), "(eps(x)id)D != id")
         if not counit_law(delta, h.counit, 1, i, field, dim):
             yield Violation("counit", (i,), "(id(x)eps)D != id")
-    if not sparse_equal(h.delta_vec(h.unit), vec_outer(h.unit, h.unit)):
+    if h.delta_vec(h.unit) != vec_outer(h.unit, h.unit):
         yield Violation("comult-algebra-map", ("unit",), "D(1) != 1(x)1")
     if not h.counit_of(h.unit).is_one():
         yield Violation("counit-algebra-map", ("unit",), "eps(1) != 1")
     deltas = [{(j, k): c for j, k, c in h.delta_basis(i)} for i in range(dim)]
     for i in range(dim):
-        row = i in rows
+        # Delta(b_i)Delta(b_j) for every j, from one set of leg products
+        row = i in rows and h.algebra.tensor_square_product(deltas[i], deltas)
         for j in range(dim):
-            if row and not _comult_multiplies(h.algebra, deltas, i, j):
+            if row and not _comult_multiplies(h.algebra, deltas, i, j, row[j]):
                 yield Violation("comult-algebra-map", (i, j), "D(ab) != D(a)D(b)")
             if not _counit_multiplies(h, i, j):
                 yield Violation("counit-algebra-map", (i, j), "eps(ab) != eps(a)eps(b)")
@@ -241,14 +244,12 @@ def _bialgebra_holds(h: HopfAlgebra) -> bool:
     return next(bialgebra_failures(x, gens), None) is None
 
 
-def _comult_multiplies(alg: AssocAlgebra, deltas, i: int, j: int) -> bool:
-    """Delta(b_i b_j) == Delta(b_i)Delta(b_j); deltas[k] is Delta(b_k) as a dict."""
-    zero = alg.field.zero()
-    prod_delta: dict = {}
+def _comult_multiplies(alg: AssocAlgebra, deltas, i, j, square: dict) -> bool:
+    """Delta(b_i b_j) == square, which is Delta(b_i)Delta(b_j) and becomes
+    the residual; deltas[k] is Delta(b_k) as a dict."""
     for k, c in alg.basis_product(i, j):
-        for key, c2 in deltas[k].items():
-            prod_delta[key] = prod_delta.get(key, zero) + c * c2
-    return sparse_equal(prod_delta, alg.tensor_square_product(deltas[i], deltas[j]))
+        sparse_sub_scaled(square, c, deltas[k])
+    return not square
 
 
 def _counit_multiplies(h: HopfAlgebra, i: int, j: int) -> bool:
@@ -278,17 +279,16 @@ def coassociative(rows, delta_basis, coact_basis, field) -> bool:
     a coaction it is coassociativity of a comodule.
     """
     zero = field.zero()
-    left: dict = {}
-    right: dict = {}
+    diff: dict = {}
     for j, t, c in rows:
         for a, b, c2 in delta_basis(j):
             key = (a, b, t)
-            left[key] = left.get(key, zero) + c * c2
+            diff[key] = diff.get(key, zero) + c * c2
     for j, t, c in rows:
         for a, b, c2 in coact_basis(t):
             key = (j, a, b)
-            right[key] = right.get(key, zero) + c * c2
-    return sparse_equal(left, right)
+            diff[key] = diff.get(key, zero) - c * c2
+    return vec_is_zero(diff.values())
 
 
 def counit_law(rows, counit, leg, i, field, dim) -> bool:
@@ -490,51 +490,33 @@ def tensor_hopf(h1: HopfAlgebra, h2: HopfAlgebra) -> HopfAlgebra:
     """Componentwise Hopf structure on the tensor product basis (lex order)."""
     if h1.field != h2.field:
         raise FieldMismatch("tensor factors over different fields")
-    field = h1.field
-    d1, d2 = h1.dim, h2.dim
-    dim = d1 * d2
+    field, d2 = h1.field, h2.dim
+    dim = h1.dim * d2
 
-    def fuse(i1, i2):
-        return i1 * d2 + i2
+    def tensor(t1: Tensor3, t2: Tensor3) -> Tensor3:
+        return Tensor3(field, (dim, dim, dim), kron(t1.entries, t2.entries, d2))
 
-    mult_entries = {}
-    for (i1, j1, k1), c1 in h1.algebra.mult.entries.items():
-        for (i2, j2, k2), c2 in h2.algebra.mult.entries.items():
-            mult_entries[(fuse(i1, i2), fuse(j1, j2), fuse(k1, k2))] = c1 * c2
-    comult_entries = {}
-    for (i1, j1, k1), c1 in h1.comult.entries.items():
-        for (i2, j2, k2), c2 in h2.comult.entries.items():
-            comult_entries[(fuse(i1, i2), fuse(j1, j2), fuse(k1, k2))] = c1 * c2
-    unit = [field.zero()] * dim
-    for i1, u1 in enumerate(h1.unit):
-        if u1.is_zero():
-            continue
-        for i2, u2 in enumerate(h2.unit):
-            if not u2.is_zero():
-                unit[fuse(i1, i2)] = u1 * u2
-    counit = [field.zero()] * dim
-    for i1, e1 in enumerate(h1.counit):
-        for i2, e2 in enumerate(h2.counit):
-            if not (e1.is_zero() or e2.is_zero()):
-                counit[fuse(i1, i2)] = e1 * e2
     anti = None
     if h1.antipode is not None and h2.antipode is not None:
-        rows = [[field.zero()] * dim for _ in range(dim)]
-        for r1 in range(d1):
-            for c1 in range(d1):
-                a = h1.antipode.data[r1][c1]
-                if a.is_zero():
-                    continue
-                for r2 in range(d2):
-                    for c2 in range(d2):
-                        b = h2.antipode.data[r2][c2]
-                        if not b.is_zero():
-                            rows[fuse(r1, r2)][fuse(c1, c2)] = a * b
-        anti = Matrix(field, rows)
-    alg = AssocAlgebra(field, dim, Tensor3(field, (dim, dim, dim), mult_entries), unit)
-    return HopfAlgebra(
-        alg, Tensor3(field, (dim, dim, dim), comult_entries), counit, anti
-    )
+        s = kron(_matrix_entries(h1.antipode), _matrix_entries(h2.antipode), d2)
+        zero = field.zero()
+        anti = Matrix._wrap(
+            field, [[s.get((r, c), zero) for c in range(dim)] for r in range(dim)]
+        )
+    unit = kron_vector(field, h1.unit, h2.unit)
+    alg = AssocAlgebra(field, dim, tensor(h1.algebra.mult, h2.algebra.mult), unit)
+    counit = kron_vector(field, h1.counit, h2.counit)
+    return HopfAlgebra(alg, tensor(h1.comult, h2.comult), counit, anti)
+
+
+def _matrix_entries(m: Matrix) -> dict:
+    """The nonzero entries of m keyed by (row, column)."""
+    return {
+        (r, c): x
+        for r, row in enumerate(m.data)
+        for c, x in enumerate(row)
+        if not x.is_zero()
+    }
 
 
 @dataclass
@@ -581,7 +563,9 @@ def integrals(h: HopfAlgebra) -> IntegralData:
     for i in range(dim):
         w = h.algebra.basis_times(i, lam_vec, right=True)
         scale = w.get(lpivot, field.zero()) / lam_vec[lpivot]
-        if not sparse_equal(w, {t: scale * x for t, x in lam_vec.items()}):
+        if not scale.is_zero():
+            sparse_sub_scaled(w, scale, lam_vec)
+        if w:
             raise DegenerateIntegral("distinguished group-like alpha is ill-defined")
         alpha.append(scale)
     return IntegralData(big_lambda, lam, a_vec, tuple(alpha))
@@ -688,7 +672,7 @@ class GroupLikes:
 def _is_group_like(h: HopfAlgebra, g) -> bool:
     if not h.counit_of(g).is_one():
         return False
-    return sparse_equal(h.delta_vec(g), vec_outer(g, g))
+    return h.delta_vec(g) == vec_outer(g, g)
 
 
 def group_likes(h: HopfAlgebra) -> GroupLikes:
@@ -832,12 +816,11 @@ def _skew_rows(h: HopfAlgebra, g, hv, js) -> list:
 
 
 def _is_skew_primitive(h: HopfAlgebra, x, g, hv) -> bool:
-    """Delta(x) == x (x) g + h (x) x."""
-    target = vec_outer(x, g)
-    zero = h.field.zero()
-    for key, c in vec_outer(hv, x).items():
-        target[key] = target.get(key, zero) + c
-    return sparse_equal(h.delta_vec(x), target)
+    """Delta(x) == x (x) g + h (x) x: their difference vanishes."""
+    diff = h.delta_vec(x)
+    for term in (vec_outer(x, g), vec_outer(hv, x)):
+        sparse_sub_scaled(diff, h.field.one(), term)
+    return not diff
 
 
 def coradical(h: HopfAlgebra) -> list[tuple]:

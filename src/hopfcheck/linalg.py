@@ -7,6 +7,13 @@ a {index: coeff} dict holding only nonzero entries (sparse_vector,
 dense_vector convert), and every loop visits only those; Matrix.apply walks
 the nonzeros of its input.
 
+One rule for every sparse identity: a sparse dict never holds a zero, so
+two dicts from zero-free producers (contract_first, vec_outer, kron,
+sparse_sub_scaled, AssocAlgebra.basis_times and tensor_square_product) are
+equal exactly when they are equal as dicts.  A law lhs = rhs is decided as
+one residual: lhs - rhs, accumulated into one dict (with sparse_sub_scaled,
+or by hand and then read with vec_is_zero), vanishes.
+
 One echelon does all elimination: every rref, kernel and solve inserts its
 rows into an EchelonBasis, and _echelon_kernel reads every kernel.  The
 reduced row echelon form of a matrix is unique, whatever the order of the
@@ -103,19 +110,23 @@ def vec_outer(a, b) -> dict:
     return {(j, k): x * y for j, x in sparse_vector(a).items() for k, y in right}
 
 
-def sparse_equal(a: dict, b: dict) -> bool:
-    """Equality of sparse {key: coeff} dicts, a missing key counting as zero."""
-    for k, x in a.items():
-        y = b.get(k)
-        if y is None:
-            if not x.is_zero():
-                return False
-        elif x != y:
-            return False
-    for k, y in b.items():
-        if k not in a and not y.is_zero():
-            return False
-    return True
+def kron(a: dict, b: dict, n: int) -> dict:
+    """Kronecker product of two sparse arrays without zeros, keyed by index
+    tuples of one length: a[s] b[t] sits at the key (s_0 n + t_0, s_1 n +
+    t_1, ...), n being b's extent along every index.  A vector is keyed by
+    1-tuples."""
+    return {
+        tuple(s * n + t for s, t in zip(ks, kt)): x * y
+        for ks, x in a.items()
+        for kt, y in b.items()
+    }
+
+
+def kron_vector(field, a, b) -> tuple:
+    """a (x) b for two dense vectors, on the lex basis, by kron."""
+    keyed = [{(i,): x for i, x in sparse_vector(v).items()} for v in (a, b)]
+    fused = kron(*keyed, len(b))
+    return tuple(fused.get((t,), field.zero()) for t in range(len(a) * len(b)))
 
 
 class Matrix:

@@ -36,10 +36,11 @@ from hopfcheck.linalg import (
     Matrix,
     Tensor3,
     dense_vector,
-    sparse_equal,
+    kron_vector,
     sparse_sub_scaled,
     sparse_vector,
     vec_dot,
+    vec_is_zero,
     vec_outer,
     vec_scale,
     zero_vector,
@@ -137,7 +138,8 @@ def tensor_yd(v: YDModule, w: YDModule) -> YDModule:
 
 
 def verify_yd(v: YDModule) -> Report:
-    """Module, comodule, and compatibility laws on all basis pairs."""
+    """Module, comodule, and compatibility laws on all basis pairs, each
+    decided as a residual that must vanish."""
     report = Report(
         checks=["module", "comodule", "yd-compatibility"]
     )
@@ -145,19 +147,30 @@ def verify_yd(v: YDModule) -> Report:
     field = v.field
     dim = v.dim
     bdim = base.dim
+    zero = field.zero()
+    acts = _action_columns(v)
 
-    # module: action of 1 is the identity; action composes along mult
-    unit_action = _combine_action(v, base.unit)
-    if not unit_action.is_identity():
-        report.add(Violation("module", ("unit",), "1 . v != v"))
+    # module: 1 . v_l = v_l and b_i . (b_j . v_l) = (b_i b_j) . v_l, column
+    # by column; one violation per law and pair
+    unit = sparse_vector(base.unit)
+    for l in range(dim):
+        diff = {l: field.one()}
+        for i, c in unit.items():
+            sparse_sub_scaled(diff, c, acts[i][l])
+        if diff:
+            report.add(Violation("module", ("unit",), "1 . v != v"))
+            break
     for i in range(bdim):
         for j in range(bdim):
-            composed = v.action[i] * v.action[j]
-            expected = Matrix.zero(field, dim, dim)
-            for k, c in base.algebra.basis_product(i, j):
-                expected = expected + v.action[k].scale(c)
-            if composed != expected:
-                report.add(Violation("module", (i, j), "action not multiplicative"))
+            for l in range(dim):
+                diff = {}
+                for t, x in acts[j][l].items():
+                    sparse_sub_scaled(diff, -x, acts[i][t])
+                for k, c in base.algebra.basis_product(i, j):
+                    sparse_sub_scaled(diff, c, acts[k][l])
+                if diff:
+                    report.add(Violation("module", (i, j), "action not multiplicative"))
+                    break
 
     # comodule: counitality and coassociativity over the base
     for i in range(dim):
@@ -172,12 +185,10 @@ def verify_yd(v: YDModule) -> Report:
         report.add(Violation("yd-compatibility", (), "base antipode missing"))
         return report
     s_cols = base.antipode.columns()
-    acts = _action_columns(v)
     for bi in range(bdim):
         triples = base.sweedler_triples(bi)
         for vi in range(dim):
-            lhs = v.coact_vec(v.action[bi].column(vi))
-            rhs: dict = {}
+            diff = v.coact_vec(v.action[bi].column(vi))
             for b1, b2, b3, c in triples:
                 for vm1, v0, c2 in v.coact_basis(vi):
                     coeff = c * c2
@@ -189,8 +200,8 @@ def verify_yd(v: YDModule) -> Report:
                             continue
                         for u, y in acts[b2][v0].items():
                             key = (t, u)
-                            rhs[key] = rhs.get(key, field.zero()) + coeff * x * y
-            if not sparse_equal(lhs, rhs):
+                            diff[key] = diff.get(key, zero) - coeff * x * y
+            if not vec_is_zero(diff.values()):
                 report.add(
                     Violation("yd-compatibility", (bi, vi), "compatibility fails")
                 )
@@ -205,14 +216,6 @@ def _action_columns(v: YDModule) -> list:
 def _basis_product_vec(alg: AssocAlgebra, i: int, j: int) -> tuple:
     """b_i b_j as a dense vector."""
     return dense_vector(alg.field, alg.dim, dict(alg.basis_product(i, j)))
-
-
-def _combine_action(v: YDModule, b_vec) -> Matrix:
-    acc = Matrix.zero(v.field, v.dim, v.dim)
-    for i, c in enumerate(b_vec):
-        if not c.is_zero():
-            acc = acc + v.action[i].scale(c)
-    return acc
 
 
 def braiding(v: YDModule, w: YDModule) -> Matrix:
@@ -312,14 +315,13 @@ def comodule_algebra_failures(yd: YDModule, alg: AssocAlgebra):
     ("unit",) if rho(1) != 1 (x) 1, then (i, j) for each basis pair with
     rho(rs) != r_{-1} s_{-1} (x) r_0 s_0.  A generator."""
     base = yd.base
-    field = yd.field
+    zero = yd.field.zero()
     dim = yd.dim
-    if not sparse_equal(yd.coact_vec(alg.unit), vec_outer(base.unit, alg.unit)):
+    if yd.coact_vec(alg.unit) != vec_outer(base.unit, alg.unit):
         yield ("unit",)
     for i in range(dim):
         for j in range(dim):
-            prod = _basis_product_vec(alg, i, j)
-            rhs: dict = {}
+            diff = yd.coact_vec(_basis_product_vec(alg, i, j))
             for a1, k1, c1 in yd.coact_basis(i):
                 for a2, k2, c2 in yd.coact_basis(j):
                     c = c1 * c2
@@ -327,8 +329,8 @@ def comodule_algebra_failures(yd: YDModule, alg: AssocAlgebra):
                     for t, x in base.algebra.basis_product(a1, a2):
                         for u, y in rprod:
                             key = (t, u)
-                            rhs[key] = rhs.get(key, field.zero()) + c * x * y
-            if not sparse_equal(yd.coact_vec(prod), rhs):
+                            diff[key] = diff.get(key, zero) - c * x * y
+            if not vec_is_zero(diff.values()):
                 yield (i, j)
 
 
@@ -360,6 +362,7 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
     dim = r.dim
     base = r.base
     bdim = base.dim
+    zero = field.zero()
     for v in verify_yd(yd).violations:
         report.add(Violation("yd-structure", v.location, "%s: %s" % (v.law, v.detail)))
     for v in verify_algebra(r.algebra).violations:
@@ -388,16 +391,15 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
     for bi in range(bdim):
         for i in range(dim):
             acted = yd.action[bi].column(i)
-            lhs = r.comult.contract_first(acted)
-            rhs: dict = {}
+            diff = r.comult.contract_first(acted)
             for b1, b2, c in base.delta_basis(bi):
                 for j, k, c2 in r.delta_basis(i):
                     cc = c * c2
                     for t, x in acts[b1][j].items():
                         for u, y in acts[b2][k].items():
                             key = (t, u)
-                            rhs[key] = rhs.get(key, field.zero()) + cc * x * y
-            if not sparse_equal(lhs, rhs):
+                            diff[key] = diff.get(key, zero) - cc * x * y
+            if not vec_is_zero(diff.values()):
                 report.add(
                     Violation("module-coalgebra", (bi, i), "Delta not a module map")
                 )
@@ -409,20 +411,19 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
     # comodule coalgebra: rho(R(x)R)(Delta r) = (id (x) Delta) rho(r), and
     # eps a comodule map: r_{-1} eps(r_0) = eps(r) 1_B
     for i in range(dim):
-        lhs: dict = {}
+        diff: dict = {}
         for j, k, c in r.delta_basis(i):
             for a1, t1, c1 in yd.coact_basis(j):
                 for a2, t2, c2 in yd.coact_basis(k):
                     cc = c * c1 * c2
                     for b, x in base.algebra.basis_product(a1, a2):
                         key = (b, t1, t2)
-                        lhs[key] = lhs.get(key, field.zero()) + cc * x
-        rhs: dict = {}
+                        diff[key] = diff.get(key, zero) + cc * x
         for a, t, c in yd.coact_basis(i):
             for j, k, c2 in r.delta_basis(t):
                 key = (a, j, k)
-                rhs[key] = rhs.get(key, field.zero()) + c * c2
-        if not sparse_equal(lhs, rhs):
+                diff[key] = diff.get(key, zero) - c * c2
+        if not vec_is_zero(diff.values()):
             report.add(
                 Violation("comodule-coalgebra", (i,), "Delta not a comodule map")
             )
@@ -437,9 +438,7 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
     # Delta(rs) = r1 ((r2)_{-1} . s1) (x) (r2)_0 s2
     for i in range(dim):
         for j in range(dim):
-            prod = _basis_product_vec(r.algebra, i, j)
-            lhs = r.comult.contract_first(prod)
-            rhs: dict = {}
+            diff = r.comult.contract_first(_basis_product_vec(r.algebra, i, j))
             for r1, r2, c in r.delta_basis(i):
                 for s1, s2, c2 in r.delta_basis(j):
                     cc = c * c2
@@ -449,10 +448,8 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
                         for t, x in left.items():
                             for u, y in right:
                                 key = (t, u)
-                                rhs[key] = (
-                                    rhs.get(key, field.zero()) + cc * c3 * x * y
-                                )
-            if not sparse_equal(lhs, rhs):
+                                diff[key] = diff.get(key, zero) - cc * c3 * x * y
+            if not vec_is_zero(diff.values()):
                 report.add(
                     Violation(
                         "braided-comult-multiplicative",
@@ -552,17 +549,6 @@ def bosonize(r: BraidedHopf, base: HopfAlgebra, check: bool = True) -> HopfAlgeb
             for (jj, kk), val in acc.items():
                 if not val.is_zero():
                     comult_entries[(row, jj, kk)] = val
-    unit = [zero] * dim
-    for i, x in enumerate(r.unit):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(base.unit):
-            if not y.is_zero():
-                unit[fuse(i, j)] = x * y
-    counit = [zero] * dim
-    for i in range(rd):
-        for j in range(bd):
-            counit[fuse(i, j)] = r.counit[i] * base.counit[j]
     # antipode: S(r b) = (1 (x) S_B(r_{-1} b)) (S_R(r_0) (x) 1)
     #                  = (beta_1 . S_R(r_0)) (x) beta_2, beta = S_B(r_{-1} b)
     anti = [[zero] * dim for _ in range(dim)]
@@ -580,13 +566,12 @@ def bosonize(r: BraidedHopf, base: HopfAlgebra, check: bool = True) -> HopfAlgeb
                             anti[fuse(t, b2)][col] = (
                                 anti[fuse(t, b2)][col] + c * c2 * x
                             )
-    alg = AssocAlgebra(
-        field, dim, Tensor3(field, (dim, dim, dim), mult_entries), tuple(unit)
-    )
+    unit = kron_vector(field, r.unit, base.unit)
+    alg = AssocAlgebra(field, dim, Tensor3(field, (dim, dim, dim), mult_entries), unit)
     h = HopfAlgebra(
         alg,
         Tensor3(field, (dim, dim, dim), comult_entries),
-        tuple(counit),
+        kron_vector(field, r.counit, base.counit),
         Matrix(field, anti),
     )
     if check:
@@ -729,7 +714,7 @@ def braided_integrals(r: BraidedHopf) -> BraidedIntegrals:
             raise DegenerateIntegral("eps_R(Lambda_R) = 0 for semisimple R")
         if chi != tuple(r.base.counit):
             raise DegenerateIntegral("chi != eps_B for semisimple R")
-        if not sparse_equal(r.yd.coact_vec(big), vec_outer(r.base.unit, big)):
+        if r.yd.coact_vec(big) != vec_outer(r.base.unit, big):
             raise DegenerateIntegral("rho(Lambda_R) != 1 (x) Lambda_R")
         if r.antipode.apply(big) != big:
             raise DegenerateIntegral("S_R(Lambda_R) != Lambda_R")

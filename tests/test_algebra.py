@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcheck.cyclotomic import UniPoly, make_field
+from hopfcheck.cyclotomic import make_field
 from hopfcheck.algebra import (
     AssocAlgebra,
-    _apply_poly,
     _is_character,
     center,
     characters,
@@ -19,7 +18,7 @@ from hopfcheck.algebra import (
 )
 from hopfcheck.families import a_tau_mu
 from hopfcheck.hopf import dual_algebra
-from hopfcheck.linalg import Matrix, Tensor3, unit_vector
+from hopfcheck.linalg import Tensor3, unit_vector
 
 Q = make_field(1)
 
@@ -187,30 +186,6 @@ class TestCenter:
             for i in range(alg.dim):
                 e = unit_vector(Q, alg.dim, i)
                 assert alg.multiply(z, e) == alg.multiply(e, z)
-
-
-class TestApplyPoly:
-    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-    def test_horner_matches_power_sum(self, degree):
-        f = make_field(12)
-        rng = random.Random(degree)
-
-        def rand():
-            return f.element([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                              for _ in range(4)])
-
-        for n in (1, 2, 3):
-            m = Matrix(f, [[rand() for _ in range(n)] for _ in range(n)])
-            lead = rand()
-            for top in (f.one(), f.one() if lead.is_zero() else lead):
-                # a zero constant term too: p(M) = M (...) has no identity part
-                for const in (rand(), f.zero()):
-                    coeffs = [const] + [rand() for _ in range(degree - 1)] + [top]
-                    expected = Matrix.zero(f, n, n)
-                    for k, c in enumerate(coeffs):
-                        expected = expected + m.power(k).scale(c)
-                    got = _apply_poly(m, UniPoly(f, coeffs))
-                    assert got == expected
 
 
 def full_walk_is_character(alg, chi):

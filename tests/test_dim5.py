@@ -19,7 +19,7 @@ from hopfcheck.dim5 import (
     run_case,
 )
 from hopfcheck.families import sweedler
-from hopfcheck.linalg import Matrix, Tensor3, sparse_equal, unit_vector, vec_outer
+from hopfcheck.linalg import Matrix, Tensor3, unit_vector, vec_outer
 from hopfcheck.yetter_drinfeld import (
     YDModule,
     comodule_algebra_failures,
@@ -54,7 +54,7 @@ def with_entries(cand, action=None, coaction=None, mult=None):
 
 
 def coact_product(cand, i, j):
-    """rho(r_i) rho(r_j) in H (x) R, term by term."""
+    """rho(r_i) rho(r_j) in H (x) R, term by term, without zeros."""
     base = cand.yd.base.algebra
     out = {}
     for h1, r1, c1 in cand.yd.coact_basis(i):
@@ -65,7 +65,7 @@ def coact_product(cand, i, j):
             rr = cand.alg.multiply(basis(cand, r1), basis(cand, r2))
             for key, c in vec_outer(hh, rr).items():
                 out[key] = out.get(key, cand.ring.zero()) + c1 * c2 * c
-    return out
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
 def _perturbed(part):
@@ -185,13 +185,13 @@ class TestModuleComodule:
     def test_case_b_uu_law_explicitly(self):
         cand = build_case("B")
         uu = cand.alg.multiply(basis(cand, U), basis(cand, U))
-        assert sparse_equal(cand.yd.coact_vec(uu), coact_product(cand, U, U))
+        assert cand.yd.coact_vec(uu) == coact_product(cand, U, U)
 
     @pytest.mark.parametrize("case", CASES)
     def test_rho_uv_data_is_rho_u_rho_v(self, case):
         cand = build_case(case)
         rho_uv = cand.yd.coact_vec(basis(cand, UV))
-        assert sparse_equal(rho_uv, coact_product(cand, U, V))
+        assert rho_uv == coact_product(cand, U, V)
 
     def test_case_a_rho_uv_is_g_uv(self):
         cand = build_case("A")

@@ -25,7 +25,6 @@ from hopfcheck.algebra import (
     AssocAlgebra,
     Report,
     Violation,
-    _apply_poly,
     _is_character,
     _restrict,
     algebra_generators,
@@ -679,9 +678,11 @@ def ref_characters(alg):
             restricted = _restrict(lmat, block, field)
             for fac, _ in factor_unipoly(ref_minimal_polynomial(restricted)):
                 if fac.degree == 1:
-                    kernel = _apply_poly(restricted, fac).kernel()
+                    eig = -fac.coeffs[0]  # fac is monic: x - eig
+                    ident = Matrix.identity(field, restricted.rows)
+                    kernel = (restricted - ident.scale(eig)).kernel()
                     piece = [Matrix.from_columns(field, block).apply(c) for c in kernel]
-                    split.append((piece, eigs + [-fac.coeffs[0]]))
+                    split.append((piece, eigs + [eig]))
         blocks = split
     found = []
     for block, eigs in blocks:
