@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from hopfcheck.cyclotomic import CycloField, FieldElement, UniPoly, factor_unipoly
+from hopfcheck.cyclotomic import CycloField, UniPoly, factor_unipoly
 from hopfcheck.linalg import (
     EchelonBasis,
     Matrix,
@@ -68,7 +68,7 @@ class AssocAlgebra:
     """dim, multiplication tensor (dim x dim x dim) and unit vector."""
 
     __slots__ = (
-        "field", "dim", "mult", "unit", "_left_traces", "_radical", "_generators"
+        "field", "dim", "mult", "unit", "_radical", "_generators"
     )
 
     def __init__(self, field: CycloField, dim: int, mult: Tensor3, unit):
@@ -78,7 +78,6 @@ class AssocAlgebra:
         self.dim = dim
         self.mult = mult
         self.unit = tuple(field.promote(c) for c in unit)
-        self._left_traces = None
         self._radical = None
         self._generators = _UNSEARCHED
 
@@ -161,17 +160,7 @@ class AssocAlgebra:
         return outs
 
     def left_mult_matrix(self, a) -> Matrix:
-        return self.mult.contract("left-mult", a)
-
-    def basis_left_trace(self, t: int) -> FieldElement:
-        """Trace of left multiplication by basis element t."""
-        if self._left_traces is None:
-            traces = [self.field.zero()] * self.dim
-            for (i, j, k), c in self.mult.entries.items():
-                if j == k:
-                    traces[i] = traces[i] + c
-            self._left_traces = traces
-        return self._left_traces[t]
+        return self.mult.contract(0, a).transpose()
 
 
 def verify_algebra(alg: AssocAlgebra) -> Report:
@@ -308,22 +297,16 @@ def radical(alg: AssocAlgebra) -> list[tuple]:
 
     In characteristic zero rad(A) = {x : Tr(L_{xy}) = 0 for all y}
     (Dickson's criterion), one exact kernel computation, cached on `alg`.
+    The form is mult.contract(2, traces): Tr(L_{b_i b_j}) = sum_t m[i][j][t]
+    Tr(L_{b_t}), with Tr(L_{b_t}) = sum_j m[t][j][j].
     """
     if alg._radical is not None:
         return list(alg._radical)
-    dim = alg.dim
-    zero = alg.field.zero()
-    gram = [[zero] * dim for _ in range(dim)]
-    table = alg.mult.by_ij()
-    for i in range(dim):
-        for j in range(dim):
-            acc = zero
-            for t, c in table.get((i, j), ()):
-                tr = alg.basis_left_trace(t)
-                if not tr.is_zero():
-                    acc = acc + c * tr
-            gram[i][j] = acc
-    alg._radical = tuple(Matrix(alg.field, gram).kernel())
+    traces = [alg.field.zero()] * alg.dim
+    for (t, j, k), c in alg.mult.entries.items():
+        if j == k:
+            traces[t] = traces[t] + c
+    alg._radical = tuple(alg.mult.contract(2, traces).kernel())
     return list(alg._radical)
 
 

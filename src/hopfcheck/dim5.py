@@ -313,9 +313,7 @@ def check_integral_constraints(cand: Candidate) -> ContradictionReport:
         # the computed coaction of uv is g (x) uv
         rho_uv = cand.yd.coact_vec(basis[UV])
         report.add("rho(uv)", _tensor_repr(rho_uv))
-        acc = [ring.zero()] * 4
-        for (h, r), c in rho_uv.items():
-            acc[h] = acc[h] + c * cand.lam[r]
+        acc = list(cand.yd.coaction.contract(2, cand.lam).row(UV))
         acc[_H_ONE] = acc[_H_ONE] - lam_of(basis[UV])
         detail = " + ".join(
             "(%r).%s" % (v, _H_NAMES[h]) for h, v in enumerate(acc) if not v.is_zero()

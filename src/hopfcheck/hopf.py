@@ -43,7 +43,6 @@ from hopfcheck.linalg import (
     vec_outer,
     vec_scale,
     vec_sub,
-    zero_vector,
 )
 
 
@@ -204,26 +203,29 @@ def bialgebra_failures(h: HopfAlgebra, rows):
     """
     field, dim = h.field, h.dim
     yield from algebra_failures(h.algebra, rows)
+    eps_left, eps_right = (h.comult.contract(leg, h.counit) for leg in (1, 2))
     for i in range(dim):
         delta = h.delta_basis(i)
         if i in rows and not coassociative(delta, h.delta_basis, h.delta_basis, field):
             yield Violation("coassociativity", (i,), "(D(x)id)D != (id(x)D)D")
-        if not counit_law(delta, h.counit, 0, i, field, dim):
+        e_i = unit_vector(field, dim, i)
+        if eps_left.row(i) != e_i:
             yield Violation("counit", (i,), "(eps(x)id)D != id")
-        if not counit_law(delta, h.counit, 1, i, field, dim):
+        if eps_right.row(i) != e_i:
             yield Violation("counit", (i,), "(id(x)eps)D != id")
     if h.delta_vec(h.unit) != vec_outer(h.unit, h.unit):
         yield Violation("comult-algebra-map", ("unit",), "D(1) != 1(x)1")
     if not h.counit_of(h.unit).is_one():
         yield Violation("counit-algebra-map", ("unit",), "eps(1) != 1")
     deltas = [{(j, k): c for j, k, c in h.delta_basis(i)} for i in range(dim)]
+    eps_products = h.algebra.mult.contract(2, h.counit).data  # eps(b_i b_j)
     for i in range(dim):
         # Delta(b_i)Delta(b_j) for every j, from one set of leg products
         row = i in rows and h.algebra.tensor_square_product(deltas[i], deltas)
         for j in range(dim):
             if row and not _comult_multiplies(h.algebra, deltas, i, j, row[j]):
                 yield Violation("comult-algebra-map", (i, j), "D(ab) != D(a)D(b)")
-            if not _counit_multiplies(h, i, j):
+            if eps_products[i][j] != h.counit[i] * h.counit[j]:
                 yield Violation("counit-algebra-map", (i, j), "eps(ab) != eps(a)eps(b)")
 
 
@@ -250,15 +252,6 @@ def _comult_multiplies(alg: AssocAlgebra, deltas, i, j, square: dict) -> bool:
     for k, c in alg.basis_product(i, j):
         sparse_sub_scaled(square, c, deltas[k])
     return not square
-
-
-def _counit_multiplies(h: HopfAlgebra, i: int, j: int) -> bool:
-    """eps(b_i b_j) == eps(b_i) eps(b_j)."""
-    acc = h.field.zero()
-    for k, c in h.algebra.basis_product(i, j):
-        if not h.counit[k].is_zero():
-            acc = acc + c * h.counit[k]
-    return acc == h.counit[i] * h.counit[j]
 
 
 _ANTIPODE_VIOLATIONS = {
@@ -289,21 +282,6 @@ def coassociative(rows, delta_basis, coact_basis, field) -> bool:
             key = (j, a, b)
             diff[key] = diff.get(key, zero) - c * c2
     return vec_is_zero(diff.values())
-
-
-def counit_law(rows, counit, leg, i, field, dim) -> bool:
-    """Applying counit to tensor leg `leg` (0 or 1) of rows gives back b_i.
-
-    rows lists rho(b_i) as (j, k, coeff); the other leg ranges over a space
-    of dimension dim.
-    """
-    acc = [field.zero()] * dim
-    for row in rows:
-        e = counit[row[leg]]
-        if not e.is_zero():
-            k = row[1 - leg]
-            acc[k] = acc[k] + e * row[2]
-    return tuple(acc) == unit_vector(field, dim, i)
 
 
 def antipode_law_failures(h, s: Matrix):
@@ -433,24 +411,14 @@ def _solve_antipode_dense(h: HopfAlgebra) -> Matrix:
 
     Lambda is a left integral of h and lam a right integral of h*.
     """
-    field = h.field
-    dim = h.dim
     try:
         big_lambda, lam = _integral_pair(h)
     except DegenerateIntegral as exc:
         raise NoAntipode(str(exc)) from None
-    zero = field.zero()
-    pairing = [[zero] * dim for _ in range(dim)]  # pairing[j][i] = lam(b_i b_j)
-    for (i, j, t), c in h.algebra.mult.entries.items():
-        if not lam[t].is_zero():
-            pairing[j][i] = pairing[j][i] + c * lam[t]
-    cols = [[zero] * dim for _ in range(dim)]  # cols[i] = T(b_i)
-    for (j, k), c in h.delta_vec(big_lambda).items():
-        for i, x in enumerate(pairing[j]):
-            if not x.is_zero():
-                cols[i][k] = cols[i][k] + c * x
+    # row i is T(b_i): lam(b_i b_j) times Delta(Lambda) = sum c_jk b_j (x) b_k
+    t = h.algebra.mult.contract(2, lam) * h.comult.contract(0, big_lambda)
     try:
-        return Matrix.from_columns(field, cols).inverse()
+        return t.transpose().inverse()
     except ZeroDivisionError:
         raise NoAntipode("lam(x Lambda_1) Lambda_2 is singular") from None
 
@@ -540,20 +508,14 @@ def integrals(h: HopfAlgebra) -> IntegralData:
     dim = h.dim
     big_lambda, lam = _integral_pair(h)
 
-    # distinguished a in G(H):  lam -> h = lam(h) a
-    def hit(i):
-        out = list(zero_vector(field, dim))
-        for j, k, c in h.delta_basis(i):
-            if not lam[k].is_zero():
-                out[j] = out[j] + c * lam[k]
-        return tuple(out)
-
+    # distinguished a in G(H):  lam -> h = lam(h) a; row i of hits is lam -> b_i
+    hits = h.comult.contract(2, lam)
     pivot = next((i for i in range(dim) if not lam[i].is_zero()), None)
     if pivot is None:
         raise DegenerateIntegral("right dual integral is zero")
-    a_vec = vec_scale(lam[pivot].inverse(), hit(pivot))
+    a_vec = vec_scale(lam[pivot].inverse(), hits.row(pivot))
     for i in range(dim):
-        if hit(i) != vec_scale(lam[i], a_vec):
+        if hits.row(i) != vec_scale(lam[i], a_vec):
             raise DegenerateIntegral("distinguished group-like a is ill-defined")
 
     # distinguished alpha in G(H*):  L h = alpha(h) L
@@ -574,36 +536,25 @@ def integrals(h: HopfAlgebra) -> IntegralData:
 def check_radford_s4(h: HopfAlgebra, data: IntegralData) -> bool:
     """S^4 = a (alpha -> h <- alpha^{-1}) a^{-1}, entry-exactly on the basis.
 
-    The middle term sums alpha^{-1}(x_1) x_2 alpha(x_3) over (id (x)
-    Delta)Delta(b_i) by two one-leg hits: alpha -> b_t = alpha(b_l) b_k over
-    Delta(b_t) = b_k (x) b_l, once per t, then alpha^{-1}(b_j) (alpha -> b_t)
-    over Delta(b_i) = b_j (x) b_t: the same finite sum, no coassociativity.
+    The middle term alpha^{-1}(x_1) x_2 alpha(x_3) at b_i is row i of the
+    product comult.contract(1, alpha^{-1}) * comult.contract(2, alpha): row
+    t of the right factor is alpha -> b_t = alpha(b_l) b_k over Delta(b_t) =
+    b_k (x) b_l, and row i of the left one weighs it by alpha^{-1}(b_j) over
+    Delta(b_i) = b_j (x) b_t.  That is the finite sum over (id (x)
+    Delta)Delta(b_i), with no use of coassociativity.
     """
     if h.antipode is None:
         raise NoAntipode("antipode required")
     field = h.field
     dim = h.dim
-    zero = field.zero()
     s4 = h.antipode.power(4)
     alpha = data.distinguished_alpha
     alpha_inv = tuple(vec_dot(alpha, h.antipode.column(j), field) for j in range(dim))
     a = data.distinguished_a
     a_inv = h.antipode.apply(a)
-    hits = []  # hits[t] = alpha -> b_t
-    for t in range(dim):
-        hit: dict = {}
-        for k, l, c in h.delta_basis(t):
-            if not alpha[l].is_zero():
-                hit[k] = hit.get(k, zero) + c * alpha[l]
-        hits.append(hit)
+    middle = h.comult.contract(1, alpha_inv) * h.comult.contract(2, alpha)
     for i in range(dim):
-        w = [zero] * dim
-        for j, t, c in h.delta_basis(i):
-            if not alpha_inv[j].is_zero():
-                f = c * alpha_inv[j]
-                for k, x in hits[t].items():
-                    w[k] = w[k] + f * x
-        conj = h.algebra.multiply(a, h.algebra.multiply(tuple(w), a_inv))
+        conj = h.algebra.multiply(a, h.algebra.multiply(middle.row(i), a_inv))
         if conj != s4.column(i):
             return False
     return True

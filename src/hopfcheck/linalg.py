@@ -14,6 +14,13 @@ equal exactly when they are equal as dicts.  A law lhs = rhs is decided as
 one residual: lhs - rhs, accumulated into one dict (with sparse_sub_scaled,
 or by hand and then read with vec_is_zero), vanishes.
 
+One contraction applies a functional to a tensor leg: Tensor3.contract(slot,
+f) sums f against index slot and returns the dense Matrix on the two other
+indices in order, row a at basis a; the counit laws, integrals, Radford's
+formulas and the trace form read their rows.  contract_first stays because
+it gives Delta(x) or rho(x) as a zero-free dict for the residual rule, not
+an operator, and walks only the rows in x's support.
+
 One echelon does all elimination: every rref, kernel and solve inserts its
 rows into an EchelonBasis, and _echelon_kernel reads every kernel.  The
 reduced row echelon form of a matrix is unique, whatever the order of the
@@ -512,30 +519,20 @@ class Tensor3:
     def sorted_entries(self):
         return sorted(self.entries.items())
 
-    def contract(self, mode: str, v) -> Matrix:
-        """Contract one slot against a vector, yielding an operator matrix.
-
-        left-mult:  x -> v * x    (v in slot 1 of a product tensor)
-        right-mult: x -> x * v    (v in slot 2); on a comultiplication
-                    tensor, x -> (f (x) id) Delta(x) with functional f = v
-        """
-        d1, d2, d3 = self.dims
+    def contract(self, slot: int, f) -> Matrix:
+        """sum_s f_s T[.., s, ..] over index `slot` (0, 1 or 2), as the dense
+        Matrix on the two other indices in order: row a is the value at
+        basis a, so row i of comult.contract(2, eps) is (id (x) eps)
+        Delta(b_i) and mult.contract(0, a) is the transpose of x -> a x."""
+        if len(f) != self.dims[slot]:
+            raise ShapeMismatch("vector length != dims[%d]" % slot)
         zero = self.field.zero()
-        nz = sparse_vector(v)
-        if mode == "left-mult":
-            if len(v) != d1:
-                raise ShapeMismatch("vector length != dims[0]")
-            rows = [[zero] * d2 for _ in range(d3)]
-            for (i, j, k), c in self.entries.items():
-                if i in nz:
-                    rows[k][j] = rows[k][j] + nz[i] * c
-            return Matrix._wrap(self.field, rows)
-        if mode == "right-mult":
-            if len(v) != d2:
-                raise ShapeMismatch("vector length != dims[1]")
-            rows = [[zero] * d1 for _ in range(d3)]
-            for (i, j, k), c in self.entries.items():
-                if j in nz:
-                    rows[k][i] = rows[k][i] + nz[j] * c
-            return Matrix._wrap(self.field, rows)
-        raise ValueError("unknown contraction mode %r" % mode)
+        nz = sparse_vector(f)
+        a, b = (t for t in range(3) if t != slot)
+        rows = [[zero] * self.dims[b] for _ in range(self.dims[a])]
+        for idx, c in self.entries.items():
+            x = nz.get(idx[slot])
+            if x is not None:
+                row = rows[idx[a]]
+                row[idx[b]] = row[idx[b]] + x * c
+        return Matrix._wrap(self.field, rows)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -16,9 +17,12 @@ from hopfcheck.algebra import (
     radical,
     verify_algebra,
 )
-from hopfcheck.families import a_tau_mu
+from hopfcheck.families import a_tau_mu, group_algebra, taft_tensor_group
 from hopfcheck.hopf import dual_algebra
-from hopfcheck.linalg import Tensor3, unit_vector
+from hopfcheck.linalg import Matrix, Tensor3, unit_vector
+from test_basis_independence import dense_a31
+from test_sparse_kernels import ref_kernel
+from test_verify_generators import perturbations
 
 Q = make_field(1)
 
@@ -119,6 +123,50 @@ class TestRadical:
 
     def test_matrix_algebra_semisimple(self):
         assert is_semisimple_trace(matrix_algebra_2x2())
+
+
+def ref_radical(alg):
+    """The Gram loop radical replaced: Tr L_{b_i b_j} summed over the table
+    row of b_i b_j against the trace of left multiplication by each b_t."""
+    dim = alg.dim
+    zero = alg.field.zero()
+    left_traces = [zero] * dim  # left_traces[t] = Tr L_{b_t}
+    for (i, j, k), c in alg.mult.entries.items():
+        if j == k:
+            left_traces[i] = left_traces[i] + c
+    gram = [[zero] * dim for _ in range(dim)]
+    table = alg.mult.by_ij()
+    for i in range(dim):
+        for j in range(dim):
+            acc = zero
+            for t, c in table.get((i, j), ()):
+                tr = left_traces[t]
+                if not tr.is_zero():
+                    acc = acc + c * tr
+            gram[i][j] = acc
+    return ref_kernel(Matrix(alg.field, gram))
+
+
+RADICAL_INPUTS = {
+    "dense A(3,1)": dense_a31,
+    **{
+        "A(%d,%d)" % (p, mu): functools.partial(a_tau_mu, p, 2, -1, mu)
+        for p in (3, 5)
+        for mu in (0, 1)
+    },
+    **{"T2xk[Z%d]" % p: functools.partial(taft_tensor_group, 2, -1, p) for p in (3, 5)},
+    **{"k[Z%d]" % (4 * p): functools.partial(group_algebra, 4 * p) for p in (3, 5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADICAL_INPUTS))
+def test_radical_matches_gram_loop(name):
+    """On H and H*, and on each one-constant perturbation: the trace form
+    is defined on a non-associative table too."""
+    h = RADICAL_INPUTS[name]()
+    for label, x in [("unperturbed", h)] + perturbations(h, name):
+        for side, alg in (("H", x.algebra), ("H*", dual_algebra(x))):
+            assert radical(alg) == ref_radical(alg), (label, side)
 
 
 class TestCharacters:

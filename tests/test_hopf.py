@@ -79,7 +79,7 @@ def group_likes_bruteforce(h: HopfAlgebra) -> list[tuple]:
     found = {}
     for j0 in range(dim):
         f = unit_vector(field, dim, j0)
-        a_mat = h.comult.contract("right-mult", f)
+        a_mat = h.comult.contract(1, f).transpose()
         minpoly = minimal_polynomial(a_mat)
         for gamma in set(roots_in_field(minpoly)):
             if gamma.is_zero():
@@ -748,7 +748,7 @@ class TestAntipodeStructure:
     def test_left_mult_by_x_is_rank_two_nilpotent(self):
         h = sweedler()
         x = unit_vector(Q, 4, 1)  # basis order (1, x, g, gx)
-        lx = h.algebra.mult.contract("left-mult", x)
+        lx = h.algebra.mult.contract(0, x).transpose()
         assert lx.rref()[1] == 2
         assert (lx * lx) == Matrix.zero(Q, 4, 4)
 

@@ -53,10 +53,10 @@ def ref_integral_pair(h, right, messages):
     """(Lambda, lam) by the incremental route; h is a HopfAlgebra (right
     False) or a BraidedHopf (right True)."""
     field, dim = h.field, h.dim
-    mode = "right-mult" if right else "left-mult"
+    slot = 1 if right else 0
     basis = [unit_vector(field, dim, i) for i in range(dim)]
     mult_blocks = [
-        h.algebra.mult.contract(mode, basis[i])
+        h.algebra.mult.contract(slot, basis[i]).transpose()
         - Matrix.identity(field, dim).scale(h.counit[i])
         for i in range(dim)
     ]
@@ -64,7 +64,7 @@ def ref_integral_pair(h, right, messages):
     # column j of the block is (f_j (x) id)Delta(b_i) - f_j(b_i) 1
     zero = (field.zero(),) * dim
     dual_blocks = [
-        h.comult.contract("left-mult", basis[i])
+        h.comult.contract(0, basis[i]).transpose()
         - Matrix.from_columns(field, [h.unit if j == i else zero for j in range(dim)])
         for i in range(dim)
     ]

@@ -197,7 +197,7 @@ class TestTensorContract:
             {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1},
         )
         g = unit_vector(Q, 2, 1)
-        m = t.contract("left-mult", g)
+        m = t.contract(0, g).transpose()
         assert m == mat([[0, 1], [1, 0]])
 
     def test_unit_gives_identity(self):
@@ -207,13 +207,13 @@ class TestTensorContract:
             {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1},
         )
         one = unit_vector(Q, 2, 0)
-        assert t.contract("left-mult", one).is_identity()
-        assert t.contract("right-mult", one).is_identity()
+        assert t.contract(0, one).transpose().is_identity()
+        assert t.contract(1, one).transpose().is_identity()
 
     def test_shape_mismatch(self):
         t = Tensor3(Q, (2, 2, 2), {(0, 0, 0): 1})
         with pytest.raises(ShapeMismatch):
-            t.contract("left-mult", zero_vector(Q, 3))
+            t.contract(0, zero_vector(Q, 3))
 
     def test_no_stored_zeros(self):
         t = Tensor3(Q, (2, 2, 2), {(0, 0, 0): 0, (1, 1, 0): 2})

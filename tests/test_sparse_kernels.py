@@ -6,7 +6,9 @@ are the dense loops of the earlier code, kept here verbatim in behaviour: on
 random sparse matrices over Q and Q(zeta_12) (zero rows and columns,
 rank-deficient products, the identity, single entries) both must return
 equal results.  Exact arithmetic has one form per value, so equal means
-entry for entry.  Matrix.solve, Matrix.inverse, row_space_basis and
+entry for entry.  Tensor3.contract is compared in the same way with a
+triple loop over the dense tensor, on random sparse tensors of unequal
+dimensions.  Matrix.solve, Matrix.inverse, row_space_basis and
 algebra.center are compared with dense models built on ref_rref in the
 same way; ref_common_kernel, the incremental route the integrals once took,
 is the oracle of test_integrals.
@@ -36,6 +38,7 @@ from hopfcheck.families import a_tau_mu
 from hopfcheck.linalg import (
     EchelonBasis,
     Matrix,
+    ShapeMismatch,
     Tensor3,
     dense_vector,
     row_space_basis,
@@ -101,6 +104,21 @@ def ref_apply(m, vec):
                 acc = acc + a * x
         out.append(acc)
     return tuple(out)
+
+
+def ref_contract(t, slot, f):
+    """sum_s f_s T[.., s, ..] by a triple loop over the dense tensor, as the
+    matrix on the two other indices in order."""
+    zero = t.field.zero()
+    out = {}
+    for i in range(t.dims[0]):
+        for j in range(t.dims[1]):
+            for k in range(t.dims[2]):
+                idx = (i, j, k)
+                key = tuple(x for s, x in enumerate(idx) if s != slot)
+                out[key] = out.get(key, zero) + f[idx[slot]] * t.get(i, j, k)
+    rows, cols = (n for s, n in enumerate(t.dims) if s != slot)
+    return Matrix(t.field, [[out[(a, b)] for b in range(cols)] for a in range(rows)])
 
 
 def ref_sparse_kernel(field, dim, sparse_rows):
@@ -308,6 +326,29 @@ def matrix_and_vector(draw):
     return m, vec
 
 
+@st.composite
+def tensors_and_functionals(draw):
+    """A random sparse tensor of dimensions 1..4 each, a slot, and a random,
+    zero or one-entry functional on that slot."""
+    field = draw(st.sampled_from(FIELDS))
+    dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    entries = {
+        (i, j, k): draw(scalars(field))
+        for i in range(dims[0])
+        for j in range(dims[1])
+        for k in range(dims[2])
+    }
+    slot = draw(st.integers(0, 2))
+    n = dims[slot]
+    kind = draw(st.sampled_from(["random", "zero", "single"]))
+    f = [field.zero()] * n
+    if kind == "random":
+        f = [draw(scalars(field, 0.6)) for _ in range(n)]
+    elif kind == "single":
+        f[draw(st.integers(0, n - 1))] = draw(scalars(field, density=1.0))
+    return Tensor3(field, dims, entries), slot, tuple(f)
+
+
 SETTINGS = settings(max_examples=150, deadline=None)
 
 
@@ -329,6 +370,25 @@ def test_apply_matches_reference(mv):
     product = m.transpose() * m
     columns = [ref_apply(m.transpose(), col) for col in m.columns()]
     assert product == Matrix.from_columns(m.field, columns)
+
+
+@SETTINGS
+@given(tensors_and_functionals())
+def test_contract_matches_reference(case):
+    t, slot, f = case
+    assert t.contract(slot, f) == ref_contract(t, slot, f)
+    with pytest.raises(ShapeMismatch):
+        t.contract(slot, f + (t.field.zero(),))
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_contract_rejects_a_wrong_length(slot):
+    q = FIELDS[0]
+    t = Tensor3(q, (2, 3, 4), {(1, 2, 3): 1})
+    for n in (2, 3, 4):
+        if n != t.dims[slot]:
+            with pytest.raises(ShapeMismatch):
+                t.contract(slot, (q.one(),) * n)
 
 
 @SETTINGS
@@ -445,7 +505,7 @@ def ref_center(alg):
     rows = []
     for i in range(alg.dim):
         e = unit_vector(alg.field, alg.dim, i)
-        diff = alg.left_mult_matrix(e) - alg.mult.contract("right-mult", e)
+        diff = alg.left_mult_matrix(e) - alg.mult.contract(1, e).transpose()
         rows.extend(diff.data)
     return ref_kernel(Matrix(alg.field, rows))
 
