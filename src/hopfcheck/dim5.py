@@ -114,8 +114,7 @@ class Candidate:
             return _map_entries(ring, lambda c: c.substitute(assignments), obj)
 
         yd = YDModule(
-            self.yd.base, self.yd.dim, [sub(m) for m in self.yd.action],
-            sub(self.yd.coaction),
+            self.yd.base, self.yd.dim, sub(self.yd.action), sub(self.yd.coaction)
         )
         alg = AssocAlgebra(ring, self.alg.dim, sub(self.alg.mult), sub(self.alg.unit))
         return Candidate(self.case, yd, alg, sub(self.antipode), sub(self.lam))
@@ -161,9 +160,14 @@ def build_case(case: str) -> Candidate:
         (UV, UV, UV): gamma, (UV, UV, IOTA): -alpha * beta, (E, E, E): 1,
     }
 
-    # g = diag(1, -1, -1, 1, 1); x: v -> iota, uv -> u; gx acts as g after x
-    act_g = matrix({(IOTA, IOTA): 1, (U, U): -1, (V, V): -1, (UV, UV): 1, (E, E): 1})
-    act_x = matrix({(IOTA, V): 1, (U, UV): 1})
+    # b . r as {(b, r, s): coefficient of s}: g = diag(1, -1, -1, 1, 1);
+    # x: v -> iota, uv -> u; gx acts as g after x
+    g_sign = (1, -1, -1, 1, 1)
+    x_image = {V: IOTA, UV: U}
+    action = {(_H_ONE, r, r): 1 for r in range(5)}
+    action.update({(_H_G, r, r): g_sign[r] for r in range(5)})
+    action.update({(_H_X, r, s): 1 for r, s in x_image.items()})
+    action.update({(_H_GX, r, s): g_sign[s] for r, s in x_image.items()})
 
     # rho(r) as {(r, base index, r0): coeff}.  rho(uv) is written out as
     # rho(u) rho(v); comodule_algebra_failures checks that product.
@@ -188,9 +192,7 @@ def build_case(case: str) -> Candidate:
         })
 
     yd = YDModule(
-        base, 5,
-        [Matrix.identity(ring, 5), act_x, act_g, act_g * act_x],
-        Tensor3(ring, (5, 4, 5), rho),
+        base, 5, Tensor3(ring, (4, 5, 5), action), Tensor3(ring, (5, 4, 5), rho)
     )
     alg = AssocAlgebra(ring, 5, Tensor3(ring, (5, 5, 5), mult), lift((1, 0, 0, 0, 1)))
     # S(iota) = iota, S(u) = z2 u, S(v) = z3 u + v, S(uv) = z4 iota + z2 uv,
@@ -279,7 +281,7 @@ def check_integral_constraints(cand: Candidate) -> ContradictionReport:
         bn, rn = _H_NAMES[b], _R_NAMES[r]
         name = "lambda(%s.%s) - eps(%s) lambda(%s)" % (bn, rn, bn, rn)
         # b . r - eps(b) r
-        acted = cand.yd.action[b].apply(basis[r])
+        acted = cand.yd.action.contract(1, basis[r]).row(b)
         moved = vec_sub(acted, vec_scale(counit[b], basis[r]))
         residual = shadow_lam(moved)
         # forcing needs residual = c * forced with c a nonzero constant
@@ -386,10 +388,10 @@ def check_antipode_contradiction(cand: Candidate) -> ContradictionReport:
 
     def braided_rhs(r_idx, s_idx):
         # (r_{-1} . S(s)) S(r_0)
-        s_s = cand.antipode.column(s_idx)
+        acted = cand.yd.action.contract(1, cand.antipode.column(s_idx))
         terms = cand.yd.coact_basis(r_idx)
         products = [
-            cand.alg.multiply(cand.yd.action[h].apply(s_s), cand.antipode.column(r0))
+            cand.alg.multiply(acted.row(h), cand.antipode.column(r0))
             for h, r0, _ in terms
         ]
         return vec_combination([c for _, _, c in terms], products, ring, 5)

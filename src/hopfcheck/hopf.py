@@ -16,6 +16,7 @@ from hopfcheck.algebra import (
     AssocAlgebra,
     Report,
     Violation,
+    _is_character,
     algebra_failures,
     algebra_generators,
     characters,
@@ -620,12 +621,6 @@ class GroupLikes:
         return any(o == len(self.elements) for o in self.orders)
 
 
-def _is_group_like(h: HopfAlgebra, g) -> bool:
-    if not h.counit_of(g).is_one():
-        return False
-    return h.delta_vec(g) == vec_outer(g, g)
-
-
 def group_likes(h: HopfAlgebra) -> GroupLikes:
     """G(H) via characters of the dual algebra, pulled back to H."""
     cached = h._cache.get("group_likes")
@@ -705,7 +700,7 @@ def skew_primitives(h: HopfAlgebra, g, hvec, _checked: bool = False) -> list[tup
     hv = tuple(h.field.promote(c) for c in hvec)
     if not _checked:
         for cand in (g, hv):
-            if not _is_group_like(h, cand):
+            if not _is_character(dual_algebra(h), cand):
                 raise NotGroupLike("skew primitive endpoints must be group-like")
     field = h.field
     dim = h.dim

@@ -87,10 +87,15 @@ def _enc_hopf(h: HopfAlgebra) -> dict:
 
 
 def _enc_yd(v: YDModule) -> dict:
+    """The action as one matrix per base element, column j = b . v_j."""
+    n = v.dim
     return {
         "base": _enc_hopf(v.base),
-        "dim": v.dim,
-        "action": [_enc_matrix(m) for m in v.action],
+        "dim": n,
+        "action": [
+            [[v.action.get(b, j, k) for j in range(n)] for k in range(n)]
+            for b in range(v.base.dim)
+        ],
         "coaction": _enc_tensor(v.coaction),
     }
 
@@ -337,10 +342,18 @@ def _dec_yd(payload, path, memo) -> YDModule:
         raise ParseError(
             "%s.action must have one matrix per base basis element" % path
         )
-    action = [
-        _dec_matrix(base.field, m, dim, dim, "%s.action[%d]" % (path, i), memo)
-        for i, m in enumerate(action_data)
+    # matrix b has b . v_j as column j: entry (b, j, k) of the tensor
+    action_path = path + ".action"
+    mats = [
+        _dec_matrix(base.field, m, dim, dim, "%s[%d]" % (action_path, b), memo)
+        for b, m in enumerate(action_data)
     ]
+    action = {
+        (b, j, k): c
+        for b, m in enumerate(mats)
+        for k, row in enumerate(m.data)
+        for j, c in enumerate(row)
+    }
     coaction = _dec_tensor(
         base.field,
         _expect(payload, "coaction", dict, path),
@@ -348,7 +361,9 @@ def _dec_yd(payload, path, memo) -> YDModule:
         path + ".coaction",
         memo,
     )
-    return YDModule(base, dim, action, coaction)
+    return YDModule(
+        base, dim, Tensor3(base.field, (base.dim, dim, dim), action), coaction
+    )
 
 
 def _dec_braided(payload, path, memo) -> BraidedHopf:

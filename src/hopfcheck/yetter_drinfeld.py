@@ -2,10 +2,13 @@
 verification, the Radford biproduct (bosonization), and the dual-biproduct
 identity (R x B)* = R* x B*.
 
-A YDModule carries one action matrix per basis element of the base B and a
-coaction tensor rho[i][j][k] = coefficient of b_j (x) v_k in rho(v_i).  A
-BraidedHopf adds the five structure fields of a Hopf algebra object living
-in the category.
+A YDModule carries both structure maps as tensors: the action
+action[b][j][k] = coefficient of v_k in b_b . v_j, shaped like a product,
+and the coaction rho[i][j][k] = coefficient of b_j (x) v_k in rho(v_i),
+shaped like a coproduct.  So R*'s action and coaction are R's coaction and
+action with their legs permuted, as hopf.dual permutes a coproduct and a
+product.  A BraidedHopf adds the five structure fields of a Hopf algebra
+object living in the category.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from hopfcheck.cyclotomic import FieldMismatch
 from hopfcheck.hopf import (
     DegenerateIntegral,
     HopfAlgebra,
+    NoAntipode,
     antipode_law_failures,
     coassociative,
     dual,
@@ -61,19 +65,23 @@ class YDModule:
 
     __slots__ = ("base", "dim", "action", "coaction")
 
-    def __init__(self, base: HopfAlgebra, dim: int, action, coaction: Tensor3):
-        if len(action) != base.dim:
-            raise ValueError("one action matrix per base basis element required")
+    def __init__(self, base: HopfAlgebra, dim: int, action: Tensor3, coaction: Tensor3):
+        if action.dims != (base.dim, dim, dim):
+            raise ValueError("action tensor has wrong shape")
         if coaction.dims != (dim, base.dim, dim):
             raise ValueError("coaction tensor has wrong shape")
         self.base = base
         self.dim = dim
-        self.action = list(action)
+        self.action = action
         self.coaction = coaction
 
     @property
     def field(self):
         return self.base.field
+
+    def act_basis(self, b: int, j: int) -> dict:
+        """b_b . v_j as {module index: coeff} without zeros."""
+        return dict(self.action.by_ij().get((b, j), ()))
 
     def coact_basis(self, i: int):
         """rho(v_i) as a sparse tuple of (base index, module index, coeff)."""
@@ -86,55 +94,14 @@ class YDModule:
 def trivial_yd(base: HopfAlgebra, dim: int) -> YDModule:
     """b . v = eps(b) v and rho(v) = 1 (x) v."""
     field = base.field
-    ident = Matrix.identity(field, dim)
-    action = [ident.scale(base.counit[i]) for i in range(base.dim)]
-    unit_idx = [i for i, c in enumerate(base.unit) if not c.is_zero()]
-    entries = {}
-    for i in range(dim):
-        for j in unit_idx:
-            entries[(i, j, i)] = base.unit[j]
-    return YDModule(base, dim, action, Tensor3(field, (dim, base.dim, dim), entries))
-
-
-def tensor_yd(v: YDModule, w: YDModule) -> YDModule:
-    """V (x) W with b.(x (x) y) = b1.x (x) b2.y and diagonal coaction."""
-    if not structure_equal(v.base, w.base):
-        raise BaseMismatch("tensor of YD modules needs a common base")
-    base = v.base
-    field = v.field
-    dim = v.dim * w.dim
-
-    def fuse(i, j):
-        return i * w.dim + j
-
-    action = []
-    for bi in range(base.dim):
-        data = [[field.zero()] * dim for _ in range(dim)]
-        for b1, b2, c in base.delta_basis(bi):
-            m1 = v.action[b1]
-            m2 = w.action[b2]
-            for i in range(v.dim):
-                for t, x in enumerate(m1.column(i)):
-                    if x.is_zero():
-                        continue
-                    for j in range(w.dim):
-                        for u, y in enumerate(m2.column(j)):
-                            if not y.is_zero():
-                                data[fuse(t, u)][fuse(i, j)] = (
-                                    data[fuse(t, u)][fuse(i, j)] + c * x * y
-                                )
-        action.append(Matrix(field, data))
-    entries: dict = {}
-    for i in range(v.dim):
-        for j in range(w.dim):
-            for a1, k1, c1 in v.coact_basis(i):
-                for a2, k2, c2 in w.coact_basis(j):
-                    c = c1 * c2
-                    for b, x in base.algebra.basis_product(a1, a2):
-                        key = (fuse(i, j), b, fuse(k1, k2))
-                        entries[key] = entries.get(key, field.zero()) + c * x
-    entries = {k: c for k, c in entries.items() if not c.is_zero()}
-    return YDModule(base, dim, action, Tensor3(field, (dim, base.dim, dim), entries))
+    action = {(b, i, i): c for b, c in enumerate(base.counit) for i in range(dim)}
+    coaction = {(i, j, i): c for i in range(dim) for j, c in enumerate(base.unit)}
+    return YDModule(
+        base,
+        dim,
+        Tensor3(field, (base.dim, dim, dim), action),
+        Tensor3(field, (dim, base.dim, dim), coaction),
+    )
 
 
 def verify_yd(v: YDModule) -> Report:
@@ -148,7 +115,7 @@ def verify_yd(v: YDModule) -> Report:
     dim = v.dim
     bdim = base.dim
     zero = field.zero()
-    acts = _action_columns(v)
+    act = v.act_basis
 
     # module: 1 . v_l = v_l and b_i . (b_j . v_l) = (b_i b_j) . v_l, column
     # by column; one violation per law and pair
@@ -156,7 +123,7 @@ def verify_yd(v: YDModule) -> Report:
     for l in range(dim):
         diff = {l: field.one()}
         for i, c in unit.items():
-            sparse_sub_scaled(diff, c, acts[i][l])
+            sparse_sub_scaled(diff, c, act(i, l))
         if diff:
             report.add(Violation("module", ("unit",), "1 . v != v"))
             break
@@ -164,10 +131,10 @@ def verify_yd(v: YDModule) -> Report:
         for j in range(bdim):
             for l in range(dim):
                 diff = {}
-                for t, x in acts[j][l].items():
-                    sparse_sub_scaled(diff, -x, acts[i][t])
+                for t, x in act(j, l).items():
+                    sparse_sub_scaled(diff, -x, act(i, t))
                 for k, c in base.algebra.basis_product(i, j):
-                    sparse_sub_scaled(diff, c, acts[k][l])
+                    sparse_sub_scaled(diff, c, act(k, l))
                 if diff:
                     report.add(Violation("module", (i, j), "action not multiplicative"))
                     break
@@ -188,17 +155,18 @@ def verify_yd(v: YDModule) -> Report:
     for bi in range(bdim):
         triples = base.sweedler_triples(bi)
         for vi in range(dim):
-            diff = v.coact_vec(v.action[bi].column(vi))
+            diff = v.coact_vec(dense_vector(field, dim, act(bi, vi)))
             for b1, b2, b3, c in triples:
                 for vm1, v0, c2 in v.coact_basis(vi):
                     coeff = c * c2
                     left_leg = base.algebra.multiply(
                         _basis_product_vec(base.algebra, b1, vm1), s_cols[b3]
                     )
+                    acted = act(b2, v0)
                     for t, x in enumerate(left_leg):
                         if x.is_zero():
                             continue
-                        for u, y in acts[b2][v0].items():
+                        for u, y in acted.items():
                             key = (t, u)
                             diff[key] = diff.get(key, zero) - coeff * x * y
             if not vec_is_zero(diff.values()):
@@ -206,11 +174,6 @@ def verify_yd(v: YDModule) -> Report:
                     Violation("yd-compatibility", (bi, vi), "compatibility fails")
                 )
     return report
-
-
-def _action_columns(v: YDModule) -> list:
-    """acts[b][j] = b . v_j as {index: coeff} without zeros."""
-    return [[sparse_vector(col) for col in m.columns()] for m in v.action]
 
 
 def _basis_product_vec(alg: AssocAlgebra, i: int, j: int) -> tuple:
@@ -229,12 +192,8 @@ def braiding(v: YDModule, w: YDModule) -> Matrix:
         for j in range(w.dim):
             col = i * w.dim + j
             for b, k, c in v.coact_basis(i):
-                img = w.action[b].column(j)
-                for t, x in enumerate(img):
-                    if not x.is_zero():
-                        data[t * v.dim + k][col] = (
-                            data[t * v.dim + k][col] + c * x
-                        )
+                for t, x in w.act_basis(b, j).items():
+                    data[t * v.dim + k][col] = data[t * v.dim + k][col] + c * x
     return Matrix(field, data)
 
 
@@ -245,6 +204,10 @@ class BraidedHopf:
 
     def __init__(self, yd: YDModule, mult: Tensor3, unit, comult: Tensor3, counit, antipode: Matrix):
         d = yd.dim
+        if comult.dims != (d, d, d):
+            raise ValueError("comultiplication tensor has wrong shape")
+        if antipode is None or (antipode.rows, antipode.cols) != (d, d):
+            raise ValueError("antipode must be a %d x %d matrix" % (d, d))
         self.yd = yd
         self.mult = mult
         self.unit = tuple(yd.field.promote(c) for c in unit)
@@ -292,9 +255,10 @@ def module_algebra_failures(yd: YDModule, alg: AssocAlgebra):
     with b . (rs) != (b1 . r)(b2 . s).  A generator, like
     hopf.antipode_law_failures."""
     base = yd.base
-    acts = _action_columns(yd)
+    act = yd.act_basis
+    unit_acted = yd.action.contract(1, alg.unit)
     for bi in range(base.dim):
-        if yd.action[bi].apply(alg.unit) != vec_scale(base.counit[bi], alg.unit):
+        if unit_acted.row(bi) != vec_scale(base.counit[bi], alg.unit):
             yield (bi,)
         deltas = base.delta_basis(bi)
         for i in range(yd.dim):
@@ -302,10 +266,11 @@ def module_algebra_failures(yd: YDModule, alg: AssocAlgebra):
                 # b . (r_i r_j) - sum c (b1 . r_i)(b2 . r_j), without zeros
                 diff: dict = {}
                 for k, c in alg.basis_product(i, j):
-                    sparse_sub_scaled(diff, -c, acts[bi][k])
+                    sparse_sub_scaled(diff, -c, act(bi, k))
                 for b1, b2, c in deltas:
-                    for t, x in acts[b1][i].items():
-                        sparse_sub_scaled(diff, c * x, alg.basis_times(t, acts[b2][j]))
+                    right = act(b2, j)
+                    for t, x in act(b1, i).items():
+                        sparse_sub_scaled(diff, c * x, alg.basis_times(t, right))
                 if diff:
                     yield (bi, i, j)
 
@@ -386,16 +351,17 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
         report.add(Violation("comodule-algebra", loc, detail))
 
     # module coalgebra: Delta(b . r) = b1 . r1 (x) b2 . r2; eps(b.r) = eps(b)eps(r)
-    acts = _action_columns(yd)
+    act = yd.act_basis
     for bi in range(bdim):
         for i in range(dim):
-            acted = yd.action[bi].column(i)
+            acted = dense_vector(field, dim, act(bi, i))
             diff = r.comult.contract_first(acted)
             for b1, b2, c in base.delta_basis(bi):
                 for j, k, c2 in r.delta_basis(i):
                     cc = c * c2
-                    for t, x in acts[b1][j].items():
-                        for u, y in acts[b2][k].items():
+                    right = act(b2, k)
+                    for t, x in act(b1, j).items():
+                        for u, y in right.items():
                             key = (t, u)
                             diff[key] = diff.get(key, zero) - cc * x * y
             if not vec_is_zero(diff.values()):
@@ -439,7 +405,7 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
                 for s1, s2, c2 in r.delta_basis(j):
                     cc = c * c2
                     for b, r2_0, c3 in yd.coact_basis(r2):
-                        left = r.algebra.basis_times(r1, acts[b][s1])
+                        left = r.algebra.basis_times(r1, act(b, s1))
                         right = r.algebra.basis_product(r2_0, s2)
                         for t, x in left.items():
                             for u, y in right:
@@ -458,16 +424,17 @@ def verify_braided_hopf(r: BraidedHopf) -> Report:
     for i in dict.fromkeys(i for i, _ in antipode_law_failures(r, r.antipode)):
         report.add(Violation("antipode-law", (i,), "convolution law fails"))
 
-    # braided anti-homomorphism: S(rs) = (r_{-1} . S(s)) S(r_0)
+    # braided anti-homomorphism: S(rs) = (r_{-1} . S(s)) S(r_0); row b of
+    # s_acted[j] is b . S(r_j)
     s_cols = r.antipode.columns()
+    s_acted = [yd.action.contract(1, col) for col in s_cols]
     for i in range(dim):
         for j in range(dim):
             prod = _basis_product_vec(r.algebra, i, j)
             lhs = r.antipode.apply(prod)
             rhs = list(zero_vector(field, dim))
             for b, r0, c in yd.coact_basis(i):
-                acted = yd.action[b].apply(s_cols[j])
-                term = r.algebra.multiply(acted, s_cols[r0])
+                term = r.algebra.multiply(s_acted[j].row(b), s_cols[r0])
                 for t, x in enumerate(term):
                     if not x.is_zero():
                         rhs[t] = rhs[t] + c * x
@@ -496,6 +463,8 @@ def bosonize(r: BraidedHopf, base: HopfAlgebra, check: bool = True) -> HopfAlgeb
     """
     if not structure_equal(r.base, base):
         raise BaseMismatch("braided object lives over a different base")
+    if base.antipode is None:
+        raise NoAntipode("bosonizing requires the base antipode")
     yd = r.yd
     field = r.field
     rd, bd = r.dim, base.dim
@@ -505,7 +474,6 @@ def bosonize(r: BraidedHopf, base: HopfAlgebra, check: bool = True) -> HopfAlgeb
         return i * bd + j
 
     zero = field.zero()
-    acts = _action_columns(yd)
     mult_entries: dict = {}
     for a1k in range(bd):  # a index
         delta_a = base.delta_basis(a1k)
@@ -514,7 +482,7 @@ def bosonize(r: BraidedHopf, base: HopfAlgebra, check: bool = True) -> HopfAlgeb
             for j in range(rd):  # s index
                 # r_i (a1 . s_j), formed once for every b
                 rparts = [
-                    (a2, c, sorted(r.algebra.basis_times(i, acts[a1][j]).items()))
+                    (a2, c, sorted(r.algebra.basis_times(i, yd.act_basis(a1, j)).items()))
                     for a1, a2, c in delta_a
                 ]
                 for b in range(bd):  # b index
@@ -548,7 +516,7 @@ def bosonize(r: BraidedHopf, base: HopfAlgebra, check: bool = True) -> HopfAlgeb
     # antipode: S(r b) = (1 (x) S_B(r_{-1} b)) (S_R(r_0) (x) 1)
     #                  = (beta_1 . S_R(r_0)) (x) beta_2, beta = S_B(r_{-1} b)
     anti = [[zero] * dim for _ in range(dim)]
-    sr_cols = r.antipode.columns()
+    sr_acted = [yd.action.contract(1, col) for col in r.antipode.columns()]
     for i in range(rd):
         for b in range(bd):
             col = fuse(i, b)
@@ -556,8 +524,7 @@ def bosonize(r: BraidedHopf, base: HopfAlgebra, check: bool = True) -> HopfAlgeb
                 beta = base.antipode.apply(_basis_product_vec(base.algebra, a, b))
                 dbeta = base.delta_vec(beta)
                 for (b1, b2), c2 in dbeta.items():
-                    acted = yd.action[b1].apply(sr_cols[r0])
-                    for t, x in enumerate(acted):
+                    for t, x in enumerate(sr_acted[r0].row(b1)):
                         if not x.is_zero():
                             anti[fuse(t, b2)][col] = (
                                 anti[fuse(t, b2)][col] + c * c2 * x
@@ -585,7 +552,7 @@ def dual_braided(r: BraidedHopf) -> BraidedHopf:
     R*'s multiplication, unit, comultiplication, counit and antipode are the
     transposes of R's comultiplication, counit, multiplication, unit and S_R,
     with the index permutations of hopf.dual.  Its B*-action and B*-coaction
-    are R's coaction and action transposed:
+    are R's coaction and action with their legs permuted the same way:
         (b_j* . r_i*)(r_k) = b_j*((r_k)_{-1}) r_i*((r_k)_0),
         rho(f) = sum_j b_j* (x) f(b_j . -).
 
@@ -614,22 +581,11 @@ def dual_braided(r: BraidedHopf) -> BraidedHopf:
     which is eps*(f) 1* at r, and the same on the right.  So S_R^T is the
     antipode of R*, unique as the convolution inverse of the identity.
     """
-    field = r.field
-    rd, bd = r.dim, r.base.dim
-    action = [[[field.zero()] * rd for _ in range(rd)] for _ in range(bd)]
-    for (k, j, i), c in r.yd.coaction.entries.items():
-        action[j][k][i] = c
-    coaction = {
-        (i, j, k): c
-        for j, m in enumerate(r.yd.action)
-        for i, row in enumerate(m.data)
-        for k, c in enumerate(row)
-    }
     yd_star = YDModule(
         dual(r.base),
-        rd,
-        [Matrix(field, rows) for rows in action],
-        Tensor3(field, (rd, bd, rd), coaction),
+        r.dim,
+        r.yd.coaction.permuted((1, 2, 0)),
+        r.yd.action.permuted((2, 0, 1)),
     )
     rstar = BraidedHopf(
         yd_star,
@@ -693,11 +649,12 @@ def braided_integrals(r: BraidedHopf) -> BraidedIntegrals:
     )
     lam = paired_to_one(lam, big, field)
 
-    # chi(b) from b . Lambda = chi(b) Lambda
+    # chi(b) from b . Lambda = chi(b) Lambda, row b of acted
     pivot = next(i for i, c in enumerate(big) if not c.is_zero())
+    acted = r.yd.action.contract(1, big)
     chi = []
     for bi in range(r.base.dim):
-        img = r.yd.action[bi].apply(big)
+        img = acted.row(bi)
         scale = img[pivot] / big[pivot]
         if img != vec_scale(scale, big):
             raise DegenerateIntegral("chi is ill-defined on the integral")

@@ -52,7 +52,21 @@ def nilpotent_line():
 def braided(coaction=None, comult=None, counit=None, antipode=None):
     base, action, coact, mult, delta, eps, anti = nilpotent_line()
     f = base.field
-    yd = YDModule(base, 2, action, Tensor3(f, (2, 2, 2), coaction or coact))
+    yd = YDModule(
+        base,
+        2,
+        Tensor3(
+            f,
+            (2, 2, 2),
+            {
+                (b, j, k): m.data[k][j]
+                for b, m in enumerate(action)
+                for j in range(2)
+                for k in range(2)
+            },
+        ),
+        Tensor3(f, (2, 2, 2), coaction or coact),
+    )
     return BraidedHopf(
         yd,
         Tensor3(f, (2, 2, 2), mult),

@@ -26,6 +26,7 @@ from hopfcheck.yetter_drinfeld import (
     module_algebra_failures,
     verify_yd,
 )
+from test_yetter_drinfeld import action_matrices, action_tensor
 
 Q = make_field(1)
 
@@ -41,13 +42,16 @@ def with_entries(cand, action=None, coaction=None, mult=None):
     """cand with entries set: action {(h, row, col): c}, coaction
     {(r, h, r0): c} and mult {(i, j, k): c}; a zero c drops an entry."""
     ring = cand.ring
-    acts = [[list(row) for row in m.data] for m in cand.yd.action]
+    acts = [[list(row) for row in m.data] for m in action_matrices(cand.yd)]
     for (h, i, j), c in (action or {}).items():
         acts[h][i][j] = ring.promote(c)
     rho = {**cand.yd.coaction.entries, **(coaction or {})}
     table = {**cand.alg.mult.entries, **(mult or {})}
     yd = YDModule(
-        cand.yd.base, 5, [Matrix(ring, a) for a in acts], Tensor3(ring, (5, 4, 5), rho)
+        cand.yd.base,
+        5,
+        action_tensor(ring, [Matrix(ring, a) for a in acts]),
+        Tensor3(ring, (5, 4, 5), rho),
     )
     alg = AssocAlgebra(ring, 5, Tensor3(ring, (5, 5, 5), table), cand.alg.unit)
     return dataclasses.replace(cand, yd=yd, alg=alg)
@@ -126,8 +130,9 @@ class TestBuildCase:
         for case in CASES:
             cand = build_case(case)
             iota = basis(cand, IOTA)
-            assert cand.yd.action[X].apply(iota) == (cand.ring.zero(),) * 5
-            assert cand.yd.action[G].apply(iota) == iota
+            act = action_matrices(cand.yd)
+            assert act[X].apply(iota) == (cand.ring.zero(),) * 5
+            assert act[G].apply(iota) == iota
 
     def test_e_sector(self):
         cand = build_case("B")
@@ -157,7 +162,7 @@ class TestBuildCase:
             cand = build_case(case)
             s = cand.antipode
             for h in (G, X):
-                act = cand.yd.action[h]
+                act = action_matrices(cand.yd)[h]
                 for i in range(5):
                     b = basis(cand, i)
                     assert s.apply(act.apply(b)) == act.apply(s.apply(b)), (case, h, i)
@@ -201,7 +206,7 @@ class TestModuleComodule:
         for case in CASES:
             cand = build_case(case)
             uv = basis(cand, UV)
-            assert cand.yd.action[G].apply(uv) == uv
+            assert action_matrices(cand.yd)[G].apply(uv) == uv
 
     @pytest.mark.parametrize(
         "case,term", [(c, t) for c in sorted(RHO_UV) for t in RHO_UV[c]]
@@ -225,7 +230,7 @@ class TestSubstituted:
     def parts(cand):
         """Every tensor, matrix and vector of the candidate."""
         return [
-            *cand.yd.action, cand.yd.coaction, cand.alg.mult, cand.alg.unit,
+            cand.yd.action, cand.yd.coaction, cand.alg.mult, cand.alg.unit,
             cand.antipode, cand.lam,
         ]
 
@@ -394,7 +399,7 @@ class TestTransport:
         sw = sweedler()
         unit = lambda i: unit_vector(Q, 4, i)
         assert sw.algebra.multiply(unit(G), unit(X)) == unit(GX)
-        act = cand.yd.action
+        act = action_matrices(cand.yd)
         assert act[GX] == act[G] * act[X]
         # gx . v = g . iota = iota and gx . uv = g . u = -u
         assert act[GX].column(V) == basis(cand, IOTA)

@@ -22,7 +22,6 @@ from hopfcheck.hopf import (
     DegenerateIntegral,
     Fingerprint,
     HopfAlgebra,
-    _is_group_like,
     NoAntipode,
     NotGroupLike,
     antipode_order,
@@ -51,6 +50,7 @@ from hopfcheck.linalg import (
     unit_vector,
     vec_dot,
     vec_is_zero,
+    vec_outer,
     vec_scale,
     vec_sub,
 )
@@ -61,6 +61,11 @@ Q = make_field(1)
 
 
 # --- brute-force group-like oracle ----------------------------------------
+
+
+def is_group_like(h: HopfAlgebra, g) -> bool:
+    """eps(g) = 1 and Delta(g) = g (x) g, checked directly."""
+    return h.counit_of(g).is_one() and h.delta_vec(g) == vec_outer(g, g)
 
 
 def group_likes_bruteforce(h: HopfAlgebra) -> list[tuple]:
@@ -99,11 +104,11 @@ def group_likes_bruteforce(h: HopfAlgebra) -> list[tuple]:
             ]
             directions = [w for w in directions if not vec_is_zero(w)]
             if not directions:
-                if _is_group_like(h, base):
+                if is_group_like(h, base):
                     found[tuple(base)] = True
             elif len(directions) == 1:
                 for cand in _quadratic_line_solutions(h, base, directions[0]):
-                    if _is_group_like(h, cand):
+                    if is_group_like(h, cand):
                         found[tuple(cand)] = True
             else:
                 raise ArithmeticError(

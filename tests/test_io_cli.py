@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfcheck
 from hopfcheck import cli
@@ -29,8 +31,14 @@ from hopfcheck.io import (
     parse,
     serialize,
 )
-from hopfcheck.yetter_drinfeld import ordinary_to_braided, trivial_yd
+from hopfcheck.yetter_drinfeld import (
+    BraidedHopf,
+    YDModule,
+    ordinary_to_braided,
+    trivial_yd,
+)
 from test_hopf import cyclic_antipode_z33, idempotent_monoid
+from test_yetter_drinfeld import action_matrices
 
 
 # the directory holding the imported package, so the CLI subprocess runs the
@@ -90,6 +98,41 @@ class TestRoundTrip:
         h = group_algebra(4)
         assert serialize(manifest_for(h)) == serialize(manifest_for(h))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_action_tensors_round_trip(self, data):
+        """yd and braided manifests with random sparse action and coaction
+        tensors parse back to equal tensors and re-serialize to the same
+        bytes."""
+        field = data.draw(st.sampled_from(sorted(BASES, key=lambda f: f.order)))
+        base = BASES[field]
+        n = data.draw(st.integers(1, 3))
+        action = data.draw(sparse_tensors(field, (base.dim, n, n)))
+        coaction = data.draw(sparse_tensors(field, (n, base.dim, n)))
+        yd = YDModule(base, n, action, coaction)
+        obj = yd
+        if data.draw(st.booleans()):
+            r = ordinary_to_braided(group_algebra(n, field), base)
+            obj = BraidedHopf(yd, r.mult, r.unit, r.comult, r.counit, r.antipode)
+        encoded = serialize(manifest_for(obj))
+        back = parse(encoded).payload
+        back_yd = back if obj is yd else back.yd
+        assert (back_yd.action, back_yd.coaction) == (action, coaction)
+        assert serialize(manifest_for(back)) == encoded
+
+
+BASES = {f: sweedler(f) for f in (make_field(1), make_field(12))}
+
+
+@st.composite
+def sparse_tensors(draw, field, dims):
+    """A Tensor3 with up to six random entries over field."""
+    coeffs = st.fractions(-3, 3, max_denominator=4)
+    element = st.lists(coeffs, min_size=field.degree, max_size=field.degree)
+    key = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    entries = draw(st.dictionaries(key, element.map(field.element), max_size=6))
+    return Tensor3(field, dims, entries)
+
 
 def ref_doc(m):
     """The manifest document with each field element as its list of
@@ -125,7 +168,7 @@ def ref_doc(m):
         return {
             "base": hopf(v.base),
             "dim": v.dim,
-            "action": [matrix(a) for a in v.action],
+            "action": [matrix(a) for a in action_matrices(v)],
             "coaction": tensor(v.coaction),
         }
 
@@ -248,6 +291,28 @@ class TestParseErrors:
         doc["object_kind"] = "frobenius"
         with pytest.raises(ParseError):
             parse(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("kind", ("yd", "braided"))
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda a: a.pop(), "payload.action must have one matrix per base basis element"),
+            (lambda a: a.append(a[0]), "payload.action must have one matrix per base basis element"),
+            (lambda a: a[1].pop(), "payload.action[1] must have 2 rows"),
+            (lambda a: a[3].append(a[3][0]), "payload.action[3] must have 2 rows"),
+            (lambda a: a[1][0].pop(), "payload.action[1][0] must be a list of length 2"),
+        ],
+        ids=["one-matrix-short", "one-matrix-long", "row-short", "row-long", "column-short"],
+    )
+    def test_action_list_shape_errors(self, kind, edit, message):
+        """Each matrix of the action is read with its own path."""
+        base = sweedler()
+        r = ordinary_to_braided(group_algebra(2, base.field), base)
+        doc = json.loads(serialize(manifest_for(r if kind == "braided" else r.yd)))
+        edit(doc["payload"]["action"])
+        with pytest.raises(ParseError) as err:
+            parse(json.dumps(doc).encode())
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("order", (3, 30030, 10**40))
     def test_field_order_must_match_element_length(self, order):
@@ -567,6 +632,25 @@ class TestCliErrors:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", "error: braided object lives over a different base\n"
+        )
+        assert not out.exists()
+
+    def test_bosonize_without_base_antipode_exit_1(self, capsys, tmp_path):
+        r_file, base_file = tmp_path / "r.json", tmp_path / "h4.json"
+        out = tmp_path / "boso.json"
+        q12 = make_field(12)
+        base = sweedler(q12)
+        r = ordinary_to_braided(group_algebra(3, q12), base)
+        for path, obj in ((r_file, r), (base_file, base)):
+            doc = json.loads(serialize(manifest_for(obj)))
+            payload = doc["payload"]
+            del (payload["base"] if obj is r else payload)["antipode"]
+            path.write_text(json.dumps(doc))
+        argv = ["bosonize", str(r_file), str(base_file), "-o", str(out)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "verification failure: bosonizing requires the base antipode\n"
         )
         assert not out.exists()
 

@@ -44,7 +44,7 @@ from hopfcheck.yetter_drinfeld import (
     verify_yd,
 )
 from test_verify_generators import ref_verify_algebra
-from test_yetter_drinfeld import VALID
+from test_yetter_drinfeld import VALID, action_matrices, action_tensor
 
 # --- the reference models: a left dict, a right dict, zeros dropped -----------
 
@@ -89,18 +89,19 @@ def ref_coassociative(rows, delta_basis, coact_basis):
 def ref_verify_yd(v):
     report = Report(checks=["module", "comodule", "yd-compatibility"])
     base, field, dim, bdim = v.base, v.field, v.dim, v.base.dim
+    action = action_matrices(v)
     unit_action = Matrix.zero(field, dim, dim)
     for i, c in enumerate(base.unit):
         if not c.is_zero():
-            unit_action = unit_action + v.action[i].scale(c)
+            unit_action = unit_action + action[i].scale(c)
     if not unit_action.is_identity():
         report.add(Violation("module", ("unit",), "1 . v != v"))
     for i in range(bdim):
         for j in range(bdim):
-            composed = v.action[i] * v.action[j]
+            composed = action[i] * action[j]
             expected = Matrix.zero(field, dim, dim)
             for k, c in base.algebra.basis_product(i, j):
-                expected = expected + v.action[k].scale(c)
+                expected = expected + action[k].scale(c)
             if composed != expected:
                 report.add(Violation("module", (i, j), "action not multiplicative"))
     for i in range(dim):
@@ -113,11 +114,11 @@ def ref_verify_yd(v):
         report.add(Violation("yd-compatibility", (), "base antipode missing"))
         return report
     s_cols = base.antipode.columns()
-    acts = [[sparse_vector(col) for col in m.columns()] for m in v.action]
+    acts = [[sparse_vector(col) for col in m.columns()] for m in action]
     for bi in range(bdim):
         triples = base.sweedler_triples(bi)
         for vi in range(dim):
-            lhs = v.coact_vec(v.action[bi].column(vi))
+            lhs = v.coact_vec(action[bi].column(vi))
             rhs = {}
             for b1, b2, b3, c in triples:
                 for vm1, v0, c2 in v.coact_basis(vi):
@@ -187,10 +188,11 @@ def ref_verify_braided_hopf(r):
     for loc in ref_comodule_algebra_failures(yd, r.algebra):
         detail = "rho(1) != 1 (x) 1" if loc == ("unit",) else "not a comodule algebra"
         report.add(Violation("comodule-algebra", loc, detail))
-    acts = [[sparse_vector(col) for col in m.columns()] for m in yd.action]
+    action = action_matrices(yd)
+    acts = [[sparse_vector(col) for col in m.columns()] for m in action]
     for bi in range(base.dim):
         for i in range(dim):
-            acted = yd.action[bi].column(i)
+            acted = action[bi].column(i)
             lhs = r.comult.contract_first(acted)
             rhs = {}
             for b1, b2, c in base.delta_basis(bi):
@@ -234,7 +236,7 @@ def ref_verify_braided_hopf(r):
                 for s1, s2, c2 in r.delta_basis(j):
                     for b, r2_0, c3 in yd.coact_basis(r2):
                         left = r.algebra.multiply(
-                            unit_vector(field, dim, r1), yd.action[b].column(s1)
+                            unit_vector(field, dim, r1), action[b].column(s1)
                         )
                         for t, x in sparse_vector(left).items():
                             for u, y in r.algebra.basis_product(r2_0, s2):
@@ -255,7 +257,7 @@ def ref_verify_braided_hopf(r):
             lhs = r.antipode.apply(_basis_product(r.algebra, i, j))
             rhs = list(zero_vector(field, dim))
             for b, r0, c in yd.coact_basis(i):
-                term = r.algebra.multiply(yd.action[b].apply(s_cols[j]), s_cols[r0])
+                term = r.algebra.multiply(action[b].apply(s_cols[j]), s_cols[r0])
                 rhs = [x + c * y for x, y in zip(rhs, term)]
             if lhs != tuple(rhs):
                 report.add(
@@ -320,7 +322,7 @@ def yd_perturbations(yd, seed):
     out = []
     action = {
         (b, i, j): x
-        for b, m in enumerate(yd.action)
+        for b, m in enumerate(action_matrices(yd))
         for (i, j), x in _matrix_entries(m).items()
     }
     keys = [(b, i, j) for b in range(bdim) for i in range(dim) for j in range(dim)]
@@ -330,7 +332,8 @@ def yd_perturbations(yd, seed):
             _matrix(field, (dim, dim), {k[1:]: x for k, x in bumped.items() if k[0] == b})
             for b in range(bdim)
         ]
-        out.append(("action%r" % (key,), YDModule(yd.base, dim, mats, yd.coaction)))
+        act = action_tensor(field, mats)
+        out.append(("action%r" % (key,), YDModule(yd.base, dim, act, yd.coaction)))
     keys = [(i, b, k) for i in range(dim) for b in range(bdim) for k in range(dim)]
     for key in _picks(rng, yd.coaction.entries, keys):
         rho = Tensor3(field, yd.coaction.dims, _bumped(yd.coaction.entries, key, one))

@@ -7,6 +7,8 @@ from hopfcheck import yetter_drinfeld
 from hopfcheck.cyclotomic import make_field
 from hopfcheck.families import group_algebra, sweedler, taft_tensor_group
 from hopfcheck.hopf import (
+    HopfAlgebra,
+    NoAntipode,
     coradical,
     dual,
     fingerprint,
@@ -34,7 +36,6 @@ from hopfcheck.yetter_drinfeld import (
     check_dual_biproduct,
     dual_braided,
     ordinary_to_braided,
-    tensor_yd,
     trivial_yd,
     verify_braided_hopf,
     verify_yd,
@@ -50,6 +51,31 @@ def h4(field=None):
     return sweedler(field)
 
 
+def action_tensor(field, matrices):
+    """The action tensor of one matrix per base element, column j of
+    matrices[b] being b . v_j: entry (b, j, k) is row k, column j."""
+    n = matrices[0].rows
+    return Tensor3(
+        field,
+        (len(matrices), n, n),
+        {
+            (b, j, k): c
+            for b, m in enumerate(matrices)
+            for k, row in enumerate(m.data)
+            for j, c in enumerate(row)
+        },
+    )
+
+
+def action_matrices(v):
+    """v's action as one matrix per base element, column j = b . v_j."""
+    n = v.dim
+    return [
+        Matrix(v.field, [[v.action.get(b, j, k) for j in range(n)] for k in range(n)])
+        for b in range(v.base.dim)
+    ]
+
+
 def line_module(base, g_sign, coaction_index):
     """1-dimensional module with g acting by g_sign, x by 0, rho(v) = b (x) v."""
     field = base.field
@@ -62,7 +88,17 @@ def line_module(base, g_sign, coaction_index):
         else:
             action.append(Matrix(field, [[field.zero()]]))
     coaction = Tensor3(field, (1, base.dim, 1), {(0, coaction_index, 0): 1})
-    return YDModule(base, 1, action, coaction)
+    return YDModule(base, 1, action_tensor(field, action), coaction)
+
+
+def product_line(base, lines):
+    """The tensor product of line modules given as (g_sign, coaction_index)
+    pairs: the line whose sign and group-like are the products of theirs."""
+    sign, index = 1, ONE
+    for s, i in lines:
+        sign *= s
+        index = ONE if index == i else G
+    return line_module(base, sign, index)
 
 
 def nilpotent_line_over_z2(field=None):
@@ -75,7 +111,7 @@ def nilpotent_line_over_z2(field=None):
         Matrix(f, [[f.one(), f.zero()], [f.zero(), f.from_rational(-1)]]),
     ]
     coaction = Tensor3(f, (2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1})
-    yd = YDModule(base, 2, action, coaction)
+    yd = YDModule(base, 2, action_tensor(f, action), coaction)
     mult = Tensor3(f, (2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
     comult = Tensor3(f, (2, 2, 2), {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1})
     counit = (f.one(), f.zero())
@@ -113,7 +149,7 @@ def nichols_line(n):
     )
     unit = unit_vector(f, n, 0)
     return BraidedHopf(
-        YDModule(base, n, action, coaction),
+        YDModule(base, n, action_tensor(f, action), coaction),
         Tensor3(f, (n, n, n), mult),
         unit,
         Tensor3(f, (n, n, n), comult),
@@ -136,7 +172,7 @@ def h4_line(coaction_index):
     mult = Tensor3(f, (2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
     comult = Tensor3(f, (2, 2, 2), {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1})
     antipode = Matrix(f, [[one, zero], [zero, minus]])
-    yd = YDModule(base, 2, action, coaction)
+    yd = YDModule(base, 2, action_tensor(f, action), coaction)
     return BraidedHopf(yd, mult, (one, zero), comult, (one, zero), antipode)
 
 
@@ -194,7 +230,10 @@ def extracted_dual_braided(r):
             coaction_entries[key] = coaction_entries.get(key, zero) + c
 
     yd_star = YDModule(
-        dual(base), rd, action, Tensor3(field, (rd, bd, rd), coaction_entries)
+        dual(base),
+        rd,
+        action_tensor(field, action),
+        Tensor3(field, (rd, bd, rd), coaction_entries),
     )
     return BraidedHopf(
         yd_star,
@@ -254,6 +293,27 @@ class TestVerifyYD:
         assert not verify_yd(line_module(h4(), 1, G)).ok
 
 
+class TestShapes:
+    @pytest.mark.parametrize("dims", [(4, 2, 3), (3, 2, 2), (2, 2, 4), (4, 3, 3)])
+    def test_yd_module_rejects_an_action_of_wrong_dims(self, dims):
+        v = trivial_yd(h4(), 2)
+        with pytest.raises(ValueError, match="^action tensor has wrong shape$"):
+            YDModule(v.base, 2, Tensor3(Q, dims, {}), v.coaction)
+
+    def test_braided_rejects_a_comultiplication_of_wrong_dims(self):
+        r = nichols_line(3)
+        comult = Tensor3(r.field, (3, 3, 4), r.comult.entries)
+        with pytest.raises(ValueError, match="^comultiplication tensor has wrong shape$"):
+            BraidedHopf(r.yd, r.mult, r.unit, comult, r.counit, r.antipode)
+
+    @pytest.mark.parametrize("size", [None, 2, 4])
+    def test_braided_rejects_a_missing_or_misshapen_antipode(self, size):
+        r = nichols_line(3)
+        antipode = None if size is None else Matrix.identity(r.field, size)
+        with pytest.raises(ValueError, match="^antipode must be a 3 x 3 matrix$"):
+            BraidedHopf(r.yd, r.mult, r.unit, r.comult, r.counit, antipode)
+
+
 class TestBraiding:
     def test_trivial_yd_braiding_is_flip(self):
         base = h4()
@@ -275,16 +335,12 @@ class TestBraiding:
     def test_random_valid_yd_braidings_invertible(self):
         rng = random.Random(424242)
         base = h4()
-        lines = [line_module(base, 1, ONE), line_module(base, -1, G)]
+        lines = [(1, ONE), (-1, G)]
         for _ in range(50):
             pieces_v = [rng.choice(lines) for _ in range(rng.randint(1, 2))]
             pieces_w = [rng.choice(lines) for _ in range(rng.randint(1, 2))]
-            v = pieces_v[0]
-            for p in pieces_v[1:]:
-                v = tensor_yd(v, p)
-            w = pieces_w[0]
-            for p in pieces_w[1:]:
-                w = tensor_yd(w, p)
+            v = product_line(base, pieces_v)
+            w = product_line(base, pieces_w)
             c = braiding(v, w)
             _, rank, _ = c.rref()
             assert rank == v.dim * w.dim
@@ -293,8 +349,10 @@ class TestBraiding:
         base = h4()
         v = line_module(base, -1, G)
         w = line_module(base, 1, ONE)
-        for x in (line_module(base, -1, G), tensor_yd(v, w)):
-            wx = tensor_yd(w, x)
+        # x is a line or v (x) w; wx is w (x) x
+        for x_pieces in ([(-1, G)], [(-1, G), (1, ONE)]):
+            x = product_line(base, x_pieces)
+            wx = product_line(base, [(1, ONE)] + x_pieces)
             lhs = braiding(v, wx)
             c_vw = braiding(v, w)
             c_vx = braiding(v, x)
@@ -383,6 +441,13 @@ class TestBosonize:
         r = ordinary_to_braided(group_algebra(3, f), base)
         h = bosonize(r, base)
         assert fingerprint(h) == fingerprint(taft_tensor_group(2, -1, 3))
+
+    def test_base_without_antipode_raises(self):
+        sw = sweedler()
+        base = HopfAlgebra(sw.algebra, sw.comult, sw.counit)
+        r = ordinary_to_braided(group_algebra(1, Q), base)
+        with pytest.raises(NoAntipode, match="^bosonizing requires the base antipode$"):
+            bosonize(r, base)
 
     def test_nilpotent_line_bosonizes_to_sweedler_class(self):
         r = nilpotent_line_over_z2()
@@ -551,11 +616,12 @@ class TestModuleAlgebraIdempotents:
         r = ordinary_to_braided(group_algebra(3, f), base)
         z3 = f.zeta()
         third = f.from_rational(Fraction(1, 3))
+        act = action_matrices(r.yd)
         for j in range(3):
             e = tuple(third * z3 ** ((-j * k) % 3) for k in range(3))
             assert r.algebra.multiply(e, e) == e
-            assert r.yd.action[G].apply(e) == e
-            assert all(c.is_zero() for c in r.yd.action[X].apply(e))
+            assert act[G].apply(e) == e
+            assert all(c.is_zero() for c in act[X].apply(e))
 
     def test_biproduct_central_idempotent_relations(self):
         # decompose central idempotents E = r1 e0 + r2 e1 + r3 xe0 + r4 xe1
@@ -602,8 +668,9 @@ class TestModuleAlgebraIdempotents:
                     comps[name][i] = sol[t]
             r1, r2 = tuple(comps["e0"]), tuple(comps["e1"])
             r3, r4 = tuple(comps["xe0"]), tuple(comps["xe1"])
-            g_act = lambda v: r.yd.action[G].apply(v)
-            x_act = lambda v: r.yd.action[X].apply(v)
+            act = action_matrices(r.yd)
+            g_act = act[G].apply
+            x_act = act[X].apply
             assert g_act(r1) == r1 and g_act(r2) == r2
             assert g_act(r3) == vec_scale(f.from_rational(-1), r3)
             assert g_act(r4) == vec_scale(f.from_rational(-1), r4)
