@@ -97,8 +97,11 @@ class AssocAlgebra:
             if ai.is_zero():
                 continue
             for j, bj in b_nz:
+                row = table.get((i, j))
+                if row is None:
+                    continue
                 c = ai * bj
-                for k, m in table.get((i, j), ()):
+                for k, m in row:
                     out[k] = out[k] + c * m
         return tuple(out)
 
@@ -457,7 +460,8 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
     the commutative semisimple quotient into common eigenspaces by factoring
     minimal polynomials of multiplication maps.  The commutators and the
     first splits are taken on algebra generators (see algebra_generators);
-    after them every block of a split quotient has dimension 1.
+    after them every block of a split quotient has dimension 1.  A block of
+    eigenvectors (such as k^G's basis of idempotents) splits unfactored.
     """
     field = alg.field
     dim = alg.dim
@@ -488,23 +492,30 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
     for gen in order:
         new_blocks = []
         for block, eigs in blocks:
-            if len(block) == 1:
-                # already split: read off the eigenvalue, check it exactly
-                v = sparse_vector(block[0])
-                w = quotient.basis_times(gen, v)
-                p = min(v)
-                eigenvalue = w.get(p, field.zero()) / v[p]
+            # a block of eigenvectors of gen splits by their eigenvalues, each
+            # read off at the first nonzero coordinate and checked exactly
+            by_eigenvalue: dict = {}
+            for v in block:
+                sv = sparse_vector(v)
+                w = quotient.basis_times(gen, sv)
+                p = min(sv)
+                eigenvalue = w.get(p, field.zero()) / sv[p]
                 if not eigenvalue.is_zero():
-                    sparse_sub_scaled(w, eigenvalue, v)
+                    sparse_sub_scaled(w, eigenvalue, sv)
                 if w:
-                    raise ArithmeticError("block is not invariant")
-                new_blocks.append((block, {**eigs, gen: eigenvalue}))
+                    break
+                by_eigenvalue.setdefault(eigenvalue, []).append(v)
+            else:
+                new_blocks.extend(
+                    (piece, {**eigs, gen: ev}) for ev, piece in by_eigenvalue.items()
+                )
                 continue
+            if len(block) == 1:
+                raise ArithmeticError("block is not invariant")
             lmat = quotient.left_mult_matrix(unit_vector(field, qdim, gen))
             restricted = _restrict(lmat, block, field)
             minpoly = minimal_polynomial(restricted)
-            pieces = factor_unipoly(minpoly)
-            for fac, _ in pieces:
+            for fac, _ in factor_unipoly(minpoly):
                 if fac.degree > 1:
                     # a primary component over a proper extension carries no
                     # characters of the base field; record and drop it

@@ -30,6 +30,7 @@ from hopfcheck.cyclotomic import (
     rational_to_str,
 )
 from hopfcheck.linalg import (
+    EchelonBasis,
     Matrix,
     Tensor3,
     kron,
@@ -836,7 +837,32 @@ def _trace_key(value: FieldElement) -> tuple:
 def skew_profile(h: HopfAlgebra, likes: GroupLikes | None = None) -> dict:
     """(order g, order h) -> total dim of nontrivial (g,h)-skew primitives.
 
-    Uses the translation P_{g,h} = g * P_{1, g^{-1} h}, so only |G| solves.
+    Uses the translation P_{g,h} = g * P_{1, g^{-1} h}: only the dims of
+    P'_{1,g} = P_{1,g} / k(1 - g), P_{1,g} = {x : Delta(x) = x (x) 1 +
+    g (x) x}, are needed, each from the certified skew_primitives(h, 1, g),
+    and that solve runs only for the candidates g of one kernel W.  With
+    I = (kG)^perp and f_j for j in algebra_generators(H*), W = {x : eps(x)
+    = 0, (phi (x) f_j)(Delta(x) - x (x) 1) = 0 for phi in I}.  Every other
+    count is exactly 0 on any input (certified group-likes are independent,
+    with Delta(g) = g (x) g and eps(g) = 1):
+
+    - P_{1,g} lies in W: there the row is phi(g)f_j(x) = 0, and eps(x) = 0
+      follows from (eps (x) eps)Delta = eps, as in skew_primitives.
+    - P_{1,g} meets kG in k(1 - g) (0 for g = 1), by the coefficients of
+      Delta(y) = y (x) 1 + g (x) y at the independent h (x) h'.
+    - U_j = (f_j (x) id)(Delta - id (x) 1) is g(f_j) on P_{1,g} and maps
+      each 1 - h, so all of W in kG, into kG.  As I^perp = kG, the phi(x)
+      read W modulo kG, with phi(U_j x) = (f_j phi)(x) since phi(1) = 0.
+      So P'_{1,g} != 0 gives a joint eigenvector of the U_j with the
+      eigenvalues g(f_j) in W modulo kG: g is a candidate.
+    - On a Hopf algebra W is the sum of the P_{1,g}: for x in W the f with
+      (id (x) f)Delta(x) - f(1)x in kG form a subalgebra of H* (by
+      coassociativity), so Delta(x) - x (x) 1 is in kG (x) H.  The g differ
+      on the generators, so the candidates are the g with P'_{1,g} != 0.
+
+    I's basis is rad H*, kept for coradical, when it has dim - |G| vectors
+    that kill every g (H pointed), else the kernel of G's rows.  Without
+    generators of H* or with (eps (x) eps)Delta != eps every g is solved.
     The profile for h's own group-likes is cached on h; callers get a copy.
     """
     if likes is None:
@@ -844,21 +870,80 @@ def skew_profile(h: HopfAlgebra, likes: GroupLikes | None = None) -> dict:
     own = likes is h._cache.get("group_likes")
     if own and "skew_profile" in h._cache:
         return dict(h._cache["skew_profile"])
-    nontrivial = {}
-    for k, gk in enumerate(likes.elements):
-        nontrivial[k] = len(skew_primitives(h, h.unit, gk, _checked=True))
+    nontrivial = {
+        k: len(skew_primitives(h, h.unit, likes.elements[k], _checked=True))
+        for k in _skew_candidates(h, likes)
+    }
     profile: dict = {}
     for a in range(len(likes.elements)):
         inv_a = likes.inverse(a)
         for b in range(len(likes.elements)):
             k = likes.table[(inv_a, b)]
-            d = nontrivial[k]
+            d = nontrivial.get(k)
             if d:
                 key = (likes.orders[a], likes.orders[b])
                 profile[key] = profile.get(key, 0) + d
     if own:
         h._cache["skew_profile"] = dict(profile)
     return profile
+
+
+def _skew_candidates(h: HopfAlgebra, likes: GroupLikes) -> list:
+    """Indices of the group-likes g that may have P'_{1,g} != 0, read off
+    the kernel W of skew_profile (see there)."""
+    alg = dual_algebra(h)
+    gens = algebra_generators(alg)
+    if gens is None or not _counit_idempotent(h):
+        return list(range(len(likes)))
+    field, dim = h.field, h.dim
+    ideal = list(map(sparse_vector, radical(alg)))
+    if len(ideal) != dim - len(likes) or any(
+        _pairings(ideal, g, field) for g in likes.elements
+    ):
+        elements = [sparse_vector(g) for g in likes.elements]
+        ideal = list(map(sparse_vector, sparse_kernel(field, dim, elements)))
+    rows = [sparse_vector(h.counit)]
+    for phi in ideal:
+        for j in gens:
+            rows.append(alg.basis_times(j, phi, right=True))  # phi f_j
+            if not h.unit[j].is_zero():
+                sparse_sub_scaled(rows[-1], h.unit[j], phi)
+    # a basis of W modulo kG: vectors of W with independent values on I
+    seen = EchelonBasis(field, len(ideal))
+    quotient, coords = [], []
+    for w in sparse_kernel(field, dim, rows):
+        values = _pairings(ideal, w, field)
+        if seen.insert(values):
+            quotient.append(w)
+            coords.append(values)
+    if not quotient:
+        return []
+    # (j, the values phi(U_j w) = (f_j phi)(w) for each w in quotient)
+    images = []
+    for j in gens:
+        products = [alg.basis_times(j, phi) for phi in ideal]
+        images.append((j, [_pairings(products, w, field) for w in quotient]))
+    found = []
+    for k, g in enumerate(likes.elements):
+        # sum_s c_s (phi(U_j w_s) - g_j phi(w_s)) = 0 for every phi and j
+        eqs: dict = {}
+        for j, values_u in images:
+            for s, (u, values) in enumerate(zip(values_u, coords)):
+                col = dict(u)
+                if not g[j].is_zero():
+                    sparse_sub_scaled(col, g[j], values)
+                for a, c in col.items():
+                    eqs.setdefault((j, a), {})[s] = c
+        if sparse_kernel(field, len(quotient), list(eqs.values())):
+            found.append(k)
+    return found
+
+
+def _pairings(functionals, x, field) -> dict:
+    """{a: f_a(x)} without zeros, for {index: coeff} functionals f_a."""
+    zero = field.zero()
+    values = (sum((c * x[i] for i, c in f.items()), zero) for f in functionals)
+    return {a: v for a, v in enumerate(values) if not v.is_zero()}
 
 
 def fingerprint(h: HopfAlgebra) -> Fingerprint:

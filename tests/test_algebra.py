@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcheck import algebra
 from hopfcheck.cyclotomic import make_field
 from hopfcheck.algebra import (
     AssocAlgebra,
@@ -22,7 +23,7 @@ from hopfcheck.hopf import dual_algebra
 from hopfcheck.linalg import Matrix, Tensor3, unit_vector
 from test_basis_independence import dense_a31
 from test_sparse_kernels import ref_kernel
-from test_verify_generators import perturbations
+from test_verify_generators import perturbations, ref_characters
 
 Q = make_field(1)
 
@@ -212,6 +213,39 @@ class TestCharacters:
         assert res.unresolved_factors == []
 
 
+# name -> (algebra, whether every split reads eigenvalues off its block)
+EIGENVECTOR_SPLIT_INPUTS = {
+    "dense A(3,1)": (lambda: dense_a31().algebra, False),
+    "dense A(3,1)*": (lambda: dual_algebra(dense_a31()), False),
+}
+for _p in (3, 5):
+    for _name, _build in (
+        ("A(%d,0)*", functools.partial(a_tau_mu, _p, 2, -1, 0)),
+        ("A(%d,1)*", functools.partial(a_tau_mu, _p, 2, -1, 1)),
+        ("T2xk[Z%d]*", functools.partial(taft_tensor_group, 2, -1, _p)),
+    ):
+        EIGENVECTOR_SPLIT_INPUTS[_name % _p] = (lambda b=_build: dual_algebra(b()), True)
+
+
+@pytest.mark.parametrize("name", sorted(EIGENVECTOR_SPLIT_INPUTS))
+def test_characters_split_eigenvector_blocks(name, monkeypatch):
+    """The duals of the families have semisimple quotient k^G in a basis of
+    idempotents: every block is made of eigenvectors, so nothing is
+    factored.  In a dense basis the search factors; both match the
+    reference, which factors every block."""
+    build, eigenvectors_only = EIGENVECTOR_SPLIT_INPUTS[name]
+    alg = build()
+    calls = []
+    original = algebra.minimal_polynomial
+    monkeypatch.setattr(
+        algebra, "minimal_polynomial", lambda m: calls.append(m) or original(m)
+    )
+    found = characters(alg).characters
+    monkeypatch.undo()
+    assert found == ref_characters(alg)
+    assert (not calls) == eigenvectors_only
+
+
 class TestCenter:
     def test_commutative_full(self):
         assert len(center(group_algebra_assoc(4))) == 4
@@ -339,12 +373,12 @@ _MULTIPLY_CACHE: dict = {}
 
 
 @st.composite
-def multiply_operands(draw):
-    """An algebra and two vectors, each zero, sparse (at most 3 nonzero
-    entries) or dense (every entry nonzero)."""
-    name = draw(st.sampled_from(sorted(MULTIPLY_ALGEBRAS)))
+def multiply_operands(draw, algebras=MULTIPLY_ALGEBRAS):
+    """An algebra of `algebras` and two vectors, each zero, sparse (at most
+    3 nonzero entries) or dense (every entry nonzero)."""
+    name = draw(st.sampled_from(sorted(algebras)))
     if name not in _MULTIPLY_CACHE:
-        _MULTIPLY_CACHE[name] = MULTIPLY_ALGEBRAS[name]()
+        _MULTIPLY_CACHE[name] = algebras[name]()
     alg = _MULTIPLY_CACHE[name]
     field, dim = alg.field, alg.dim
     values = st.sampled_from(
@@ -371,3 +405,30 @@ def multiply_operands(draw):
 def test_multiply_matches_double_loop(case):
     name, alg, a, b = case
     assert alg.multiply(a, b) == double_loop_multiply(alg, a, b), name
+
+
+def triple_loop_multiply(alg, a, b):
+    """sum_ijk a_i b_j m[i][j][k] b_k over every index triple."""
+    every = range(alg.dim)
+    return tuple(
+        sum((a[i] * b[j] * alg.mult.get(i, j, k) for i in every for j in every),
+            alg.field.zero())
+        for k in every
+    )
+
+
+# every table leaves some pair of basis elements without a row
+ROW_GAP_ALGEBRAS = {
+    "sweedler/Q": sweedler_assoc,
+    "sweedler/Q12": lambda: sweedler_assoc(make_field(12)),
+    "M2/Q12": lambda: matrix_algebra_2x2(make_field(12)),
+    "A(3,1)*": lambda: dual_algebra(a_tau_mu(3, 2, -1, 1)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(multiply_operands(ROW_GAP_ALGEBRAS))
+def test_multiply_skipping_pairs_without_a_row_matches_triple_loop(case):
+    name, alg, a, b = case
+    assert len(alg.mult.by_ij()) < alg.dim**2, name
+    assert alg.multiply(a, b) == triple_loop_multiply(alg, a, b), name

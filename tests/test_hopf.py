@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -758,6 +759,33 @@ class TestAntipodeStructure:
         assert (lx * lx) == Matrix.zero(Q, 4, 4)
 
 
+def per_pair_skew_profile(h):
+    """The skew profile from one skew_primitives solve per pair (g, g2) of
+    group-likes, with no translation and no candidates."""
+    likes = group_likes(h)
+    oracle: dict = {}
+    for a, g in enumerate(likes.elements):
+        for b, g2 in enumerate(likes.elements):
+            d = len(skew_primitives(h, g, g2, _checked=True))
+            if d:
+                key = (likes.orders[a], likes.orders[b])
+                oracle[key] = oracle.get(key, 0) + d
+    return oracle
+
+
+SKEW_ORACLE_INPUTS = {
+    "sweedler": sweedler,
+    "k[Z12]": lambda: group_algebra(12),
+    "dense A(3,1)": dense_a31,
+}
+for _p in (3, 5, 7):
+    SKEW_ORACLE_INPUTS.update({
+        "A(%d,0)" % _p: functools.partial(a_tau_mu, _p, 2, -1, 0),
+        "A(%d,1)" % _p: functools.partial(a_tau_mu, _p, 2, -1, 1),
+        "T2xk[Z%d]" % _p: functools.partial(taft_tensor_group, 2, -1, _p),
+    })
+
+
 def _invariants(h):
     return (
         group_likes(h),
@@ -802,21 +830,15 @@ class TestComputedOnce:
         assert radical(dual_algebra(h))
 
     @pytest.mark.parametrize(
-        "build",
-        [sweedler, lambda: a_tau_mu(3, 2, -1, 1), lambda: dual(a_tau_mu(3, 2, -1, 1))],
-        ids=["sweedler", "A(3,1)", "A(3,1)*"],
+        "name", sorted(SKEW_ORACLE_INPUTS) + sorted(n + "*" for n in SKEW_ORACLE_INPUTS)
     )
-    def test_skew_profile_matches_per_pair_oracle(self, build):
-        h = build()
-        likes = group_likes(h)
-        oracle: dict = {}
-        for a, g in enumerate(likes.elements):
-            for b, g2 in enumerate(likes.elements):
-                d = len(skew_primitives(h, g, g2))
-                if d:
-                    key = (likes.orders[a], likes.orders[b])
-                    oracle[key] = oracle.get(key, 0) + d
-        assert skew_profile(h) == oracle
+    def test_skew_profile_matches_per_pair_oracle(self, name):
+        """The one-kernel candidates on the normal forms at p = 3, 5, 7, the
+        semisimple k[Z_12] and A(3,1) in a dense basis, and their duals."""
+        h = SKEW_ORACLE_INPUTS[name.rstrip("*")]()
+        if name.endswith("*"):
+            h = dual(h)
+        assert skew_profile(h) == per_pair_skew_profile(h)
 
     def test_fingerprint_of_h_and_dual_solves_once(self, monkeypatch):
         calls = {"characters": 0, "skew_primitives": 0}
@@ -835,10 +857,11 @@ class TestComputedOnce:
         h = a_tau_mu(3, 2, -1, 1)
         fingerprint(h)
         fingerprint(dual(h))
-        # one character search per algebra (H* and H), one skew solve per
-        # element of G(H) and of G(H*)
+        # one character search per algebra (H* and H), and one skew solve
+        # per side: only the g with P'_{1,g} != 0 (a of H, chi of H*) are
+        # candidates among the 8 elements of G(H) and G(H*)
         assert len(group_likes(h)) + len(group_likes(dual(h))) == 8
-        assert calls == {"characters": 2, "skew_primitives": 8}
+        assert calls == {"characters": 2, "skew_primitives": 2}
 
 
 # --- the reference fingerprints: closed form against the computed path -----

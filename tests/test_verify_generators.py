@@ -720,12 +720,17 @@ def test_skew_primitives_match_reference(name):
                 assert got == ref_skew_primitives(h, g, k), (label, g, k)
 
 
-def _count_sparse_kernel_rows(monkeypatch):
+def _count_sparse_kernel_rows(monkeypatch, systems=None):
+    """Record (columns, number of rows) of each sparse_kernel system hopf
+    solves, and the rows themselves in systems when it is given."""
     rows = []
     original = hopf.sparse_kernel
 
     def counting(field, dim, sparse_rows):
-        rows.append(len(sparse_rows))
+        sparse_rows = list(sparse_rows)
+        rows.append((dim, len(sparse_rows)))
+        if systems is not None:
+            systems.append(sparse_rows)
         return original(field, dim, sparse_rows)
 
     monkeypatch.setattr(hopf, "sparse_kernel", counting)
@@ -748,14 +753,84 @@ def test_failed_skew_certificate_solves_full_system(monkeypatch):
 
 
 def test_skew_profile_solves_generator_rows(monkeypatch):
-    """A(3,1): each solve takes at most |gens(H*)| * dim + 1 rows, not dim^2."""
+    """A(3,1): one dim-column kernel W of at most (dim - |G|) * |gens(H*)| + 1
+    rows, then one skew_primitives solve of at most |gens(H*)| * dim + 1
+    rows, for the one candidate a; the eigenvector systems of the |G|
+    group-likes have dim W - |G| + 1 columns."""
     h = a_tau_mu(3, 2, -1, 1)
     gens = algebra_generators(dual_algebra(h))
     likes = group_likes(h)
     rows = _count_sparse_kernel_rows(monkeypatch)
     skew_profile(h, likes)
-    assert len(rows) == len(likes)
-    assert max(rows) <= len(gens) * h.dim + 1 < h.dim**2
+    full = [n for dim, n in rows if dim == h.dim]
+    assert len(full) == 2
+    assert full[0] <= (h.dim - len(likes)) * len(gens) + 1
+    assert full[1] <= len(gens) * h.dim + 1 < h.dim**2
+    assert [dim for dim, _ in rows if dim != h.dim] == [1] * len(likes)
+
+
+def per_g_skew_profile(h, likes):
+    """The profile with skew_primitives(h, 1, g) solved for every g in likes
+    and translated to the pairs as skew_profile does: the route without
+    candidates."""
+    nontrivial = [
+        len(skew_primitives(h, h.unit, g, _checked=True)) for g in likes.elements
+    ]
+    profile: dict = {}
+    for a in range(len(likes)):
+        inv_a = likes.inverse(a)
+        for b in range(len(likes)):
+            d = nontrivial[likes.table[(inv_a, b)]]
+            if d:
+                key = (likes.orders[a], likes.orders[b])
+                profile[key] = profile.get(key, 0) + d
+    return profile
+
+
+def _skew_profile_route(monkeypatch, h, likes) -> str:
+    """The route skew_profile takes on h: "every g" solved, or candidates
+    from W with I from the "radical" or the "kernel of G"."""
+    systems = []
+    _count_sparse_kernel_rows(monkeypatch, systems)
+    skew_profile(h, likes)
+    monkeypatch.undo()
+    # W's rows start with eps(x) = 0; skew_primitives puts that row last
+    if not any(rows[:1] == [sparse_vector(h.counit)] for rows in systems):
+        return "every g"
+    g_rows = [sparse_vector(g) for g in likes.elements]
+    return "kernel of G" if g_rows in systems else "radical"
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_skew_profile_matches_per_g_route(name):
+    """Every input whose group-likes are found, perturbed or not: the
+    candidates of W leave out only g with P'_{1,g} = 0.  The translation
+    P_{g,h} = g P_{1,g^-1 h} needs a Hopf algebra, so the oracle solves
+    every g and translates as skew_profile does; test_hopf has the per-pair
+    oracle on Hopf algebras."""
+    for label, h in with_perturbations(name):
+        try:
+            likes = group_likes(h)
+        except (hopf.NotGroupLike, ArithmeticError):
+            continue
+        assert skew_profile(h, likes) == per_g_skew_profile(h, likes), label
+
+
+def test_skew_profile_routes(monkeypatch):
+    """I is the radical of H* on the pointed A(3,1) and the kernel of G's
+    rows on its dual, which is not pointed; a perturbation that fails the
+    preconditions of the generator rows has every g solved."""
+    routes = {}
+    for name in INPUTS:
+        for label, h in with_perturbations(name):
+            try:
+                likes = group_likes(h)
+            except (hopf.NotGroupLike, ArithmeticError):
+                continue
+            routes[name, label] = _skew_profile_route(monkeypatch, h, likes)
+    assert routes["A(3,1)", "unperturbed"] == "radical"
+    assert routes["A(3,1)*", "unperturbed"] == "kernel of G"
+    assert set(routes.values()) == {"every g", "radical", "kernel of G"}
 
 
 def test_skew_profile_checks_the_counit_precondition_once(monkeypatch):
