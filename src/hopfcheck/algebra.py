@@ -230,7 +230,7 @@ def algebra_generators(alg: AssocAlgebra, limit: int | None = None):
     Why the generators decide a law (nothing is sampled).  Let X be a
     subspace of alg with 1 in X and xy in X for x, y in X.  Every word is
     1 or g w with g a generator and w an earlier word, so if the generators
-    lie in X, so does every word, and X = alg once the words span.  Seven
+    lie in X, so does every word, and X = alg once the words span.  Six
     such X, each with the preconditions it needs:
 
     - {x : (xb)c = x(bc) for all b, c}, given the two-sided unit laws:
@@ -245,10 +245,6 @@ def algebra_generators(alg: AssocAlgebra, limit: int | None = None):
       F(xy) = F(x)F(y) = G(x)G(y) = G(xy).  With F = (Delta (x) id)Delta
       and G = (id (x) Delta)Delta, given Delta multiplicative and
       Delta(1) = 1 (x) 1, this is coassociativity.
-    - {x : D(xy) = D(x)g(y) + h(x)D(y) for all y} for a linear D and
-      characters g, h of alg (an (h, g)-derivation), given associativity and
-      D(1) = 0: D(xyz) = D(x)g(yz) + h(x)(D(y)g(z) + h(y)D(z))
-      = D(xy)g(z) + h(xy)D(z).
     - {x : x I in I and I x in I} for a subspace I, given associativity
       and the unit laws: L_xy = L_x L_y and R_xy = R_y R_x.  So an ideal is
       the closure of its seeds under multiplication by generators.
@@ -259,11 +255,9 @@ def algebra_generators(alg: AssocAlgebra, limit: int | None = None):
       ideal is the ideal of the commutators of generator pairs.
 
     So a law that holds on the rows of the generators holds on all of alg.
-    The invariants that use the last three sets do not check associativity.
-    hopf.skew_primitives therefore certifies its reduced kernel against
-    every equation, so its answer is exact on any input.  ideal_closure and
-    characters assume an associative algebra, as the radical already does;
-    every character returned still passes _is_character.
+    ideal_closure and characters, which use the last two sets, do not check
+    associativity: they assume an associative algebra, as the radical
+    already does, and every character returned still passes _is_character.
     """
     if alg._generators is _UNSEARCHED:
         ech = EchelonBasis(alg.field, alg.dim)

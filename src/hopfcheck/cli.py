@@ -7,7 +7,9 @@ the expected contradiction IS found), 1 verification failure, a failed dim5
 structure law or missing contradiction, or a computation that cannot finish
 on the input (no antipode, a degenerate integral, a group-like search or
 antipode order that fails), 2 usage and parse errors and paths that cannot
-be read or written.  Errors print one line on stderr, never a traceback.
+be read or written.  invariants and classify run verify_hopf first and exit
+1 on the first failed law, before classify checks the dimension.  Errors
+print one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -147,19 +149,15 @@ def _verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _checked(h, compute):
-    """compute(); when it raises ArithmeticError or NotGroupLike on an input
-    that fails verify_hopf, a VerificationFailure naming the first failed
-    law instead.  Valid inputs never run verify_hopf here."""
-    try:
-        return compute()
-    except (ArithmeticError, NotGroupLike):
-        report = verify_hopf(h)
-        if report.ok:
-            raise
+def _require_hopf(h) -> None:
+    """A VerificationFailure naming the first law verify_hopf finds failing:
+    invariants and classify hold only on a Hopf algebra, so they check it
+    before they compute anything."""
+    report = verify_hopf(h)
+    if not report.ok:
         v = report.violations[0]
         where = ",".join(str(x) for x in v.location)
-        raise VerificationFailure("%s fails at (%s)" % (v.law, where)) from None
+        raise VerificationFailure("%s fails at (%s)" % (v.law, where))
 
 
 def _invariant_lines(h) -> list:
@@ -187,7 +185,8 @@ def _invariants(args) -> int:
     h = _load_hopf(args.file, "invariants")
     if h is None:
         return 2
-    print("\n".join(_checked(h, lambda: _invariant_lines(h))))
+    _require_hopf(h)
+    print("\n".join(_invariant_lines(h)))
     return 0
 
 
@@ -195,7 +194,8 @@ def _classify(args) -> int:
     h = _load_hopf(args.file, "classify")
     if h is None:
         return 2
-    print(_checked(h, lambda: classify_4p(h)))
+    _require_hopf(h)
+    print(classify_4p(h))
     return 0
 
 

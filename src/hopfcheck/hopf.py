@@ -679,48 +679,19 @@ def group_likes(h: HopfAlgebra) -> GroupLikes:
     return result
 
 
-def skew_primitives(h: HopfAlgebra, g, hvec, _checked: bool = False) -> list[tuple]:
+def skew_primitives(h: HopfAlgebra, g, hvec) -> list[tuple]:
     """Basis of {x : Delta(x) = x (x) g + h (x) x} modulo the trivial span{g - h}.
 
-    Read in H*, the equation (j, k) says x(f_j f_k) = x(f_j)g(f_k) +
-    h(f_j)x(f_k): x is an (h, g)-derivation of H*.  With the row
-    eps(x) = x(1) = 0, the rows with j in algebra_generators(dual_algebra(h))
-    decide it (see there).  That row follows from the full system when
-    (eps (x) eps)Delta = eps and eps(g) = eps(h) = 1: it is minus the sum of
-    the rows (j, k) times eps_j eps_k.  The reduced kernel then contains the
-    full one, and it is returned only when each of its basis vectors
-    satisfies the full equation, because the lemma needs H* associative and
-    nothing here checks that.  Otherwise the full system is solved.  The
-    check is skipped when the reduced kernel gives an empty answer modulo
-    g - h: the full kernel lies in it, so the full answer is empty too.
-    For group-like g and h that is every reduced kernel of dimension 1
-    (g != h) or 0 (g = h), since g - h solves the full system; any larger
-    one is still checked.
+    The kernel of all dim^2 equations (j, k), read in H* as x(f_j f_k) =
+    x(f_j)g(f_k) + h(f_j)x(f_k).  Both endpoints must be group-like.
     """
     g = tuple(h.field.promote(c) for c in g)
     hv = tuple(h.field.promote(c) for c in hvec)
-    if not _checked:
-        for cand in (g, hv):
-            if not _is_character(dual_algebra(h), cand):
-                raise NotGroupLike("skew primitive endpoints must be group-like")
-    field = h.field
-    dim = h.dim
-    trivial = vec_sub(g, hv)
-    gens = algebra_generators(dual_algebra(h))
-    if (
-        gens is not None
-        and h.counit_of(g).is_one()
-        and h.counit_of(hv).is_one()
-        and _counit_idempotent(h)
-    ):
-        rows = _skew_rows(h, g, hv, gens)
-        rows.append(sparse_vector(h.counit))
-        space = sparse_kernel(field, dim, rows)
-        answer = _modulo_line(field, space, trivial)
-        if not answer or all(_is_skew_primitive(h, x, g, hv) for x in space):
-            return answer
-    space = sparse_kernel(field, dim, _skew_rows(h, g, hv, range(dim)))
-    return _modulo_line(field, space, trivial)
+    for cand in (g, hv):
+        if not _is_character(dual_algebra(h), cand):
+            raise NotGroupLike("skew primitive endpoints must be group-like")
+    space = sparse_kernel(h.field, h.dim, _skew_rows(h, g, hv))
+    return _modulo_line(h.field, space, vec_sub(g, hv))
 
 
 def _modulo_line(field, space, trivial) -> list:
@@ -734,21 +705,13 @@ def _modulo_line(field, space, trivial) -> list:
     return [v for v in row_space_basis(field, [trivial] + space) if v[p].is_zero()]
 
 
-def _counit_idempotent(h: HopfAlgebra) -> bool:
-    """eps * eps = eps in H*, that is (eps (x) eps)Delta = eps; cached on h."""
-    if "counit_idempotent" not in h._cache:
-        eps = h.counit
-        h._cache["counit_idempotent"] = dual_algebra(h).multiply(eps, eps) == eps
-    return h._cache["counit_idempotent"]
-
-
-def _skew_rows(h: HopfAlgebra, g, hv, js) -> list:
-    """Sparse rows (j, k), j in js, of sum_i Delta[i][j][k] x_i - g_k x_j - h_j x_k."""
+def _skew_rows(h: HopfAlgebra, g, hv) -> list:
+    """Sparse rows (j, k) of sum_i Delta[i][j][k] x_i - g_k x_j - h_j x_k."""
     table = dual_algebra(h).mult.by_ij()  # (j, k) -> the (i, Delta[i][j][k])
     zero = h.field.zero()
     g_nz, h_nz = sparse_vector(g), sparse_vector(hv)
     rows = []
-    for j in js:
+    for j in range(h.dim):
         hj = h_nz.get(j)
         for k in range(h.dim):
             row = dict(table.get((j, k), ()))
@@ -760,14 +723,6 @@ def _skew_rows(h: HopfAlgebra, g, hv, js) -> list:
             if row:
                 rows.append(row)
     return rows
-
-
-def _is_skew_primitive(h: HopfAlgebra, x, g, hv) -> bool:
-    """Delta(x) == x (x) g + h (x) x: their difference vanishes."""
-    diff = h.delta_vec(x)
-    for term in (vec_outer(x, g), vec_outer(hv, x)):
-        sparse_sub_scaled(diff, h.field.one(), term)
-    return not diff
 
 
 def coradical(h: HopfAlgebra) -> list[tuple]:
@@ -837,43 +792,45 @@ def _trace_key(value: FieldElement) -> tuple:
 def skew_profile(h: HopfAlgebra, likes: GroupLikes | None = None) -> dict:
     """(order g, order h) -> total dim of nontrivial (g,h)-skew primitives.
 
-    Uses the translation P_{g,h} = g * P_{1, g^{-1} h}: only the dims of
+    h must be a Hopf algebra; the CLI runs verify_hopf before it.  The
+    translation P_{g,h} = g * P_{1, g^{-1} h} leaves only the dims of
     P'_{1,g} = P_{1,g} / k(1 - g), P_{1,g} = {x : Delta(x) = x (x) 1 +
-    g (x) x}, are needed, each from the certified skew_primitives(h, 1, g),
-    and that solve runs only for the candidates g of one kernel W.  With
-    I = (kG)^perp and f_j for j in algebra_generators(H*), W = {x : eps(x)
-    = 0, (phi (x) f_j)(Delta(x) - x (x) 1) = 0 for phi in I}.  Every other
-    count is exactly 0 on any input (certified group-likes are independent,
-    with Delta(g) = g (x) g and eps(g) = 1):
+    g (x) x}, and all of them are read off one kernel W.  With I = (kG)^perp
+    and f_j for j in algebra_generators(H*), W = {x : eps(x) = 0,
+    (phi (x) f_j)(Delta(x) - x (x) 1) = 0 for phi in I}.  Why the count of
+    g is exactly dim P'_{1,g} (the group-likes are independent, with
+    Delta(g) = g (x) g and eps(g) = 1):
 
     - P_{1,g} lies in W: there the row is phi(g)f_j(x) = 0, and eps(x) = 0
-      follows from (eps (x) eps)Delta = eps, as in skew_primitives.
+      follows from (eps (x) eps)Delta = eps.
     - P_{1,g} meets kG in k(1 - g) (0 for g = 1), by the coefficients of
       Delta(y) = y (x) 1 + g (x) y at the independent h (x) h'.
-    - U_j = (f_j (x) id)(Delta - id (x) 1) is g(f_j) on P_{1,g} and maps
-      each 1 - h, so all of W in kG, into kG.  As I^perp = kG, the phi(x)
-      read W modulo kG, with phi(U_j x) = (f_j phi)(x) since phi(1) = 0.
-      So P'_{1,g} != 0 gives a joint eigenvector of the U_j with the
-      eigenvalues g(f_j) in W modulo kG: g is a candidate.
-    - On a Hopf algebra W is the sum of the P_{1,g}: for x in W the f with
+    - W is the sum of the P_{1,g}.  For x in W the f with
       (id (x) f)Delta(x) - f(1)x in kG form a subalgebra of H* (by
-      coassociativity), so Delta(x) - x (x) 1 is in kG (x) H.  The g differ
-      on the generators, so the candidates are the g with P'_{1,g} != 0.
+      coassociativity) that holds the generators, so Delta(x) = x (x) 1 +
+      sum_h h (x) y_h.  Then coassociativity puts each y_h in P_{1,h}, and
+      the counit law gives x = sum y_h.
+    - U_j = (f_j (x) id)(Delta - id (x) 1) is g(f_j) on P_{1,g} and maps
+      each 1 - h into kG.  So W/kG is the sum of the images of the P_{1,g},
+      and U_j acts on the image of P_{1,g}, a copy of P'_{1,g}, by g(f_j).
+      The phi(x) read W modulo kG, with phi(U_j x) = (f_j phi)(x) since
+      phi(1) = 0.
+    - Two group-likes are characters of H*, so they differ on a generator.
+      The sum of the images is direct, and the joint eigenspace of the U_j
+      with the eigenvalues g(f_j) in W/kG is exactly the image of P_{1,g}.
 
     I's basis is rad H*, kept for coradical, when it has dim - |G| vectors
     that kill every g (H pointed), else the kernel of G's rows.  Without
-    generators of H* or with (eps (x) eps)Delta != eps every g is solved.
-    The profile for h's own group-likes is cached on h; callers get a copy.
+    generators of H* or with (eps (x) eps)Delta != eps, h is not a Hopf
+    algebra and ArithmeticError is raised.  The profile for h's own
+    group-likes is cached on h; callers get a copy.
     """
     if likes is None:
         likes = group_likes(h)
     own = likes is h._cache.get("group_likes")
     if own and "skew_profile" in h._cache:
         return dict(h._cache["skew_profile"])
-    nontrivial = {
-        k: len(skew_primitives(h, h.unit, likes.elements[k], _checked=True))
-        for k in _skew_candidates(h, likes)
-    }
+    nontrivial = _skew_counts(h, likes)
     profile: dict = {}
     for a in range(len(likes.elements)):
         inv_a = likes.inverse(a)
@@ -888,13 +845,15 @@ def skew_profile(h: HopfAlgebra, likes: GroupLikes | None = None) -> dict:
     return profile
 
 
-def _skew_candidates(h: HopfAlgebra, likes: GroupLikes) -> list:
-    """Indices of the group-likes g that may have P'_{1,g} != 0, read off
-    the kernel W of skew_profile (see there)."""
+def _skew_counts(h: HopfAlgebra, likes: GroupLikes) -> dict:
+    """{index of g: dim P'_{1,g}} for the g with P'_{1,g} != 0, each the
+    dim of g's joint eigenspace in the kernel W of skew_profile (see there)."""
     alg = dual_algebra(h)
     gens = algebra_generators(alg)
-    if gens is None or not _counit_idempotent(h):
-        return list(range(len(likes)))
+    if gens is None:
+        raise ArithmeticError("skew_profile needs a Hopf algebra: H* has no generators")
+    if alg.multiply(h.counit, h.counit) != h.counit:
+        raise ArithmeticError("skew_profile needs a Hopf algebra: eps * eps != eps")
     field, dim = h.field, h.dim
     ideal = list(map(sparse_vector, radical(alg)))
     if len(ideal) != dim - len(likes) or any(
@@ -917,13 +876,13 @@ def _skew_candidates(h: HopfAlgebra, likes: GroupLikes) -> list:
             quotient.append(w)
             coords.append(values)
     if not quotient:
-        return []
+        return {}
     # (j, the values phi(U_j w) = (f_j phi)(w) for each w in quotient)
     images = []
     for j in gens:
         products = [alg.basis_times(j, phi) for phi in ideal]
         images.append((j, [_pairings(products, w, field) for w in quotient]))
-    found = []
+    counts = {}
     for k, g in enumerate(likes.elements):
         # sum_s c_s (phi(U_j w_s) - g_j phi(w_s)) = 0 for every phi and j
         eqs: dict = {}
@@ -934,9 +893,10 @@ def _skew_candidates(h: HopfAlgebra, likes: GroupLikes) -> list:
                     sparse_sub_scaled(col, g[j], values)
                 for a, c in col.items():
                     eqs.setdefault((j, a), {})[s] = c
-        if sparse_kernel(field, len(quotient), list(eqs.values())):
-            found.append(k)
-    return found
+        eigenvectors = sparse_kernel(field, len(quotient), list(eqs.values()))
+        if eigenvectors:
+            counts[k] = len(eigenvectors)
+    return counts
 
 
 def _pairings(functionals, x, field) -> dict:
@@ -947,6 +907,8 @@ def _pairings(functionals, x, field) -> dict:
 
 
 def fingerprint(h: HopfAlgebra) -> Fingerprint:
+    """The invariants of h and of its dual; h must be a Hopf algebra, which
+    verify_hopf decides (the skew profiles need it, see skew_profile)."""
     cached = h._cache.get("fingerprint")
     if cached is not None:
         return cached
@@ -1060,8 +1022,9 @@ def classify_4p(h: HopfAlgebra) -> str:
     """Fingerprint-matching against the five reference families of dim 4p.
 
     Returns a label only on a unique match; "unknown" is a legitimate
-    output, never a misattribution.  The references are in closed form, so
-    the only algebra built here is h's dual.
+    output, never a misattribution.  h must be a Hopf algebra, as for
+    fingerprint; on another input the label means nothing.  The references
+    are in closed form, so the only algebra built here is h's dual.
     """
     if h.dim % 4 != 0:
         raise BadDimension("dimension %d is not 4p" % h.dim)

@@ -5,10 +5,11 @@ integer shears) or, at dimension <= 6, a dense (permutation) U L with U
 upper and L lower unitriangular; P and its inverse are integral, and only
 bases that move the unit off index 0 are kept.  In the new basis
 solve_antipode on the stripped structure returns the transported antipode
-P^-1 S P, verify_hopf passes, and |G(H)|, Tr(S^2) and (at dimension 12) the
-classify_4p label are those of the original.  A fixed dense basis of
-A(3,1), where almost every structure constant is nonzero, checks
-verify_hopf and solve_antipode at dimension 12.
+P^-1 S P, verify_hopf passes, and |G(H)|, Tr(S^2), the skew profiles of H
+and H* and (at dimension 12) the classify_4p label are those of the
+original.  A fixed dense basis of A(3,1), where almost every structure
+constant is nonzero, checks verify_hopf, solve_antipode and the same
+invariants at dimension 12.
 """
 
 import random
@@ -20,7 +21,9 @@ from hopfcheck.families import a_tau_mu, group_algebra, sweedler, taft_tensor_gr
 from hopfcheck.hopf import (
     HopfAlgebra,
     classify_4p,
+    dual,
     group_likes,
+    skew_profile,
     solve_antipode,
     trace_s2,
     verify_hopf,
@@ -40,9 +43,11 @@ _INVARIANTS: dict = {}
 
 
 def invariants(h):
-    """|G(H)|, Tr(S^2) and, at dimension 12, the classify_4p label."""
+    """|G(H)|, Tr(S^2), the skew profiles of H and H* and, at dimension 12,
+    the classify_4p label."""
     label = classify_4p(h) if h.dim == 12 else None
-    return len(group_likes(h).elements), trace_s2(h), label
+    profiles = skew_profile(h), skew_profile(dual(h))
+    return len(group_likes(h).elements), trace_s2(h), profiles, label
 
 
 def original(name):
@@ -125,9 +130,11 @@ def dense_a31():
 
 def test_dense_basis_of_a31():
     """A(3,1) in a dense basis (almost every comultiplication constant is
-    nonzero) verifies, and its antipode solves to P^-1 S P."""
+    nonzero) verifies, its antipode solves to P^-1 S P, and its invariants
+    are those of A(3,1)."""
     moved = dense_a31()
     assert len(moved.comult.entries) > moved.dim**3 // 2
     assert verify_hopf(moved).ok
     stripped = HopfAlgebra(moved.algebra, moved.comult, moved.counit)
     assert solve_antipode(stripped) == moved.antipode
+    assert invariants(moved) == original("A(3,1)")[1]

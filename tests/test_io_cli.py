@@ -21,6 +21,7 @@ from hopfcheck.hopf import (
     NotGroupLike,
     dual,
     structure_equal,
+    verify_hopf,
 )
 from hopfcheck.linalg import Matrix, Tensor3
 from hopfcheck.io import (
@@ -37,7 +38,9 @@ from hopfcheck.yetter_drinfeld import (
     ordinary_to_braided,
     trivial_yd,
 )
-from test_hopf import cyclic_antipode_z33, idempotent_monoid
+from test_hopf import cyclic_antipode_z33, idempotent_monoid, per_pair_skew_profile
+from test_verify_generators import INPUTS as PERTURBED_INPUTS
+from test_verify_generators import with_perturbations
 from test_yetter_drinfeld import action_matrices
 
 
@@ -530,11 +533,13 @@ class TestCliErrors:
         )
 
     def test_antipode_order_beyond_the_cap_is_one_error_line(self, tmp_path):
+        """The 33-cycle antipode fails the antipode laws, which invariants
+        checks before it takes the order."""
         path = tmp_path / "z33.json"
         path.write_bytes(serialize(manifest_for(cyclic_antipode_z33())))
         r = run_cli("invariants", str(path))
         assert (r.returncode, r.stdout, r.stderr) == (
-            1, "", "error: antipode order exceeds 32\n"
+            1, "", "verification failure: antipode-left fails at (0)\n"
         )
 
     @pytest.mark.parametrize(
@@ -559,13 +564,18 @@ class TestCliErrors:
             ("invariants", sweedler, (0, 2, 3), "coassociativity fails at (0)"),
             ("classify", lambda: a_tau_mu(3, 2, -1, 1), (2, 2, 2),
              "coassociativity fails at (1)"),
+            ("invariants", sweedler, (3, 2, 3), "coassociativity fails at (3)"),
+            ("classify", sweedler, (3, 2, 3), "coassociativity fails at (3)"),
         ),
     )
     def test_invariant_errors_on_invalid_input_name_the_law(
         self, capsys, tmp_path, verb, build, entry, message
     ):
-        """One comultiplication constant bumped: the invariants stop with
-        ArithmeticError or NotGroupLike, and verify_hopf names the law."""
+        """One comultiplication constant bumped, the antipode kept: verify_hopf
+        names the first failed law before any invariant is computed.  With
+        the extra g (x) gx in Delta(gx) of Sweedler (basis 1, x, g, gx)
+        group_likes succeeds, but the skew profile's translation needs a Hopf
+        algebra, and classify refuses the input before its dimension check."""
         h = build()
         entries = dict(h.comult.entries)
         entries[entry] = entries.get(entry, h.field.zero()) + h.field.one()
@@ -578,6 +588,29 @@ class TestCliErrors:
         assert (captured.out, captured.err) == (
             "", "verification failure: %s\n" % message
         )
+
+    @pytest.mark.parametrize("name", PERTURBED_INPUTS)
+    def test_invariants_on_perturbed_inputs(self, capsys, tmp_path, name):
+        """Each one-constant change of an input: a failing verify_hopf is one
+        stderr line and exit 1, and on a Hopf algebra the skew lines are the
+        per-pair oracle's."""
+        path = tmp_path / "h.json"
+        for label, h in with_perturbations(name):
+            path.write_bytes(serialize(manifest_for(h)))
+            code = cli.main(["invariants", str(path)])
+            captured = capsys.readouterr()
+            if not verify_hopf(h).ok:
+                assert (code, captured.out) == (1, ""), label
+                assert captured.err.startswith("verification failure: "), label
+                assert captured.err.count("\n") == 1, label
+                continue
+            assert (code, captured.err) == (0, ""), label
+            skew = [x for x in captured.out.splitlines() if x.startswith("skew_")]
+            expected = sorted(per_pair_skew_profile(h).items())
+            assert skew == [
+                "skew_primitives[ord %d, ord %d]: %d" % (a, b, d)
+                for (a, b), d in expected
+            ], label
 
     @pytest.mark.parametrize(
         "argv, message",

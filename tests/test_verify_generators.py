@@ -7,12 +7,11 @@ the full loops on any failure.  The reference model below is those loops,
 written out on their own: on every input, perturbed or not, both must give
 the same violations in the same order.
 
-skew_primitives, ideal_closure and characters work on generators too, and
-_is_character on the nonzero rows of the table; each has a full-loop
-reference at the end of this file.  skew_primitives certifies its answer,
-so it matches its reference on every input.  Ideals and characters assume
-an associative algebra, so on a perturbed one that is not associative only
-the containments they promise are checked.
+ideal_closure and characters work on generators too, and _is_character on
+the nonzero rows of the table; each has a full-loop reference at the end of
+this file, as does skew_primitives, which solves the full system.  Ideals
+and characters assume an associative algebra, so on a perturbed one that is
+not associative only the containments they promise are checked.
 """
 
 import functools
@@ -53,6 +52,7 @@ from hopfcheck.linalg import (
     sparse_vector,
     unit_vector,
     vec_is_zero,
+    vec_outer,
     vec_scale,
     vec_sub,
 )
@@ -696,6 +696,11 @@ def ref_characters(alg):
     return sorted(found, key=lambda c: tuple(tuple(x.coeffs) for x in c))
 
 
+def is_group_like(h: HopfAlgebra, g) -> bool:
+    """eps(g) = 1 and Delta(g) = g (x) g, checked directly."""
+    return h.counit_of(g).is_one() and h.delta_vec(g) == vec_outer(g, g)
+
+
 def with_perturbations(name):
     """(label, input) for the input and each of its one-constant changes."""
     h = build(name)
@@ -708,16 +713,18 @@ def both_algebras(h):
 
 @pytest.mark.parametrize("name", INPUTS)
 def test_skew_primitives_match_reference(name):
-    """The endpoints are the unperturbed group-likes, passed unchecked, so
-    on a perturbed input the reduced system may miss solutions or admit
-    false ones; the certificate and the full-system fallback must catch
-    both."""
+    """The endpoints are the unperturbed group-likes; on a perturbed input
+    one that is no longer group-like is refused."""
     likes = group_likes(build(name)).elements
     for label, h in with_perturbations(name):
         for g in likes:
             for k in likes:
-                got = skew_primitives(h, g, k, _checked=True)
-                assert got == ref_skew_primitives(h, g, k), (label, g, k)
+                if is_group_like(h, g) and is_group_like(h, k):
+                    got = skew_primitives(h, g, k)
+                    assert got == ref_skew_primitives(h, g, k), (label, g, k)
+                else:
+                    with pytest.raises(hopf.NotGroupLike):
+                        skew_primitives(h, g, k)
 
 
 def _count_sparse_kernel_rows(monkeypatch, systems=None):
@@ -738,8 +745,9 @@ def _count_sparse_kernel_rows(monkeypatch, systems=None):
 
 
 def test_failed_skew_certificate_solves_full_system(monkeypatch):
-    """Sweedler (basis 1, x, g, gx) with Delta(gx) given an extra g (x) gx:
-    the generator rows admit a vector that is not (1, g)-skew primitive."""
+    """Sweedler (basis 1, x, g, gx) with Delta(gx) given an extra g (x) gx,
+    where H*'s generator rows would admit a vector that is not (1, g)-skew
+    primitive: the one full system has no solution."""
     h = sweedler()
     field = h.field
     entries = dict(h.comult.entries)
@@ -747,35 +755,30 @@ def test_failed_skew_certificate_solves_full_system(monkeypatch):
     bad = HopfAlgebra(h.algebra, Tensor3(field, (4, 4, 4), entries), h.counit)
     one, g = h.unit, unit_vector(field, 4, 2)
     rows = _count_sparse_kernel_rows(monkeypatch)
-    got = skew_primitives(bad, one, g, _checked=True)
-    assert len(rows) == 2  # the reduced system, then the full one
+    got = skew_primitives(bad, one, g)
+    assert len(rows) == 1
     assert got == ref_skew_primitives(bad, one, g) == []
 
 
 def test_skew_profile_solves_generator_rows(monkeypatch):
     """A(3,1): one dim-column kernel W of at most (dim - |G|) * |gens(H*)| + 1
-    rows, then one skew_primitives solve of at most |gens(H*)| * dim + 1
-    rows, for the one candidate a; the eigenvector systems of the |G|
+    rows and no skew_primitives solve; the eigenvector systems of the |G|
     group-likes have dim W - |G| + 1 columns."""
     h = a_tau_mu(3, 2, -1, 1)
     gens = algebra_generators(dual_algebra(h))
     likes = group_likes(h)
     rows = _count_sparse_kernel_rows(monkeypatch)
-    skew_profile(h, likes)
+    assert skew_profile(h, likes)
     full = [n for dim, n in rows if dim == h.dim]
-    assert len(full) == 2
+    assert len(full) == 1
     assert full[0] <= (h.dim - len(likes)) * len(gens) + 1
-    assert full[1] <= len(gens) * h.dim + 1 < h.dim**2
     assert [dim for dim, _ in rows if dim != h.dim] == [1] * len(likes)
 
 
 def per_g_skew_profile(h, likes):
     """The profile with skew_primitives(h, 1, g) solved for every g in likes
-    and translated to the pairs as skew_profile does: the route without
-    candidates."""
-    nontrivial = [
-        len(skew_primitives(h, h.unit, g, _checked=True)) for g in likes.elements
-    ]
+    and translated to the pairs as skew_profile does."""
+    nontrivial = [len(skew_primitives(h, h.unit, g)) for g in likes.elements]
     profile: dict = {}
     for a in range(len(likes)):
         inv_a = likes.inverse(a)
@@ -788,38 +791,34 @@ def per_g_skew_profile(h, likes):
 
 
 def _skew_profile_route(monkeypatch, h, likes) -> str:
-    """The route skew_profile takes on h: "every g" solved, or candidates
-    from W with I from the "radical" or the "kernel of G"."""
+    """The route skew_profile takes on h to I: the "radical" or the "kernel
+    of G", or "ArithmeticError" where a precondition of W fails."""
     systems = []
     _count_sparse_kernel_rows(monkeypatch, systems)
-    skew_profile(h, likes)
-    monkeypatch.undo()
-    # W's rows start with eps(x) = 0; skew_primitives puts that row last
-    if not any(rows[:1] == [sparse_vector(h.counit)] for rows in systems):
-        return "every g"
+    try:
+        skew_profile(h, likes)
+    except ArithmeticError:
+        return "ArithmeticError"
+    finally:
+        monkeypatch.undo()
     g_rows = [sparse_vector(g) for g in likes.elements]
     return "kernel of G" if g_rows in systems else "radical"
 
 
 @pytest.mark.parametrize("name", INPUTS)
 def test_skew_profile_matches_per_g_route(name):
-    """Every input whose group-likes are found, perturbed or not: the
-    candidates of W leave out only g with P'_{1,g} = 0.  The translation
-    P_{g,h} = g P_{1,g^-1 h} needs a Hopf algebra, so the oracle solves
-    every g and translates as skew_profile does; test_hopf has the per-pair
-    oracle on Hopf algebras."""
-    for label, h in with_perturbations(name):
-        try:
-            likes = group_likes(h)
-        except (hopf.NotGroupLike, ArithmeticError):
-            continue
-        assert skew_profile(h, likes) == per_g_skew_profile(h, likes), label
+    """The counts of W's eigenvectors are the skew_primitives(h, 1, g) solved
+    for every g; test_hopf has the per-pair oracle, and test_io_cli runs
+    the perturbations through the invariants verb."""
+    h = build(name)
+    likes = group_likes(h)
+    assert skew_profile(h, likes) == per_g_skew_profile(h, likes)
 
 
 def test_skew_profile_routes(monkeypatch):
     """I is the radical of H* on the pointed A(3,1) and the kernel of G's
-    rows on its dual, which is not pointed; a perturbation that fails the
-    preconditions of the generator rows has every g solved."""
+    rows on its dual, which is not pointed; a perturbation without
+    generators of H* or with eps * eps != eps is refused."""
     routes = {}
     for name in INPUTS:
         for label, h in with_perturbations(name):
@@ -830,11 +829,12 @@ def test_skew_profile_routes(monkeypatch):
             routes[name, label] = _skew_profile_route(monkeypatch, h, likes)
     assert routes["A(3,1)", "unperturbed"] == "radical"
     assert routes["A(3,1)*", "unperturbed"] == "kernel of G"
-    assert set(routes.values()) == {"every g", "radical", "kernel of G"}
+    assert set(routes.values()) == {"ArithmeticError", "radical", "kernel of G"}
 
 
 def test_skew_profile_checks_the_counit_precondition_once(monkeypatch):
-    """eps * eps = eps in H* depends only on h: one product for |G| solves."""
+    """skew_profile checks eps * eps = eps in H* with one product, and
+    skew_primitives forms none."""
     h = a_tau_mu(3, 2, -1, 1)
     likes = group_likes(h)
     calls = []
@@ -892,7 +892,7 @@ def test_characters_match_reference(name):
             assert all(ref_is_character(alg, chi) for chi in found), (label, side)
 
 
-def test_without_generators_every_path_runs_its_full_loop(monkeypatch):
+def test_without_generators_every_path_runs_its_full_loop():
     """Sweedler with zero unit and counit: neither H nor H* has generators."""
     h = sweedler()
     field, dim = h.field, h.dim
@@ -903,11 +903,9 @@ def test_without_generators_every_path_runs_its_full_loop(monkeypatch):
         for seeds in _seed_lists(alg):
             assert ideal_closure(alg, seeds) == ref_ideal_closure(alg, seeds)
         assert characters(alg).characters == ref_characters(alg) == []
-    rows = _count_sparse_kernel_rows(monkeypatch)
-    one, g = h.unit, unit_vector(field, dim, 2)
-    got = skew_primitives(bad, one, g, _checked=True)
-    assert got == ref_skew_primitives(bad, one, g)
-    assert len(rows) == 1  # the full system only
+    # with a zero counit no endpoint is group-like
+    with pytest.raises(hopf.NotGroupLike):
+        skew_primitives(bad, h.unit, unit_vector(field, dim, 2))
 
 
 def _character_candidates(alg, seed):
