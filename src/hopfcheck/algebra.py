@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from hopfcheck.cyclotomic import CycloField, UniPoly, factor_unipoly
+from hopfcheck.cyclotomic import CycloField, UniPoly, factor_unipoly, sort_by_coeffs
 from hopfcheck.linalg import (
     EchelonBasis,
     Matrix,
@@ -327,18 +327,18 @@ def center(alg: AssocAlgebra) -> list[tuple]:
     return sparse_kernel(alg.field, alg.dim, list(rows.values()))
 
 
-def ideal_closure(alg: AssocAlgebra, generators) -> list[tuple]:
-    """Basis of the two-sided ideal generated by the given vectors.
+def ideal_closure(alg: AssocAlgebra, ideal, seeds) -> list[tuple]:
+    """Basis of ideal + the two-sided ideal generated by the seed vectors,
+    for vectors `ideal` that span a two-sided ideal already.
 
-    The span is closed under multiplication by algebra_generators(alg) only
-    (see there), or by every basis element when there are none.
+    The ideal enters the span as it is; each new vector is closed under
+    multiplication by algebra_generators(alg) only (see there), or by every
+    basis element when there are none.
     """
-    queue = [sparse_vector(v) for v in generators]
-    if not queue:
-        return []
-    ech = EchelonBasis(alg.field, alg.dim)
+    ech = EchelonBasis.spanned_by(alg.field, alg.dim, map(sparse_vector, ideal))
     gens = algebra_generators(alg)
     mults = range(alg.dim) if gens is None else gens
+    queue = [sparse_vector(v) for v in seeds]
     while queue:
         v = queue.pop()
         if not ech.insert(v):
@@ -450,42 +450,61 @@ class CharacterSearch:
 def characters(alg: AssocAlgebra) -> CharacterSearch:
     """All algebra maps chi: A -> k with chi(1) = 1, chi(ab) = chi(a)chi(b).
 
-    Route: quotient by the radical, then by the commutator ideal, then split
-    the commutative semisimple quotient into common eigenspaces by factoring
-    minimal polynomials of multiplication maps.  The commutators and the
-    first splits are taken on algebra generators (see algebra_generators);
-    after them every block of a split quotient has dimension 1.  A block of
-    eigenvectors (such as k^G's basis of idempotents) splits unfactored.
+    Route: one quotient Q = A/J, J = rad A + the ideal of the commutators of
+    algebra_generators(A); split Q into common eigenspaces of its own
+    generators only, by factoring minimal polynomials of their
+    multiplication maps (a block of eigenvectors, such as k^G's basis of
+    idempotents, splits unfactored); then read each character off its
+    block of dimension 1.  Every character returned passes _is_character.
+
+    Why A/J is the quotient by the radical and then by the commutator
+    ideal.  A character kills rad A and every commutator, so it factors
+    through A/J.  The images of A's generators generate A/rad A, so its
+    commutator ideal is the ideal of their commutators (see
+    algebra_generators), whose preimage in A is J.  rad A is an ideal
+    already, so only the commutators are closed.
+
+    Why one column read is exact.  Q is commutative and semisimple, a
+    product of fields.  A block is an eigenspace of a generator inside an
+    earlier block, so, Q being commutative, every block is invariant under
+    all of Q, and a block of dimension 1 is spanned by a common eigenvector
+    v of Q; such a block is not split further.  Once the generators have
+    split a block, every generator, hence every word, acts on it by a
+    scalar, so the block lies in the eigenspace of one character of Q,
+    which is one factor k of the product: the block has dimension 1.  So
+    b_k v = chi(b_k) v for every basis element b_k of Q, and coordinate p of
+    this, p the first nonzero coordinate of v, gives chi(b_k) = (b_k v)_p /
+    v_p: one pass over the entries of Q's table that land on p.  Nothing
+    outside the generators is multiplied into a block.
     """
     field = alg.field
     dim = alg.dim
-    semi, proj1, _ = quotient_algebra(alg, radical(alg))
-    gens = algebra_generators(semi)
-    if gens is None:
-        gens = range(semi.dim)
-    comms = []
     one = field.one()
+    gens = algebra_generators(alg)
+    if gens is None:
+        gens = range(dim)
+    comms = []
     for a, i in enumerate(gens):
         for j in gens[a + 1:]:
-            c = semi.basis_times(i, {j: one})
-            sparse_sub_scaled(c, one, semi.basis_times(j, {i: one}))
+            c = alg.basis_times(i, {j: one})
+            sparse_sub_scaled(c, one, alg.basis_times(j, {i: one}))
             if c:
-                comms.append(dense_vector(field, semi.dim, c))
-    ideal = ideal_closure(semi, comms)
-    if len(ideal) == semi.dim:
+                comms.append(dense_vector(field, dim, c))
+    ideal = ideal_closure(alg, radical(alg), comms)
+    if len(ideal) == dim:
         return CharacterSearch([], [])
-    quotient, proj2, _ = quotient_algebra(semi, ideal)
+    quotient, proj, _ = quotient_algebra(alg, ideal)
 
-    # (vectors, eigenvalue per basis element so far); chi is linear, so the
-    # eigenvalues determine the character on the quotient
     qdim = quotient.dim
-    first = algebra_generators(quotient) or []
-    order = first + [i for i in range(qdim) if i not in first]
-    blocks = [([unit_vector(field, qdim, i) for i in range(qdim)], {})]
+    blocks = [[unit_vector(field, qdim, i) for i in range(qdim)]]
     unresolved = []
-    for gen in order:
+    qgens = algebra_generators(quotient)
+    for gen in range(qdim) if qgens is None else qgens:
         new_blocks = []
-        for block, eigs in blocks:
+        for block in blocks:
+            if len(block) == 1:
+                new_blocks.append(block)
+                continue
             # a block of eigenvectors of gen splits by their eigenvalues, each
             # read off at the first nonzero coordinate and checked exactly
             by_eigenvalue: dict = {}
@@ -500,42 +519,42 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
                     break
                 by_eigenvalue.setdefault(eigenvalue, []).append(v)
             else:
-                new_blocks.extend(
-                    (piece, {**eigs, gen: ev}) for ev, piece in by_eigenvalue.items()
-                )
+                new_blocks.extend(by_eigenvalue.values())
                 continue
-            if len(block) == 1:
-                raise ArithmeticError("block is not invariant")
             lmat = quotient.left_mult_matrix(unit_vector(field, qdim, gen))
             restricted = _restrict(lmat, block, field)
-            minpoly = minimal_polynomial(restricted)
-            for fac, _ in factor_unipoly(minpoly):
+            for fac, _ in factor_unipoly(minimal_polynomial(restricted)):
                 if fac.degree > 1:
                     # a primary component over a proper extension carries no
                     # characters of the base field; record and drop it
                     unresolved.append(fac)
                     continue
                 # fac = x - eigenvalue is monic, so fac(M) = M - eigenvalue I
-                eigenvalue = -fac.coeffs[0]
                 sub = _plus_scalar(restricted, fac.coeffs[0])
                 piece = [
                     vec_combination(combo, block, field, qdim)
                     for combo in sub.kernel()
                 ]
                 if piece:
-                    new_blocks.append((piece, {**eigs, gen: eigenvalue}))
+                    new_blocks.append(piece)
         blocks = new_blocks
 
+    by_k = quotient.mult.by_k()
     chars = []
-    for block, eigs in blocks:
+    for block in blocks:
         if len(block) != 1:
             continue
-        # chi = (eigs proj2) proj1, two vector-matrix products
-        ev = [eigs[g] for g in range(qdim)]
-        on_semi = vec_combination(ev, proj2.data, field, semi.dim)
-        chars.append(vec_combination(on_semi, proj1.data, field, dim))
-    verified = [chi for chi in chars if _is_character(alg, chi)]
-    verified.sort(key=lambda c: tuple(tuple(x.coeffs) for x in c))
+        v = block[0]
+        p = next(t for t, c in enumerate(v) if not c.is_zero())
+        values = [field.zero()] * qdim  # chi on Q's basis: (b_k v)_p / v_p
+        for k, j, m in by_k.get(p, ()):
+            if not v[j].is_zero():
+                values[k] = values[k] + m * v[j]
+        scale = v[p].inverse()
+        values = [x * scale for x in values]
+        chars.append(vec_combination(values, proj.data, field, dim))
+    verified = _characters_among(alg, chars)
+    sort_by_coeffs(verified)
     return CharacterSearch(verified, unresolved)
 
 
@@ -562,32 +581,57 @@ def _plus_scalar(m: Matrix, c) -> Matrix:
 def _is_character(alg: AssocAlgebra, chi) -> bool:
     """chi(1) = 1 and chi(b_i b_j) = chi(b_i) chi(b_j) on every basis pair.
 
-    A pair with no table row has chi(b_i b_j) = 0, which fails exactly when
-    chi(b_i) and chi(b_j) are both nonzero; so the table rows and the pairs
-    of nonzero entries of chi cover every pair.  Each row sums only the
-    terms k where chi_k != 0, and is compared with zero when chi_i or chi_j
-    is.  On dual_algebra(h) this is the group-like test Delta(g) = g (x) g,
-    eps(g) = 1 of h.
+    chi(b_i b_j) sums the row (i, j) of the table over the terms k where
+    chi_k != 0, so it is read off by_k() for k in the support of chi; a row
+    with no such term sums to 0.  Such a row must have chi_i or chi_j zero,
+    so it can fail only at a pair inside the support, and those pairs are
+    checked apart.  So the rows with a term in the support and the pairs of
+    nonzero entries of chi cover every pair.  On dual_algebra(h) this is
+    the group-like test Delta(g) = g (x) g, eps(g) = 1 of h.
     """
-    one = alg.field.zero()
-    for c, u in zip(chi, alg.unit):
-        one = one + c * u
-    if not one.is_one():
-        return False
-    support = {k: c for k, c in enumerate(chi) if not c.is_zero()}
-    zero = alg.field.zero()
-    table = alg.mult.by_ij()
-    for (i, j), row in table.items():
-        acc = zero
-        for k, m in row:
-            c = support.get(k)
-            if c is not None:
-                acc = acc + m * c
-        ci = support.get(i)
-        cj = support.get(j)
-        if ci is None or cj is None:
-            if not acc.is_zero():
-                return False
-        elif acc != ci * cj:
+    return bool(_characters_among(alg, [chi]))
+
+
+def _characters_among(alg: AssocAlgebra, candidates) -> list:
+    """The candidates that pass _is_character, in order.
+
+    Each product chi_i chi_j is formed once per pair of values for all the
+    candidates: the characters of one algebra mostly take their values in
+    one group of roots of unity, so at |G| characters with |G| nonzero
+    entries each, |G|^2 products serve |G|^3 pairs.
+    """
+    field = alg.field
+    zero = field.zero()
+    by_k = alg.mult.by_k()
+    values: dict = {}  # one object per value, so a pair's lookup is by identity
+    products: dict = {}  # (chi_i, chi_j) -> chi_i chi_j
+
+    def holds(chi) -> bool:
+        one = zero
+        for c, u in zip(chi, alg.unit):
+            one = one + c * u
+        if not one.is_one():
             return False
-    return all((i, j) in table for i in support for j in support)
+        support = {
+            k: values.setdefault(c, c) for k, c in enumerate(chi) if not c.is_zero()
+        }
+        sums: dict = {}  # (i, j) -> chi(b_i b_j), on rows with a term in the support
+        for k, c in support.items():
+            for i, j, m in by_k.get(k, ()):
+                key = (i, j)
+                sums[key] = sums.get(key, zero) + m * c
+        for (i, j), acc in sums.items():
+            ci = support.get(i)
+            cj = support.get(j)
+            if ci is None or cj is None:
+                if not acc.is_zero():
+                    return False
+                continue
+            prod = products.get((ci, cj))
+            if prod is None:
+                prod = products[(ci, cj)] = ci * cj
+            if acc != prod:
+                return False
+        return all((i, j) in sums for i in support for j in support)
+
+    return [chi for chi in candidates if holds(chi)]

@@ -1058,10 +1058,14 @@ def _recast(poly: UniPoly, field: CycloField) -> UniPoly:
 def _factor_squarefree_cyclo(poly: UniPoly) -> list[UniPoly]:
     """Squarefree monic factorization over Q(zeta_n).
 
-    Cheap deflations first: a root at zero splits off directly, and a
-    polynomial with all-rational coefficients is factored over Q before any
-    factor that stays nonlinear goes to the roots-of-unity shortcut or to
-    Trager's norm method.
+    Cheap deflations first: a root at zero splits off directly, then the
+    roots-of-unity shortcut splits a polynomial whose roots are all roots of
+    unity of the field (x^m - 1 and its factors, the minimal polynomials of
+    group-like and character computations) with no factorization at all.
+    Otherwise a polynomial with all-rational coefficients is factored over
+    Q, and each factor that stays nonlinear goes to the shortcut or to
+    Trager's norm method; any other goes to Trager's method.  The factors
+    are unique, so every route gives the same sorted list.
     """
     field = poly.field
     if poly.degree <= 1:
@@ -1075,26 +1079,26 @@ def _factor_squarefree_cyclo(poly: UniPoly) -> list[UniPoly]:
             out.extend([poly] if poly.degree == 1 else [])
             out.sort(key=_poly_sort_key)
             return out
-    if all(c.is_rational() for c in poly.coeffs):
+    split = _roots_of_unity_split(poly)
+    if split is not None:
+        out.extend(split)
+    elif all(c.is_rational() for c in poly.coeffs):
         for qfac in _factor_squarefree_q(_recast(poly, make_field(1))):
             lifted = _recast(qfac, field)
             if lifted.degree <= 1:
                 out.append(lifted)
             else:
-                out.extend(_trager_squarefree(lifted))
-        out.sort(key=_poly_sort_key)
-        return out
-    out.extend(_trager_squarefree(poly))
+                out.extend(_roots_of_unity_split(lifted) or _trager_squarefree(lifted))
+    else:
+        out.extend(_trager_squarefree(poly))
     out.sort(key=_poly_sort_key)
     return out
 
 
 def _trager_squarefree(poly: UniPoly) -> list[UniPoly]:
-    """Roots-of-unity shortcut, then Trager's norm method proper."""
+    """Trager's norm method: factor the squarefree norm over Q and take the
+    gcd of poly with each factor shifted back."""
     field = poly.field
-    fast = _roots_of_unity_split(poly)
-    if fast is not None:
-        return fast
     for shift in itertools.count(0):
         norm = _norm(poly, shift)
         if norm.gcd(norm.derivative()).degree == 0:
@@ -1148,6 +1152,26 @@ def roots_in_field(poly: UniPoly) -> list[FieldElement]:
             roots.extend([-factor.coeffs[0]] * mult)
     roots.sort(key=lambda r: r.coeffs)
     return roots
+
+
+def sort_by_coeffs(vectors: list) -> None:
+    """Sort vectors over one cyclotomic field in place, in the order of
+    tuple(tuple(x.coeffs) for x in v).
+
+    Each coefficient is taken as an integer over the lcm of every
+    denominator in the list: one positive scale for all of them, so the
+    integer tuples compare exactly as the Fractions would, and none is built.
+    """
+    scale = math.lcm(*(x.den for v in vectors for x in v))
+
+    def key(v):
+        return tuple(
+            tuple(n * (scale // x.den) for n in x.num)
+            + (0,) * (x.field.degree - len(x.num))
+            for x in v
+        )
+
+    vectors.sort(key=key)
 
 
 # --- small multivariate polynomials ----------------------------------------------

@@ -440,7 +440,7 @@ class EchelonBasis:
 class Tensor3:
     """Sparse 3-index tensor of structure constants over one field."""
 
-    __slots__ = ("field", "dims", "entries", "_by_ij", "_by_i")
+    __slots__ = ("field", "dims", "entries", "_by_ij", "_by_i", "_by_k")
 
     def __init__(self, field: CycloField, dims, entries):
         self.field = field
@@ -457,6 +457,7 @@ class Tensor3:
         self.entries = clean
         self._by_ij = None
         self._by_i = None
+        self._by_k = None
 
     def get(self, i, j, k) -> FieldElement:
         return self.entries.get((i, j, k), self.field.zero())
@@ -478,6 +479,15 @@ class Tensor3:
                 table.setdefault(i, []).append((j, k, c))
             self._by_i = {key: tuple(v) for key, v in table.items()}
         return self._by_i
+
+    def by_k(self) -> dict:
+        """k -> tuple of (i, j, coeff); the entries landing on output k."""
+        if self._by_k is None:
+            table: dict = {}
+            for (i, j, k), c in self.entries.items():
+                table.setdefault(k, []).append((i, j, c))
+            self._by_k = {key: tuple(v) for key, v in table.items()}
+        return self._by_k
 
     def contract_first(self, v) -> dict:
         """sum_i v_i T[i] as a sparse {(j, k): coeff} dict (v in slot 0)."""

@@ -10,7 +10,9 @@ from hopfcheck import algebra
 from hopfcheck.cyclotomic import make_field
 from hopfcheck.algebra import (
     AssocAlgebra,
+    _characters_among,
     _is_character,
+    algebra_generators,
     center,
     characters,
     ideal_closure,
@@ -22,7 +24,7 @@ from hopfcheck.families import a_tau_mu, group_algebra, taft_tensor_group
 from hopfcheck.hopf import dual_algebra
 from hopfcheck.linalg import Matrix, Tensor3, unit_vector
 from test_basis_independence import dense_a31
-from test_sparse_kernels import ref_kernel
+from test_sparse_kernels import ref_kernel, scalars
 from test_verify_generators import perturbations, ref_characters
 
 Q = make_field(1)
@@ -119,7 +121,7 @@ class TestRadical:
     def test_radical_is_two_sided_ideal(self):
         alg = sweedler_assoc()
         rad = radical(alg)
-        closed = ideal_closure(alg, rad)
+        closed = ideal_closure(alg, [], rad)
         assert len(closed) == len(rad)
 
     def test_matrix_algebra_semisimple(self):
@@ -244,6 +246,148 @@ def test_characters_split_eigenvector_blocks(name, monkeypatch):
     monkeypatch.undo()
     assert found == ref_characters(alg)
     assert (not calls) == eigenvectors_only
+
+
+# name -> a Hopf algebra; both its algebra and its dual's are searched
+GENERATOR_SPLIT_INPUTS = {"k[Z12]": lambda: group_algebra(12)}
+for _p in (3, 5):
+    GENERATOR_SPLIT_INPUTS["A(%d,0)" % _p] = functools.partial(a_tau_mu, _p, 2, -1, 0)
+    GENERATOR_SPLIT_INPUTS["T2xk[Z%d]" % _p] = functools.partial(
+        taft_tensor_group, 2, -1, _p
+    )
+
+
+@pytest.mark.parametrize("side", ("H", "H*"))
+@pytest.mark.parametrize("name", sorted(GENERATOR_SPLIT_INPUTS))
+def test_characters_multiply_only_generators_into_blocks(name, side, monkeypatch):
+    """Inside characters, only algebra_generators(Q) of the split quotient
+    Q are multiplied into its blocks (by basis_times or as a left
+    multiplication matrix); every other chi(b_k) is read off a block's
+    vector.  Reading them by multiplying every basis element into every
+    block makes about dim Q^2 products of other elements."""
+    h = GENERATOR_SPLIT_INPUTS[name]()
+    alg = h.algebra if side == "H" else dual_algebra(h)
+    quotients, multiplied = [], []
+    original_quotient = algebra.quotient_algebra
+    original_times = AssocAlgebra.basis_times
+    original_lmat = AssocAlgebra.left_mult_matrix
+
+    def quotient_algebra(a, ideal):
+        out = original_quotient(a, ideal)
+        quotients.append(out[0])
+        return out
+
+    def basis_times(self, i, v, right=False):
+        multiplied.append((self, i))
+        return original_times(self, i, v, right)
+
+    def left_mult_matrix(self, a):
+        multiplied.extend((self, i) for i, c in enumerate(a) if not c.is_zero())
+        return original_lmat(self, a)
+
+    monkeypatch.setattr(algebra, "quotient_algebra", quotient_algebra)
+    monkeypatch.setattr(AssocAlgebra, "basis_times", basis_times)
+    monkeypatch.setattr(AssocAlgebra, "left_mult_matrix", left_mult_matrix)
+    found = characters(alg).characters
+    monkeypatch.undo()
+    split = quotients[-1]
+    into_blocks = {i for a, i in multiplied if a is split}
+    assert into_blocks, name  # the quotient was split
+    assert into_blocks <= set(algebra_generators(split)), (name, side)
+    assert len(found) == split.dim  # Q is k^n: one character per block
+    if alg.dim <= 12:
+        assert found == ref_characters(alg)
+
+
+def every_pair_is_character(alg, chi):
+    """chi(1) = 1 and every table row (i, j), summed over every k, equals
+    chi_i chi_j."""
+    field = alg.field
+    one = field.zero()
+    for c, u in zip(chi, alg.unit):
+        one = one + c * u
+    if not one.is_one():
+        return False
+    table = alg.mult.by_ij()
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            acc = field.zero()
+            for k, m in table.get((i, j), ()):
+                acc = acc + m * chi[k]
+            if acc != chi[i] * chi[j]:
+                return False
+    return True
+
+
+@st.composite
+def character_candidates(draw):
+    """A random sparse table over Q or Q(zeta_12) with zero, sparse and
+    dense candidates chi; sometimes repaired so that the first candidate is
+    a character, and sometimes with rows outside its support whose terms in
+    the support cancel."""
+    field = draw(st.sampled_from((Q, make_field(12))))
+    dim = draw(st.integers(1, 5))
+    values = [field.one(), field.from_rational(-1)] + [
+        field.zeta(k) for k in range(1, field.order)
+    ]
+
+    def candidate():
+        kind = draw(st.sampled_from(("zero", "sparse", "dense")))
+        if kind == "zero":
+            return (field.zero(),) * dim
+        if kind == "dense":
+            return tuple(draw(st.sampled_from(values)) for _ in range(dim))
+        return tuple(draw(scalars(field, density=0.4)) for _ in range(dim))
+
+    cands = [candidate() for _ in range(draw(st.integers(1, 3)))]
+    entries = {}
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                c = draw(scalars(field, density=0.25))
+                if not c.is_zero():
+                    entries[(i, j, k)] = c
+    unit = tuple(draw(scalars(field, density=0.5)) for _ in range(dim))
+    chi = cands[0]
+    support = [k for k, c in enumerate(chi) if not c.is_zero()]
+    if support and draw(st.booleans()):
+        # make chi a character: row (i, j) gets the term at p that it
+        # needs, and the unit is b_p / chi_p
+        p = support[0]
+        for i in range(dim):
+            for j in range(dim):
+                acc = field.zero()
+                for k in range(dim):
+                    if k != p and (i, j, k) in entries:
+                        acc = acc + entries[(i, j, k)] * chi[k]
+                entries[(i, j, p)] = (chi[i] * chi[j] - acc) / chi[p]
+        unit = tuple(
+            chi[p].inverse() if k == p else field.zero() for k in range(dim)
+        )
+        cands.append(tuple(c * field.zeta(1) for c in chi))  # shares products
+    outside = [i for i in range(dim) if i not in support]
+    if outside and len(support) > 1 and draw(st.booleans()):
+        # a row outside the support whose two terms in it cancel
+        i, j = draw(st.sampled_from(outside)), draw(st.integers(0, dim - 1))
+        k1, k2 = support[:2]
+        for k in range(dim):
+            entries.pop((i, j, k), None)
+        entries[(i, j, k1)] = chi[k2]
+        entries[(i, j, k2)] = -chi[k1]
+    alg = AssocAlgebra(field, dim, Tensor3(field, (dim,) * 3, entries), unit)
+    return alg, cands
+
+
+@settings(max_examples=150, deadline=None)
+@given(character_candidates())
+def test_is_character_matches_every_pair_walk(problem):
+    """The walk over the rows with a term in the support and the pairs
+    inside it decides what the walk over every basis pair decides, alone
+    and with products shared among candidates."""
+    alg, cands = problem
+    expected = [chi for chi in cands if every_pair_is_character(alg, chi)]
+    assert [chi for chi in cands if _is_character(alg, chi)] == expected
+    assert _characters_among(alg, cands) == expected
 
 
 class TestCenter:

@@ -17,10 +17,17 @@ from sympy.polys.domains import QQ
 
 from hopfcheck.cyclotomic import (
     UniPoly,
+    _factor_squarefree_q,
     _norm,
+    _poly_sort_key,
+    _recast,
+    _roots_of_unity_split,
+    _trager_squarefree,
+    cyclotomic_coeffs,
     factor_unipoly,
     make_field,
     roots_in_field,
+    squarefree_decomposition,
 )
 
 ORDERS = (1, 3, 4, 5, 8)
@@ -119,3 +126,104 @@ def test_norm_is_the_resultant_with_phi_n(n, shift):
     got = [sympy.Rational(c.rational.numerator, c.rational.denominator)
            for c in reversed(_norm(f, shift).coeffs)]
     assert sympy.Poly(expected, X).all_coeffs() == got
+
+
+# --- the roots-of-unity shortcut before the rational factorization ---------------
+
+
+def ref_factor_squarefree_cyclo(poly):
+    """The rational-first route: a root at zero, then an all-rational
+    polynomial factored over Q with each nonlinear factor sent to the
+    roots-of-unity shortcut or to Trager; any other polynomial to the
+    shortcut or to Trager."""
+    field = poly.field
+    if poly.degree <= 1:
+        return [poly]
+    out = []
+    if poly.coeffs[0].is_zero():
+        x = UniPoly(field, [field.zero(), field.one()])
+        out.append(x)
+        poly = poly // x
+        if poly.degree <= 1:
+            return sorted(out + ([poly] if poly.degree == 1 else []), key=_poly_sort_key)
+    if all(c.is_rational() for c in poly.coeffs):
+        parts = [_recast(q, field) for q in _factor_squarefree_q(_recast(poly, make_field(1)))]
+    else:
+        parts = [poly]
+    for part in parts:
+        if part.degree <= 1:
+            out.append(part)
+        else:
+            out.extend(_roots_of_unity_split(part) or _trager_squarefree(part))
+    return sorted(out, key=_poly_sort_key)
+
+
+def ref_factor_unipoly(poly):
+    out = []
+    for sq, mult in squarefree_decomposition(poly):
+        out.extend((p, mult) for p in ref_factor_squarefree_cyclo(sq))
+    return sorted(out, key=lambda pm: _poly_sort_key(pm[0]))
+
+
+def _x_power_minus(field, n, c):
+    return UniPoly(field, [-c] + [field.zero()] * (n - 1) + [field.one()])
+
+
+def _cyclotomic(field, d):
+    return UniPoly.from_ints(field, list(cyclotomic_coeffs(d)))
+
+
+def _product(field, factors):
+    out = UniPoly(field, [field.one()])
+    for f in factors:
+        out = out * f
+    return out
+
+
+def shortcut_cases():
+    """(label, polynomial, whether every root is a root of unity of the field)."""
+    cases = []
+    for n, minus_one, plus_one in ((12, (2, 3, 4, 6, 12), (2, 6)),
+                                   (20, (2, 4, 5, 10, 20), (10,)),
+                                   (44, (2, 11, 22), (22,))):
+        f = make_field(n)
+        for d in minus_one:
+            cases.append(("x^%d - 1 / Q(zeta%d)" % (d, n), _x_power_minus(f, d, f.one()), True))
+        for d in plus_one:
+            cases.append(("x^%d + 1 / Q(zeta%d)" % (d, n), _x_power_minus(f, d, -f.one()), True))
+        cases.append(("x^2 - zeta^2 / Q(zeta%d)" % n, _x_power_minus(f, 2, f.zeta(2)), True))
+        x_minus_2 = UniPoly(f, [f.from_rational(-2), f.one()])
+        cases.append(("(x - 2)(x^2 + 1) / Q(zeta%d)" % n, x_minus_2 * _cyclotomic(f, 4), False))
+    for n in (12, 20):
+        f = make_field(n)
+        cases.append(("x^2 - 2 / Q(zeta%d)" % n, _x_power_minus(f, 2, f.from_rational(2)), False))
+    f12, f20, f44 = make_field(12), make_field(20), make_field(44)
+    cases.append(("x^4 + 1 / Q(zeta12)", _x_power_minus(f12, 4, -f12.one()), False))
+    for field, ds, split in ((f12, (3, 6, 12), True), (f12, (1, 8), False),
+                             (f20, (2, 5, 10), True), (f20, (4, 3), False),
+                             (f44, (11, 44), True)):
+        label = "%s / Q(zeta%d)" % (" ".join("Phi_%d" % d for d in ds), field.order)
+        cases.append((label, _product(field, [_cyclotomic(field, d) for d in ds]), split))
+    z = f12.zeta()
+    cases.append(("(x - zeta)(x - zeta - 1) / Q(zeta12)",
+                  UniPoly(f12, [-z, f12.one()]) * UniPoly(f12, [-z - 1, f12.one()]), False))
+    return cases
+
+
+SHORTCUT_CASES = {label: (poly, roots_of_unity) for label, poly, roots_of_unity in shortcut_cases()}
+
+
+@pytest.mark.parametrize("label", sorted(SHORTCUT_CASES))
+def test_factor_matches_rational_first_route(label):
+    """factor_unipoly tries the roots-of-unity shortcut before factoring over
+    Q and gives the rational-first route's list; the shortcut applies
+    exactly when every root is a root of unity of the field, and falls
+    through otherwise."""
+    poly, roots_of_unity = SHORTCUT_CASES[label]
+    assert (_roots_of_unity_split(poly) is not None) == roots_of_unity, label
+    got = factor_unipoly(poly)
+    assert got == ref_factor_unipoly(poly), label
+    if roots_of_unity:
+        assert all(f.degree == 1 for f, _ in got)
+    if poly.field.order == 12:
+        assert sorted(got, key=_key) == sorted(sympy_factors(poly), key=_key), label

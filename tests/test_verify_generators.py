@@ -866,13 +866,17 @@ def test_ideal_closure_matches_reference(name):
         for side, alg in both_algebras(h):
             associative = verify_algebra(alg).ok
             for seeds in _seed_lists(alg):
-                got = ideal_closure(alg, seeds)
+                got = ideal_closure(alg, [], seeds)
                 ref = ref_ideal_closure(alg, seeds)
                 if associative:
                     assert got == ref, (label, side, seeds)
+                    # the radical enters unmultiplied: the same ideal
+                    rad = radical(alg)
+                    with_rad = ideal_closure(alg, rad, seeds)
+                    assert with_rad == ref_ideal_closure(alg, rad + seeds), (label, side)
                 else:
                     assert _span_contains(ref, got, alg.field), (label, side, seeds)
-            assert ideal_closure(alg, []) == []
+            assert ideal_closure(alg, [], []) == []
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -901,7 +905,7 @@ def test_without_generators_every_path_runs_its_full_loop():
     for _, alg in both_algebras(bad):
         assert algebra_generators(alg) is None
         for seeds in _seed_lists(alg):
-            assert ideal_closure(alg, seeds) == ref_ideal_closure(alg, seeds)
+            assert ideal_closure(alg, [], seeds) == ref_ideal_closure(alg, seeds)
         assert characters(alg).characters == ref_characters(alg) == []
     # with a zero counit no endpoint is group-like
     with pytest.raises(hopf.NotGroupLike):
