@@ -12,14 +12,11 @@ from dataclasses import dataclass, field as dc_field
 from hopfcheck.cyclotomic import CycloField, UniPoly, factor_unipoly, sort_by_coeffs
 from hopfcheck.linalg import (
     EchelonBasis,
-    Matrix,
     Tensor3,
     dense_vector,
     sparse_kernel,
     sparse_sub_scaled,
     sparse_vector,
-    unit_vector,
-    vec_combination,
     vec_is_zero,
 )
 
@@ -161,9 +158,6 @@ class AssocAlgebra:
                             out[key] = out.get(key, zero) + x * m
             outs.append({k: v for k, v in out.items() if not v.is_zero()})
         return outs
-
-    def left_mult_matrix(self, a) -> Matrix:
-        return self.mult.contract(0, a).transpose()
 
 
 def verify_algebra(alg: AssocAlgebra) -> Report:
@@ -327,15 +321,13 @@ def center(alg: AssocAlgebra) -> list[tuple]:
     return sparse_kernel(alg.field, alg.dim, list(rows.values()))
 
 
-def ideal_closure(alg: AssocAlgebra, ideal, seeds) -> list[tuple]:
-    """Basis of ideal + the two-sided ideal generated by the seed vectors,
-    for vectors `ideal` that span a two-sided ideal already.
+def ideal_closure(alg: AssocAlgebra, seeds) -> list[tuple]:
+    """Basis of the two-sided ideal generated by the seed vectors.
 
-    The ideal enters the span as it is; each new vector is closed under
-    multiplication by algebra_generators(alg) only (see there), or by every
-    basis element when there are none.
+    The span is closed under multiplication by algebra_generators(alg) only
+    (see there), or by every basis element when there are none.
     """
-    ech = EchelonBasis.spanned_by(alg.field, alg.dim, map(sparse_vector, ideal))
+    ech = EchelonBasis(alg.field, alg.dim)
     gens = algebra_generators(alg)
     mults = range(alg.dim) if gens is None else gens
     queue = [sparse_vector(v) for v in seeds]
@@ -350,36 +342,29 @@ def ideal_closure(alg: AssocAlgebra, ideal, seeds) -> list[tuple]:
 
 
 def quotient_algebra(alg: AssocAlgebra, ideal_basis):
-    """Quotient A/I: (algebra, projection matrix, section column indices).
+    """Quotient A/I: (algebra, projection, section column indices).
 
     Coordinates of the quotient are the non-pivot basis positions of the
-    echelonized ideal.
+    echelonized ideal.  The projection lists the image of each b_i as
+    {index: coeff} without zeros: b_c for c in the complement, and minus the
+    rest of its echelon row for a pivot column.
     """
     field = alg.field
     dim = alg.dim
+    zero, one = field.zero(), field.one()
     if not ideal_basis:
-        proj = Matrix.identity(field, dim)
-        return alg, proj, list(range(dim))
-    rows = map(sparse_vector, Matrix(field, ideal_basis).data)
-    ech = EchelonBasis.spanned_by(field, dim, rows)
+        return alg, [{i: one} for i in range(dim)], list(range(dim))
+    ech = EchelonBasis.spanned_by(field, dim, map(sparse_vector, ideal_basis))
     complement = [c for c in range(dim) if c not in ech.rows]
     qdim = len(complement)
-    zero, one = field.zero(), field.one()
-
-    # the projection is linear: b_c for c in the complement, and minus the
-    # rest of its echelon row for a pivot column; products and the unit are
-    # mapped through these rows
-    proj_rows = {c: {a: one} for a, c in enumerate(complement)}
+    images = {c: {a: one} for a, c in enumerate(complement)}
     for pc, row in ech.rows.items():
-        proj_rows[pc] = {a: -row[c] for a, c in enumerate(complement) if c in row}
-    proj = Matrix._wrap(
-        field, [[proj_rows[i].get(a, zero) for i in range(dim)] for a in range(qdim)]
-    ) if qdim else None
+        images[pc] = {a: -row[c] for a, c in enumerate(complement) if c in row}
 
     def project(terms) -> dict:
         out: dict = {}
         for k, m in terms:
-            for a, x in proj_rows[k].items():
+            for a, x in images[k].items():
                 out[a] = out.get(a, zero) + m * x
         return out
 
@@ -393,44 +378,35 @@ def quotient_algebra(alg: AssocAlgebra, ideal_basis):
     quotient = AssocAlgebra(
         field, qdim, Tensor3(field, (qdim, qdim, qdim), entries), unit_q
     )
-    return quotient, proj, complement
+    return quotient, [images[i] for i in range(dim)], complement
 
 
-def minimal_polynomial(m: Matrix) -> UniPoly:
-    """Minimal polynomial by Krylov chains from each basis vector.
+def minimal_polynomial(field: CycloField, n: int, apply) -> UniPoly:
+    """Minimal polynomial of a linear map M of k^n by Krylov chains from each
+    basis vector; apply(v) is Mv, for v and the result given as {index:
+    coeff} without zeros.
 
     One EchelonBasis per chain v, Mv, M^2 v, ... holds M^k v with a marker
     1 in column n + k.  The first power that reduces to zero on the first n
     columns is M^k v - sum_t a_t M^t v = 0, and its marker columns hold the
     coefficients -a_0, ..., -a_(k-1), 1 of the chain's polynomial.
     """
-    field = m.field
-    n = m.rows
     zero, one = field.zero(), field.one()
     result = UniPoly(field, [one])
     for start in range(n):
         ech = EchelonBasis(field, 2 * n + 1)
-        cur = unit_vector(field, n, start)
+        cur = {start: one}
         for k in range(n + 1):
-            v = ech.reduce({**sparse_vector(cur), n + k: one})
+            v = ech.reduce({**cur, n + k: one})
             if min(v) >= n:
                 local = UniPoly(field, [v.get(n + t, zero) for t in range(k + 1)])
-                result = _poly_lcm(result, local)
+                result = result * local // result.gcd(local)  # lcm, both monic
                 break
             ech.insert(v)
-            cur = m.apply(cur)
+            cur = apply(cur)
         if result.degree == n:
             break
-    return result.monic()
-
-
-def _poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
-    if a.degree <= 0:
-        return b
-    if b.degree <= 0:
-        return a
-    g = a.gcd(b)
-    return ((a * b) // g).monic()
+    return result
 
 
 @dataclass
@@ -452,17 +428,21 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
 
     Route: one quotient Q = A/J, J = rad A + the ideal of the commutators of
     algebra_generators(A); split Q into common eigenspaces of its own
-    generators only, by factoring minimal polynomials of their
-    multiplication maps (a block of eigenvectors, such as k^G's basis of
-    idempotents, splits unfactored); then read each character off its
-    block of dimension 1.  Every character returned passes _is_character.
+    generators only, on {index: coeff} vectors; then read each character
+    off its block of dimension 1.  Every character returned passes
+    _is_character.  The image g v of each block vector under a generator g
+    is formed once.  A block of eigenvectors, such as k^G's basis of
+    idempotents, splits by their eigenvalues unfactored.  Any other block
+    factors the minimal polynomial of g in block coordinates
+    (_block_coordinates refuses a block that is not invariant), and each
+    linear factor x - lambda gives its eigenspace as one sparse_kernel of
+    c -> sum_s c_s (g v_s - lambda v_s) in |block| unknowns.
 
     Why A/J is the quotient by the radical and then by the commutator
     ideal.  A character kills rad A and every commutator, so it factors
     through A/J.  The images of A's generators generate A/rad A, so its
     commutator ideal is the ideal of their commutators (see
-    algebra_generators), whose preimage in A is J.  rad A is an ideal
-    already, so only the commutators are closed.
+    algebra_generators), whose preimage in A is J.
 
     Why one column read is exact.  Q is commutative and semisimple, a
     product of fields.  A block is an eigenspace of a generator inside an
@@ -479,7 +459,7 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
     """
     field = alg.field
     dim = alg.dim
-    one = field.one()
+    zero, one = field.zero(), field.one()
     gens = algebra_generators(alg)
     if gens is None:
         gens = range(dim)
@@ -490,13 +470,13 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
             sparse_sub_scaled(c, one, alg.basis_times(j, {i: one}))
             if c:
                 comms.append(dense_vector(field, dim, c))
-    ideal = ideal_closure(alg, radical(alg), comms)
+    ideal = ideal_closure(alg, radical(alg) + comms)
     if len(ideal) == dim:
         return CharacterSearch([], [])
     quotient, proj, _ = quotient_algebra(alg, ideal)
 
     qdim = quotient.dim
-    blocks = [[unit_vector(field, qdim, i) for i in range(qdim)]]
+    blocks = [[{i: one} for i in range(qdim)]]
     unresolved = []
     qgens = algebra_generators(quotient)
     for gen in range(qdim) if qgens is None else qgens:
@@ -505,35 +485,40 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
             if len(block) == 1:
                 new_blocks.append(block)
                 continue
+            images = [quotient.basis_times(gen, v) for v in block]
             # a block of eigenvectors of gen splits by their eigenvalues, each
             # read off at the first nonzero coordinate and checked exactly
             by_eigenvalue: dict = {}
-            for v in block:
-                sv = sparse_vector(v)
-                w = quotient.basis_times(gen, sv)
-                p = min(sv)
-                eigenvalue = w.get(p, field.zero()) / sv[p]
-                if not eigenvalue.is_zero():
-                    sparse_sub_scaled(w, eigenvalue, sv)
-                if w:
+            for v, w in zip(block, images):
+                p = min(v)
+                eigenvalue = w.get(p, zero) / v[p]
+                scaled = {t: eigenvalue * x for t, x in v.items()}
+                if w != (scaled if not eigenvalue.is_zero() else {}):
                     break
                 by_eigenvalue.setdefault(eigenvalue, []).append(v)
             else:
                 new_blocks.extend(by_eigenvalue.values())
                 continue
-            lmat = quotient.left_mult_matrix(unit_vector(field, qdim, gen))
-            restricted = _restrict(lmat, block, field)
-            for fac, _ in factor_unipoly(minimal_polynomial(restricted)):
+            n = len(block)
+            coords = _block_coordinates(field, block, images, qdim)
+            rows = [{} for _ in block]  # row r: coordinate r of each g v_s
+            for s, cs in enumerate(coords):
+                for r, x in cs.items():
+                    rows[r][s] = x
+            apply = lambda c: _combination((x, coords[s]) for s, x in c.items())
+            for fac, _ in factor_unipoly(minimal_polynomial(field, n, apply)):
                 if fac.degree > 1:
                     # a primary component over a proper extension carries no
                     # characters of the base field; record and drop it
                     unresolved.append(fac)
                     continue
-                # fac = x - eigenvalue is monic, so fac(M) = M - eigenvalue I
-                sub = _plus_scalar(restricted, fac.coeffs[0])
+                eigenvalue = -fac.coeffs[0]  # fac = x - eigenvalue is monic
+                sub = [
+                    {**row, r: row.get(r, zero) - eigenvalue} for r, row in enumerate(rows)
+                ]
                 piece = [
-                    vec_combination(combo, block, field, qdim)
-                    for combo in sub.kernel()
+                    _combination((c, v) for c, v in zip(combo, block) if not c.is_zero())
+                    for combo in sparse_kernel(field, n, sub)
                 ]
                 if piece:
                     new_blocks.append(piece)
@@ -545,37 +530,46 @@ def characters(alg: AssocAlgebra) -> CharacterSearch:
         if len(block) != 1:
             continue
         v = block[0]
-        p = next(t for t, c in enumerate(v) if not c.is_zero())
-        values = [field.zero()] * qdim  # chi on Q's basis: (b_k v)_p / v_p
+        p = min(v)
+        values = [zero] * qdim  # chi on Q's basis: (b_k v)_p / v_p
         for k, j, m in by_k.get(p, ()):
-            if not v[j].is_zero():
-                values[k] = values[k] + m * v[j]
+            x = v.get(j)
+            if x is not None:
+                values[k] = values[k] + m * x
         scale = v[p].inverse()
         values = [x * scale for x in values]
-        chars.append(vec_combination(values, proj.data, field, dim))
+        chi = (sum((values[a] * x for a, x in img.items()), zero) for img in proj)
+        chars.append(tuple(chi))
     verified = _characters_among(alg, chars)
     sort_by_coeffs(verified)
     return CharacterSearch(verified, unresolved)
 
 
-def _restrict(m: Matrix, block, field) -> Matrix:
-    # express all images in block coordinates with one augmented reduction
-    k = len(block)
-    aug = Matrix.from_columns(field, list(block) + [m.apply(v) for v in block])
-    red, rank, pivots = aug.rref()
-    if pivots[:k] != list(range(k)) or any(p >= k for p in pivots):
-        raise ArithmeticError("block is not invariant")
-    return Matrix(field, [[red.data[r][k + i] for i in range(k)] for r in range(k)])
+def _block_coordinates(field, block, images, qdim: int) -> list:
+    """The coordinates {s: coeff} of each image in a block of independent
+    {index: coeff} vectors v_s of k^qdim.  Each image, reduced against the
+    v_s with a marker 1 in column qdim + s each, leaves minus its coordinates
+    on the markers, or lies outside the block and raises."""
+    one = field.one()
+    ech = EchelonBasis.spanned_by(
+        field, qdim + len(block), ({**v, qdim + s: one} for s, v in enumerate(block))
+    )
+    coords = []
+    for w in images:
+        r = ech.reduce(w)
+        if r and min(r) < qdim:
+            raise ArithmeticError("block is not invariant")
+        coords.append({t - qdim: -x for t, x in r.items()})
+    return coords
 
 
-def _plus_scalar(m: Matrix, c) -> Matrix:
-    """M + c I."""
-    if c.is_zero():
-        return m
-    data = [list(row) for row in m.data]
-    for i, row in enumerate(data):
-        row[i] = row[i] + c
-    return Matrix._wrap(m.field, data)
+def _combination(terms) -> dict:
+    """sum c v over the pairs (c, v) of terms, for nonzero c and {index:
+    coeff} vectors v without zeros; the sum has none either."""
+    out: dict = {}
+    for c, v in terms:
+        sparse_sub_scaled(out, -c, v)
+    return out
 
 
 def _is_character(alg: AssocAlgebra, chi) -> bool:

@@ -121,7 +121,7 @@ class TestRadical:
     def test_radical_is_two_sided_ideal(self):
         alg = sweedler_assoc()
         rad = radical(alg)
-        closed = ideal_closure(alg, [], rad)
+        closed = ideal_closure(alg, rad)
         assert len(closed) == len(rad)
 
     def test_matrix_algebra_semisimple(self):
@@ -240,7 +240,7 @@ def test_characters_split_eigenvector_blocks(name, monkeypatch):
     calls = []
     original = algebra.minimal_polynomial
     monkeypatch.setattr(
-        algebra, "minimal_polynomial", lambda m: calls.append(m) or original(m)
+        algebra, "minimal_polynomial", lambda *a: calls.append(a) or original(*a)
     )
     found = characters(alg).characters
     monkeypatch.undo()
@@ -261,16 +261,15 @@ for _p in (3, 5):
 @pytest.mark.parametrize("name", sorted(GENERATOR_SPLIT_INPUTS))
 def test_characters_multiply_only_generators_into_blocks(name, side, monkeypatch):
     """Inside characters, only algebra_generators(Q) of the split quotient
-    Q are multiplied into its blocks (by basis_times or as a left
-    multiplication matrix); every other chi(b_k) is read off a block's
-    vector.  Reading them by multiplying every basis element into every
-    block makes about dim Q^2 products of other elements."""
+    Q are multiplied into its blocks (by basis_times); every other chi(b_k)
+    is read off a block's vector.  Reading them by multiplying every basis
+    element into every block makes about dim Q^2 products of other
+    elements."""
     h = GENERATOR_SPLIT_INPUTS[name]()
     alg = h.algebra if side == "H" else dual_algebra(h)
     quotients, multiplied = [], []
     original_quotient = algebra.quotient_algebra
     original_times = AssocAlgebra.basis_times
-    original_lmat = AssocAlgebra.left_mult_matrix
 
     def quotient_algebra(a, ideal):
         out = original_quotient(a, ideal)
@@ -281,13 +280,8 @@ def test_characters_multiply_only_generators_into_blocks(name, side, monkeypatch
         multiplied.append((self, i))
         return original_times(self, i, v, right)
 
-    def left_mult_matrix(self, a):
-        multiplied.extend((self, i) for i, c in enumerate(a) if not c.is_zero())
-        return original_lmat(self, a)
-
     monkeypatch.setattr(algebra, "quotient_algebra", quotient_algebra)
     monkeypatch.setattr(AssocAlgebra, "basis_times", basis_times)
-    monkeypatch.setattr(AssocAlgebra, "left_mult_matrix", left_mult_matrix)
     found = characters(alg).characters
     monkeypatch.undo()
     split = quotients[-1]
@@ -297,6 +291,48 @@ def test_characters_multiply_only_generators_into_blocks(name, side, monkeypatch
     assert len(found) == split.dim  # Q is k^n: one character per block
     if alg.dim <= 12:
         assert found == ref_characters(alg)
+
+
+# name -> an algebra whose search factors a minimal polynomial
+FACTORING_INPUTS = {
+    **{n: lambda b=b: b().algebra for n, b in GENERATOR_SPLIT_INPUTS.items()},
+    **{n: b for n, (b, only) in EIGENVECTOR_SPLIT_INPUTS.items() if not only},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORING_INPUTS))
+def test_characters_factor_without_rref(name, monkeypatch):
+    """A block that is not made of eigenvectors is split on sparse vectors:
+    its coordinates come from one EchelonBasis and each eigenspace from one
+    sparse_kernel, so no dense Matrix.rref runs.  Each input is built fresh
+    and before the count starts, so no cached radical or quotient hides a
+    call."""
+    alg = FACTORING_INPUTS[name]()
+    factored, rrefs = [], []
+    original = algebra.minimal_polynomial
+    original_rref = Matrix.rref
+    monkeypatch.setattr(
+        algebra, "minimal_polynomial", lambda *a: factored.append(a) or original(*a)
+    )
+    monkeypatch.setattr(Matrix, "rref", lambda m: rrefs.append(m) or original_rref(m))
+    characters(alg)
+    monkeypatch.undo()
+    assert factored, name
+    assert not rrefs, name
+
+
+def test_characters_refuse_a_block_that_is_not_invariant():
+    """A non-associative table: e0 the unit, e1^2 = e1, e2^2 = -e0 and
+    e1 e2 = e2 e1 = 0.  The eigenspace {e0 - e1, e2} of e1 is not invariant
+    under e2 (e2 (e0 - e1) = e2 but e2 e2 = -e0), and characters says so
+    rather than report x^2 + 1 as an unresolved factor."""
+    entries = {
+        (0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1, (1, 0, 1): 1, (1, 1, 1): 1,
+        (2, 0, 2): 1, (2, 2, 0): -1,
+    }
+    alg = AssocAlgebra(Q, 3, Tensor3(Q, (3, 3, 3), entries), unit_vector(Q, 3, 0))
+    with pytest.raises(ArithmeticError, match="block is not invariant"):
+        characters(alg)
 
 
 def every_pair_is_character(alg, chi):

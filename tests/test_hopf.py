@@ -5,12 +5,7 @@ import itertools
 import pytest
 
 from hopfcheck import families, hopf
-from hopfcheck.algebra import (
-    AssocAlgebra,
-    is_semisimple_trace,
-    minimal_polynomial,
-    radical,
-)
+from hopfcheck.algebra import AssocAlgebra, is_semisimple_trace, radical
 from hopfcheck.cyclotomic import UniPoly, is_prime, make_field, roots_in_field
 from hopfcheck.families import a_tau_mu, group_algebra, sweedler, taft, taft_tensor_group
 from hopfcheck.hopf import (
@@ -55,6 +50,7 @@ from hopfcheck.linalg import (
     vec_sub,
 )
 from test_basis_independence import dense_a31
+from test_sparse_kernels import matrix_minimal_polynomial
 from test_verify_generators import is_group_like, transport, transpose
 
 Q = make_field(1)
@@ -80,7 +76,7 @@ def group_likes_bruteforce(h: HopfAlgebra) -> list[tuple]:
     for j0 in range(dim):
         f = unit_vector(field, dim, j0)
         a_mat = h.comult.contract(1, f).transpose()
-        minpoly = minimal_polynomial(a_mat)
+        minpoly = matrix_minimal_polynomial(a_mat)
         for gamma in set(roots_in_field(minpoly)):
             if gamma.is_zero():
                 continue
